@@ -23,6 +23,12 @@ if [[ "${1:-}" == "quick" ]]; then
     exit 0
 fi
 
+echo "== core unit tests, default config =="
+# The root package's `cargo test` does not reach member crates; the core
+# crate's own unit tests (verify, runtime, breaker, ...) run here against
+# the default build that ships, before the feature configs below.
+cargo test -q -p autogemm
+
 echo "== scalar-fallback SIMD config =="
 # Exercise the portable array backend of the SIMD lane layer: the same
 # kernels and property tests must pass with the arch intrinsics compiled

@@ -314,11 +314,22 @@ fn claim_slot(st: &mut PoolState, shared: &PoolShared) -> Option<ClaimedSlot> {
 
 fn worker_loop(shared: &PoolShared) {
     let mut st = shared.lock_state();
+    // When this worker last parked. The park is recorded at the next
+    // claim — under the lock, before the claimed job can complete — so
+    // every runtime-side record lands before the submitter returns. A
+    // wake that finds no open slot (another worker claimed it first)
+    // keeps parking and extends the same park.
+    let mut parked: Option<Instant> = None;
     loop {
         if st.shutdown {
             break;
         }
         if let Some((body, slot, job_id)) = claim_slot(&mut st, shared) {
+            if let Some(p0) = parked.take() {
+                let park_ns = p0.elapsed().as_nanos() as u64;
+                shared.park_ns.fetch_add(park_ns, Ordering::Relaxed);
+                shared.metrics.record(&shared.metrics.pool_park_ns, park_ns);
+            }
             drop(st);
             let t0 = Instant::now();
             // SAFETY: join-before-return — the submitter cannot return
@@ -340,11 +351,8 @@ fn worker_loop(shared: &PoolShared) {
                 }
             }
         } else {
-            let p0 = Instant::now();
+            parked.get_or_insert_with(Instant::now);
             st = forgive(shared.work_cv.wait(st));
-            let park_ns = p0.elapsed().as_nanos() as u64;
-            shared.park_ns.fetch_add(park_ns, Ordering::Relaxed);
-            shared.metrics.record(&shared.metrics.pool_park_ns, park_ns);
         }
     }
     shared.workers_alive.fetch_sub(1, Ordering::Relaxed);

@@ -1,5 +1,5 @@
 //! Always-compiled output-integrity layer: Freivalds' probabilistic
-//! result verification plus a non-finite scan.
+//! result verification plus non-finite detection.
 //!
 //! The supervision stack makes the engine survive panics, stalls and
 //! deadline blowouts — but none of that detects a *silently wrong
@@ -28,13 +28,29 @@
 //!   absolute floor for all-zero rows). The check's own `f64` dot
 //!   products contribute error orders of magnitude below the `f32`
 //!   terms and are ignored.
-//! * **Non-finite scan.** If `A` and `B` are finite but `C` contains a
-//!   `NaN`/`Inf`, the kernel corrupted the output regardless of what
-//!   Freivalds would say (`NaN` also poisons the residual, so the scan
-//!   runs first and reports `check: "non_finite"`). If the *inputs*
-//!   already contain non-finite values, no check can attest anything —
-//!   verification is skipped entirely so garbage-in never reads as a
-//!   false positive.
+//! * **Non-finite detection.** If `A` and `B` are finite but `C`
+//!   contains a `NaN`/`Inf`, the kernel corrupted the output regardless
+//!   of what Freivalds would say (`NaN` also poisons the residual), so
+//!   that verdict (`check: "non_finite"`) wins over any residual. If the
+//!   *inputs* already contain non-finite values, no check can attest
+//!   anything — verification is skipped so garbage-in never reads as a
+//!   false positive. No separate scan finds these values: a row's `f64`
+//!   magnitude sum `Σ|v|` is finite exactly when every entry of the row
+//!   is, and an `Inf` in `A` facing an all-zero row of `B` gives
+//!   `Inf·0 = NaN` in `Σ_p |A_ip|·Σ_j|B_pj|`, which reads as non-finite
+//!   too.
+//! * **One pass per operand.** The check is load-bound (about half a
+//!   flop per byte), so it reads each operand once. Both rounds' probe
+//!   vectors are drawn up front; one pass over `B` yields `Σ_j |B_pj|`
+//!   and `B·x` for both rounds; one pass over each row of `A` yields
+//!   its magnitude bound and `A·(B·x)` for both rounds; one pass over
+//!   the same row of `C` yields `Σ_j |C_ij|`, `C·x` for both rounds and
+//!   both residuals. Each sum accumulates in a fixed number of
+//!   independent `f64` lanes instead of one serial accumulator, so the
+//!   loop runs at load speed rather than one add latency per element;
+//!   the lane count and reduction order depend on nothing but the row
+//!   length, so verdicts stay deterministic and independent of thread
+//!   count and target.
 //!
 //! Selection is governed by [`VerifyPolicy`], threaded per call
 //! ([`GemmOptions::verify`](crate::supervisor::GemmOptions)), per
@@ -167,17 +183,97 @@ impl SignStream {
     }
 }
 
+/// Independent `f64` accumulators per sum. A serial `acc += …` waits
+/// one add latency per element because the compiler may not
+/// reassociate it; independent lanes hide that latency and let the
+/// loop vectorize on every target. The count is fixed — not the
+/// target's vector width — so the summation order, and with it every
+/// verdict, is the same on every target and at every thread count.
+/// Four lanes of magnitude plus four lanes of probe pairs fit the
+/// sixteen vector registers of baseline x86-64; eight spill.
+const LANES: usize = 4;
+
+/// Both rounds' entries side by side (`[round 0, round 1]`), so one row
+/// element updates both rounds' sums with one paired multiply-add.
+type Pair = [f64; 2];
+
+// The single pass carries exactly two probe vectors.
+const _: () = assert!(FREIVALDS_ROUNDS == 2);
+
+/// Fixed-order reduction of one lane set.
+fn reduce(l: [f64; LANES]) -> f64 {
+    (l[0] + l[1]) + (l[2] + l[3])
+}
+
+fn reduce_pairs(l: [Pair; LANES]) -> Pair {
+    [reduce(l.map(|s| s[0])), reduce(l.map(|s| s[1]))]
+}
+
+/// One read of a row `r` against paired probe entries `x`:
+/// `([Σ_j r_j·x_j[0], Σ_j r_j·x_j[1]], Σ_j |r_j|)`. The tail
+/// (`len % LANES`) lands in the first lanes, so the summation order
+/// depends on the length only.
+fn probe_row(row: &[f32], x: &[Pair]) -> (Pair, f64) {
+    debug_assert_eq!(row.len(), x.len());
+    let mut dot = [[0.0f64; 2]; LANES];
+    let mut mag = [0.0f64; LANES];
+    let (rc, rt) = row.as_chunks::<LANES>();
+    let (xc, xt) = x.as_chunks::<LANES>();
+    for (r, x) in rc.iter().zip(xc) {
+        for l in 0..LANES {
+            let e = f64::from(r[l]);
+            mag[l] += e.abs();
+            dot[l][0] += e * x[l][0];
+            dot[l][1] += e * x[l][1];
+        }
+    }
+    for (l, (&e, x)) in rt.iter().zip(xt).enumerate() {
+        let e = f64::from(e);
+        mag[l] += e.abs();
+        dot[l][0] += e * x[0];
+        dot[l][1] += e * x[1];
+    }
+    (reduce_pairs(dot), reduce(mag))
+}
+
+/// [`probe_row`] with the magnitude weighted: `Σ_j |r_j|·w_j`.
+fn weighted_probe_row(row: &[f32], w: &[f64], x: &[Pair]) -> (Pair, f64) {
+    debug_assert!(row.len() == w.len() && row.len() == x.len());
+    let mut dot = [[0.0f64; 2]; LANES];
+    let mut mag = [0.0f64; LANES];
+    let (rc, rt) = row.as_chunks::<LANES>();
+    let (wc, wt) = w.as_chunks::<LANES>();
+    let (xc, xt) = x.as_chunks::<LANES>();
+    for ((r, w), x) in rc.iter().zip(wc).zip(xc) {
+        for l in 0..LANES {
+            let e = f64::from(r[l]);
+            mag[l] += e.abs() * w[l];
+            dot[l][0] += e * x[l][0];
+            dot[l][1] += e * x[l][1];
+        }
+    }
+    for (l, ((&e, &w), x)) in rt.iter().zip(wt).zip(xt).enumerate() {
+        let e = f64::from(e);
+        mag[l] += e.abs() * w;
+        dot[l][0] += e * x[0];
+        dot[l][1] += e * x[1];
+    }
+    (reduce_pairs(dot), reduce(mag))
+}
+
 /// Verify `C ≈ A·B` (`A` is `m×k`, `B` is `k×n`, `C` is `m×n`, all
-/// row-major) with the non-finite scan plus [`FREIVALDS_ROUNDS`]
-/// Freivalds rounds.
+/// row-major) with non-finite detection plus [`FREIVALDS_ROUNDS`]
+/// Freivalds rounds, in one pass over each operand.
 ///
 /// Returns `Ok(())` when the output is consistent **or** when the
 /// inputs already contain non-finite values (nothing can be attested —
 /// see the module docs). Returns
 /// [`GemmError::IntegrityViolation`](crate::error::GemmError) naming
-/// the failed detector otherwise. Slice lengths are the caller's
-/// contract (the engine validates before computing); mismatched lengths
-/// here panic via slice indexing like any other library bug.
+/// the failed detector otherwise: `non_finite` (round 0) if `C` holds a
+/// `NaN`/`Inf`, else `freivalds` with the first violated round and that
+/// round's largest residual. Slice lengths are the caller's contract
+/// (the engine validates before computing); mismatched lengths here
+/// panic via slice indexing like any other library bug.
 pub fn verify_output(
     m: usize,
     n: usize,
@@ -189,72 +285,63 @@ pub fn verify_output(
     if m == 0 || n == 0 {
         return Ok(());
     }
-    if !a.iter().all(|v| v.is_finite()) || !b.iter().all(|v| v.is_finite()) {
-        return Ok(());
+    // Both rounds' probe vectors, drawn up front: x[j] = [x₀_j, x₁_j].
+    let mut signs = [SignStream::new(m, n, k, 0), SignStream::new(m, n, k, 1)];
+    let x: Vec<Pair> = (0..n).map(|_| signs.each_mut().map(SignStream::next_sign)).collect();
+
+    // One pass over B: y[p] = [(B·x₀)_p, (B·x₁)_p] and babs[p] =
+    // Σ_j |B[p,j]|. A magnitude sum is finite exactly when its row is.
+    let mut y = vec![[0.0f64; 2]; k];
+    let mut babs = vec![0.0f64; k];
+    for p in 0..k {
+        (y[p], babs[p]) = probe_row(&b[p * n..p * n + n], &x);
+        if !babs[p].is_finite() {
+            return Ok(());
+        }
     }
-    if !c.iter().all(|v| v.is_finite()) {
+
+    let eps = f64::from(f32::EPSILON);
+    let gamma = eps * (k.max(1) as f64) * TOLERANCE_SAFETY;
+    let mut c_non_finite = false;
+    // Per round, the largest residual over the rows that broke tolerance.
+    let mut worst: [Option<f64>; 2] = [None; 2];
+    for i in 0..m {
+        // One pass over row i of A: z = (A·y)_i for both rounds, and
+        // mag = Σ_p |A_ip|·babs[p] bounds row i of |A|·|B|·1. An Inf in
+        // A facing an all-zero B row gives Inf·0 = NaN, so mag too is
+        // finite exactly when the row is.
+        let (z, mag) = weighted_probe_row(&a[i * k..i * k + k], &babs, &y);
+        if !mag.is_finite() {
+            return Ok(());
+        }
+        if c_non_finite {
+            // Only a non-finite A can still change the verdict.
+            continue;
+        }
+        // One pass over row i of C: w = (C·x)_i for both rounds and the
+        // storage term cmag = Σ_j |C_ij|, then both rounds' residuals.
+        let (w, cmag) = probe_row(&c[i * n..i * n + n], &x);
+        if !cmag.is_finite() {
+            c_non_finite = true;
+            continue;
+        }
+        let tolerance = gamma * mag + eps * TOLERANCE_SAFETY * cmag + TOLERANCE_FLOOR;
+        for (worst, (w, z)) in worst.iter_mut().zip(w.into_iter().zip(z)) {
+            let residual = (w - z).abs();
+            if residual > tolerance {
+                *worst = Some(worst.map_or(residual, |r| r.max(residual)));
+            }
+        }
+    }
+    if c_non_finite {
         return Err(GemmError::IntegrityViolation {
             check: "non_finite",
             round: 0,
             max_residual: f64::INFINITY,
         });
     }
-
-    // Row-magnitude bounds, shared by every round (sign-independent):
-    // babs[p] = Σ_j |B[p,j]|, then mag[i] = Σ_p |A[i,p]|·babs[p] bounds
-    // row i of |A|·|B|·1, and cmag[i] = Σ_j |C[i,j]| the storage term.
-    let mut babs = vec![0.0f64; k];
-    for p in 0..k {
-        let row = &b[p * n..p * n + n];
-        babs[p] = row.iter().map(|v| f64::from(v.abs())).sum();
-    }
-    let eps = f64::from(f32::EPSILON);
-    let gamma = eps * (k.max(1) as f64) * TOLERANCE_SAFETY;
-
-    for round in 0..FREIVALDS_ROUNDS {
-        let mut signs = SignStream::new(m, n, k, round);
-        let x: Vec<f64> = (0..n).map(|_| signs.next_sign()).collect();
-
-        // y = B·x  (k), in f64.
-        let mut y = vec![0.0f64; k];
-        for p in 0..k {
-            let row = &b[p * n..p * n + n];
-            let mut acc = 0.0f64;
-            for (j, v) in row.iter().enumerate() {
-                acc += f64::from(*v) * x[j];
-            }
-            y[p] = acc;
-        }
-
-        let mut max_residual = 0.0f64;
-        let mut violated = false;
-        for i in 0..m {
-            let arow = &a[i * k..i * k + k];
-            let mut z = 0.0f64; // (A·y)_i
-            let mut mag = 0.0f64; // Σ_p |A_ip|·babs[p]
-            for (p, v) in arow.iter().enumerate() {
-                let av = f64::from(*v);
-                z += av * y[p];
-                mag += av.abs() * babs[p];
-            }
-            let crow = &c[i * n..i * n + n];
-            let mut w = 0.0f64; // (C·x)_i
-            let mut cmag = 0.0f64;
-            for (j, v) in crow.iter().enumerate() {
-                let cv = f64::from(*v);
-                w += cv * x[j];
-                cmag += cv.abs();
-            }
-            let residual = (w - z).abs();
-            let tolerance = gamma * mag + eps * TOLERANCE_SAFETY * cmag + TOLERANCE_FLOOR;
-            if residual > tolerance {
-                violated = true;
-                if residual > max_residual {
-                    max_residual = residual;
-                }
-            }
-        }
-        if violated {
+    for (round, worst) in (0..FREIVALDS_ROUNDS).zip(worst) {
+        if let Some(max_residual) = worst {
             return Err(GemmError::IntegrityViolation { check: "freivalds", round, max_residual });
         }
     }

@@ -101,11 +101,39 @@ fn os_thread_count() -> u64 {
         .unwrap_or(0)
 }
 
+/// Re-runs the named test alone in a child process (this test binary,
+/// one test, one test thread) and asserts it passed; returns `true` only
+/// inside that child, where the caller runs its body. Sibling tests
+/// start and end threads at any time, so a process-wide thread count is
+/// only meaningful in a process running nothing else.
+fn run_isolated(name: &str) -> bool {
+    const CHILD: &str = "AUTOGEMM_POOL_TEST_ISOLATED";
+    if std::env::var_os(CHILD).is_some() {
+        return true;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .args([name, "--exact", "--test-threads=1"])
+        .env(CHILD, "1")
+        .output()
+        .expect("spawn isolated test run");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "isolated run of {name} failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    false
+}
+
 /// The tentpole's core claim: a burst of threaded calls on a warmed-up
 /// dedicated runtime creates zero new OS threads and leaks zero pool
 /// workers — dispatch is wake/park, not spawn/join.
 #[test]
 fn threaded_burst_spawns_no_os_threads_and_leaks_no_workers() {
+    if !run_isolated("threaded_burst_spawns_no_os_threads_and_leaks_no_workers") {
+        return;
+    }
     let rt = Runtime::with_workers(1);
     let engine = AutoGemm::new(ChipSpec::graviton2()).with_runtime(rt.clone());
     let (m, n, k) = (26, 36, 64);
