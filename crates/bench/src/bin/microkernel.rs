@@ -23,8 +23,17 @@
 //! cargo run --release -p autogemm-bench --bin microkernel -- --smoke
 //! ```
 //!
+//! Before timing a shape, the binary checks the dispatched kernel
+//! against the scalar reference on packed panels of fractional values
+//! (full tile with and without accumulate, plus an edge tile):
+//! bit-for-bit on fused backends (every backend but `x86_sse2`), within
+//! 1e-3 relative otherwise. A miscompiled kernel build fails the run
+//! instead of being timed.
+//!
 //! `--smoke` (the CI mode) runs only the four first-choice shapes with
 //! fewer samples and writes no artifact unless a path is also given.
+//! The artifact records the dispatched backend, `host_parallelism` and
+//! the host's CPU model.
 
 use autogemm::native::{run_placement, run_placement_ref, CTile, KERNEL_MENU};
 use autogemm::packing::{pack_a, pack_b};
@@ -75,6 +84,60 @@ fn median_secs_per_call(reps: usize, min_sample_s: f64, mut f: impl FnMut()) -> 
     samples[samples.len() / 2]
 }
 
+/// Run the dispatched kernel and the scalar reference on the same
+/// packed operands, full and edge tile, accumulate on and off, and panic
+/// if they disagree (bitwise when `fused`). The operands carry fractional
+/// values so products round: a build that rounds twice differs from the
+/// single-rounding reference in low bits.
+fn check_against_reference(tile: MicroTile, fused: bool) {
+    let (mr, nr) = (tile.mr, tile.nr);
+    let frac = |i: usize, seed: usize| ((i * 2654435761 + seed) % 65521) as f32 / 8192.0 - 4.0;
+    let a_src: Vec<f32> = (0..mr * KC).map(|i| frac(i, 1)).collect();
+    let b_src: Vec<f32> = (0..KC * nr).map(|i| frac(i, 2)).collect();
+    let (pa, pb) = (pack_a(&a_src, KC, 0, 0, mr, KC, 4), pack_b(&b_src, nr, 0, 0, KC, nr, 4));
+    let (a, lda, b, ldb) = (&pa.data[..], pa.ld, &pb.data[..], pb.ld);
+    let edge = TilePlacement {
+        eff_rows: mr.div_ceil(2),
+        eff_cols: nr - 1,
+        ..TilePlacement::full(0, 0, tile)
+    };
+    let c0: Vec<f32> = (0..mr * nr).map(|i| frac(i, 3)).collect();
+    for placement in [TilePlacement::full(0, 0, tile), edge] {
+        for accumulate in [false, true] {
+            let (mut got, mut want) = (c0.clone(), c0.clone());
+            // SAFETY: each buffer holds the whole mr × nr tile at stride
+            // nr and outlives its handle.
+            let cg = unsafe { CTile::new(got.as_mut_ptr(), nr, got.len()) };
+            let cw = unsafe { CTile::new(want.as_mut_ptr(), nr, want.len()) };
+            run_placement(&placement, KC, a, lda, b, ldb, cg, accumulate);
+            run_placement_ref(&placement, KC, a, lda, b, ldb, cw, accumulate);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                let ok = if fused {
+                    g.to_bits() == w.to_bits()
+                } else {
+                    (g - w).abs() <= 1e-3 * w.abs().max(1.0)
+                };
+                assert!(
+                    ok,
+                    "{mr}x{nr} eff=({},{}) accumulate={accumulate}: C[{i}] simd {g} vs reference {w}",
+                    placement.eff_rows, placement.eff_cols
+                );
+            }
+        }
+    }
+}
+
+/// The host CPU's model name from `/proc/cpuinfo` (`"unknown"` elsewhere).
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .unwrap_or_default()
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("model name").map(|v| v.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -105,6 +168,7 @@ fn main() {
         let b_src: Vec<f32> = (0..KC * nr).map(|i| ((i * 7 + 2) % 19) as f32 - 9.0).collect();
         let pa = pack_a(&a_src, KC, 0, 0, mr, KC, 4);
         let pb = pack_b(&b_src, nr, 0, 0, KC, nr, 4);
+        check_against_reference(tile, backend.fused());
         let mut cbuf = vec![0.0f32; mr * nr];
 
         let flops = 2.0 * (mr * nr * KC) as f64;
@@ -149,7 +213,7 @@ fn main() {
     }
 
     let Some(out_path) = out_path else {
-        println!("smoke mode: no artifact written");
+        println!("smoke mode: every shape matched the reference; no artifact written");
         return;
     };
     let mut json = String::from("{\n");
@@ -159,6 +223,8 @@ fn main() {
         "  \"command\": \"cargo run --release -p autogemm-bench --bin microkernel\","
     );
     let _ = writeln!(json, "  \"backend\": \"{}\",", backend.name());
+    let _ = writeln!(json, "  \"host_parallelism\": {},", autogemm::host_parallelism());
+    let _ = writeln!(json, "  \"cpu_model\": {:?},", cpu_model());
     let _ = writeln!(json, "  \"kc\": {KC},");
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"model_chip\": \"{}\",", chip.id);

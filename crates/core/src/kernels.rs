@@ -25,10 +25,24 @@
 //! reference kernel ([`crate::native::micro_kernel_ref`]).
 //!
 //! Runtime dispatch: [`micro_kernel_simd`] probes [`SimdBackend`] once
-//! and routes to the baseline build (NEON / SSE2 / scalar — whatever the
-//! compile target guarantees) or to the `#[target_feature(enable =
-//! "fma")]` build, which is only reachable after
-//! `is_x86_feature_detected!("fma")` has confirmed the host.
+//! and routes to one build of the same `kernel_body`:
+//!
+//! * the baseline build — NEON / SSE2 / scalar, whatever the compile
+//!   target guarantees;
+//! * on x86_64, the `#[target_feature(enable = "fma")]` build
+//!   (VEX-encoded `_mm_fmadd_ps`), reachable only after
+//!   `is_x86_feature_detected!("fma")` confirmed the host;
+//! * on x86_64 with AVX-512F and AVX-512VL, the same FMA build compiled
+//!   with `#[target_feature(enable = "fma,avx512f,avx512vl")]`. The
+//!   vectors are still 128-bit [`F32x4`]s, but the EVEX encoding gives
+//!   the register allocator xmm16–31 as well. The paper sizes its tile
+//!   menu for 32 vector registers (Table II: `m_r·n̄_r + m_r + n̄_r ≤
+//!   32`), so the tiles the tuner favours — 3×24 needs 27 registers,
+//!   4×20 needs 29 — spill in the 16-register VEX build and do not in
+//!   this one.
+//!
+//! All builds accumulate `k` in the same order, so the fused ones are
+//! bit-identical to each other and to the scalar reference.
 
 use crate::native::CTile;
 use crate::simd::{F32x4, SimdBackend, LANES};
@@ -264,6 +278,32 @@ unsafe fn kernel_x86_fma<const MR: usize, const NRV: usize>(
     kernel_body::<MR, NRV, true>(kc, a, lda, b, ldb, c, accumulate, eff_rows, eff_cols)
 }
 
+/// EVEX build: the FMA build with AVX-512F/VL enabled as well, so LLVM
+/// may allocate xmm16–31 and the Table II tiles above 16 registers stay
+/// in registers. The vectors, instructions and k order are those of
+/// [`kernel_x86_fma`]; only the encoding differs.
+///
+/// # Safety
+/// Host must support FMA, AVX-512F and AVX-512VL — only reachable via
+/// [`micro_kernel_simd`]'s [`SimdBackend::X86Avx512Vl`] arm, which is
+/// gated on runtime detection.
+#[cfg(simd_x86)]
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "fma,avx512f,avx512vl")]
+unsafe fn kernel_x86_avx512vl<const MR: usize, const NRV: usize>(
+    kc: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: CTile,
+    accumulate: bool,
+    eff_rows: usize,
+    eff_cols: usize,
+) {
+    kernel_body::<MR, NRV, true>(kc, a, lda, b, ldb, c, accumulate, eff_rows, eff_cols)
+}
+
 /// The dispatched SIMD micro-kernel:
 /// `C[0..eff_rows][0..eff_cols] (+)= A[0..MR][0..kc] · B[0..kc][0..NRV*4]`.
 ///
@@ -286,6 +326,12 @@ pub fn micro_kernel_simd<const MR: usize, const NRV: usize>(
 ) {
     match SimdBackend::detect() {
         #[cfg(simd_x86)]
+        // SAFETY: the detect() probe confirmed FMA, AVX-512F and
+        // AVX-512VL on this host.
+        SimdBackend::X86Avx512Vl => unsafe {
+            kernel_x86_avx512vl::<MR, NRV>(kc, a, lda, b, ldb, c, accumulate, eff_rows, eff_cols)
+        },
+        #[cfg(simd_x86)]
         // SAFETY: the detect() probe confirmed FMA on this host.
         SimdBackend::X86Fma => unsafe {
             kernel_x86_fma::<MR, NRV>(kc, a, lda, b, ldb, c, accumulate, eff_rows, eff_cols)
@@ -307,7 +353,18 @@ mod tests {
             .collect()
     }
 
-    fn run_pair<const MR: usize, const NRV: usize, const NR: usize>(
+    /// A kernel build with the [`micro_kernel_simd`] signature.
+    type Kernel = unsafe fn(usize, &[f32], usize, &[f32], usize, CTile, bool, usize, usize);
+
+    /// Run `kernel` and [`micro_kernel_ref`] on the same operands and
+    /// compare `C`: bit-for-bit when `exact`, else within 1e-3 relative.
+    ///
+    /// # Safety
+    /// The host must support the target features `kernel` was built for.
+    unsafe fn check<const MR: usize, const NRV: usize, const NR: usize>(
+        build: &str,
+        kernel: Kernel,
+        exact: bool,
         kc: usize,
         accumulate: bool,
         eff_rows: usize,
@@ -322,35 +379,110 @@ mod tests {
         let mut c_ref = c0.clone();
         let t_simd = unsafe { CTile::new(c_simd.as_mut_ptr(), NR, c_simd.len()) };
         let t_ref = unsafe { CTile::new(c_ref.as_mut_ptr(), NR, c_ref.len()) };
-        micro_kernel_simd::<MR, NRV>(kc, &a, lda, &b, ldb, t_simd, accumulate, eff_rows, eff_cols);
+        kernel(kc, &a, lda, &b, ldb, t_simd, accumulate, eff_rows, eff_cols);
         micro_kernel_ref::<MR, NR>(kc, &a, lda, &b, ldb, t_ref, accumulate, eff_rows, eff_cols);
         for (i, (&got, &want)) in c_simd.iter().zip(&c_ref).enumerate() {
-            let tol = if SimdBackend::detect().fused() { 0.0 } else { 1e-3 * want.abs().max(1.0) };
+            let ok = if exact {
+                got.to_bits() == want.to_bits()
+            } else {
+                (got - want).abs() <= 1e-3 * want.abs().max(1.0)
+            };
             assert!(
-                (got - want).abs() <= tol,
-                "{MR}x{NR} kc={kc} acc={accumulate} eff=({eff_rows},{eff_cols}) \
+                ok,
+                "{build} {MR}x{NR} kc={kc} acc={accumulate} eff=({eff_rows},{eff_cols}) \
                  C[{i}]: {got} vs {want}"
             );
         }
     }
 
-    #[test]
-    fn full_tiles_match_reference() {
-        for kc in [1, 3, 4, 7, 17, 64] {
-            run_pair::<8, 2, 8>(kc, false, 8, 8);
-            run_pair::<5, 4, 16>(kc, true, 5, 16);
-            run_pair::<4, 5, 20>(kc, true, 4, 20);
-            run_pair::<1, 7, 28>(kc, false, 1, 28);
+    /// The dispatched kernel and every build of this tile the host can
+    /// run, the latter called directly rather than through the probe,
+    /// against the reference: full and edge tiles, accumulate on and off.
+    /// Fused builds must be bit-exact; the x86 baseline (SSE2, two
+    /// roundings) within tolerance.
+    fn sweep_builds<const MR: usize, const NRV: usize, const NR: usize>() {
+        #[cfg_attr(not(simd_x86), allow(unused_mut))]
+        let mut builds: Vec<(&str, Kernel, bool)> = vec![
+            ("dispatched", micro_kernel_simd::<MR, NRV>, SimdBackend::detect().fused()),
+            ("base", kernel_base::<MR, NRV>, !cfg!(simd_x86)),
+        ];
+        #[cfg(simd_x86)]
+        {
+            if std::arch::is_x86_feature_detected!("fma") {
+                builds.push(("x86_fma", kernel_x86_fma::<MR, NRV>, true));
+                if std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512vl")
+                {
+                    builds.push(("x86_avx512vl", kernel_x86_avx512vl::<MR, NRV>, true));
+                }
+            }
+        }
+        let edges =
+            [(MR, NR), (MR, NR - 1), ((MR - 1).max(1), NR), (1, 1), (MR.div_ceil(2), NR / 2 + 1)];
+        for (build, kernel, exact) in builds {
+            for kc in [1, 3, 4, 7, 64, 257] {
+                for accumulate in [false, true] {
+                    for (er, ec) in edges {
+                        // SAFETY: each build was pushed only after its
+                        // target features were detected.
+                        unsafe {
+                            check::<MR, NRV, NR>(build, kernel, exact, kc, accumulate, er, ec)
+                        };
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn edge_tiles_match_reference() {
-        for (er, ec) in [(1, 1), (3, 5), (8, 7), (2, 8), (7, 3)] {
-            run_pair::<8, 2, 8>(13, true, er, ec);
+    fn every_build_matches_reference_on_every_menu_tile() {
+        macro_rules! sweep {
+            ($(($mr:literal, $nrv:literal, $nr:literal)),* $(,)?) => {{
+                $(sweep_builds::<$mr, $nrv, $nr>();)*
+                vec![$(($mr, $nr)),*]
+            }};
         }
-        run_pair::<6, 3, 12>(9, false, 4, 10);
-        run_pair::<5, 4, 16>(21, true, 5, 13);
+        let swept: Vec<(usize, usize)> = sweep!(
+            (1, 1, 4),
+            (1, 2, 8),
+            (1, 3, 12),
+            (1, 4, 16),
+            (1, 5, 20),
+            (1, 6, 24),
+            (1, 7, 28),
+            (2, 1, 4),
+            (2, 2, 8),
+            (2, 3, 12),
+            (2, 4, 16),
+            (2, 5, 20),
+            (2, 6, 24),
+            (2, 7, 28),
+            (3, 1, 4),
+            (3, 2, 8),
+            (3, 3, 12),
+            (3, 4, 16),
+            (3, 5, 20),
+            (3, 6, 24),
+            (3, 7, 28),
+            (4, 1, 4),
+            (4, 2, 8),
+            (4, 3, 12),
+            (4, 4, 16),
+            (4, 5, 20),
+            (5, 1, 4),
+            (5, 2, 8),
+            (5, 3, 12),
+            (5, 4, 16),
+            (6, 1, 4),
+            (6, 2, 8),
+            (6, 3, 12),
+            (7, 1, 4),
+            (7, 2, 8),
+            (7, 3, 12),
+            (8, 1, 4),
+            (8, 2, 8),
+        );
+        assert_eq!(swept, crate::native::KERNEL_MENU, "sweep must cover the whole menu");
     }
 
     #[test]

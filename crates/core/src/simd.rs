@@ -9,11 +9,24 @@
 //!   aarch64, so this backend needs no runtime detection and multiplies
 //!   are always fused.
 //! * **x86_64** — `core::arch::x86_64` SSE2 intrinsics (baseline on
-//!   x86_64). The fused path (`_mm_fmadd_ps`) additionally requires the
-//!   FMA extension, which is probed **at runtime** with
-//!   `is_x86_feature_detected!("fma")`; kernels compiled for it carry
-//!   `#[target_feature(enable = "fma")]` and are only reachable through
-//!   the probe (see [`SimdBackend::detect`]).
+//!   x86_64). The micro-kernels come in three builds of the same 4-lane
+//!   code, chosen **at runtime** by [`SimdBackend::detect`]:
+//!   - [`SimdBackend::X86Avx512Vl`] — `_mm_fmadd_ps` compiled with
+//!     `#[target_feature(enable = "fma,avx512f,avx512vl")]`, picked when
+//!     `is_x86_feature_detected!` reports both `avx512f` and `avx512vl`.
+//!     The vectors stay 128-bit; only the encoding changes. EVEX code
+//!     can allocate xmm0–31, the 32 vector registers the paper sizes its
+//!     tile menu for (§III-A1, Table II: `m_r·n̄_r + m_r + n̄_r ≤ 32`),
+//!     so every menu tile — 3×24 needs 27 — fits in registers.
+//!   - [`SimdBackend::X86Fma`] — the same `_mm_fmadd_ps` kernels under
+//!     `#[target_feature(enable = "fma")]` (VEX encoding, xmm0–15 only),
+//!     picked on FMA hosts without AVX-512VL. Tiles needing more than 16
+//!     registers spill there.
+//!   - [`SimdBackend::X86Sse2`] — the baseline build, `_mm_mul_ps` +
+//!     `_mm_add_ps` (two roundings), for hosts without FMA.
+//!
+//!   Kernels compiled for a `target_feature` set are only reachable
+//!   through the probe that confirmed it.
 //! * **scalar** — a `[f32; 4]` array fallback for every other
 //!   architecture, and for any architecture when the `force-scalar`
 //!   cargo feature is on (CI builds it so the fallback cannot rot). It
@@ -41,7 +54,11 @@ pub const LANES: usize = 4;
 pub enum SimdBackend {
     /// aarch64 NEON: `vfmaq_f32` main loop (always fused).
     Neon,
-    /// x86_64 with the FMA extension: `_mm_fmadd_ps` main loop.
+    /// x86_64 with AVX-512F and AVX-512VL: the `_mm_fmadd_ps` main loop
+    /// EVEX-encoded, so the kernels can use all 32 xmm registers.
+    X86Avx512Vl,
+    /// x86_64 with the FMA extension: `_mm_fmadd_ps` main loop
+    /// (VEX-encoded, 16 xmm registers).
     X86Fma,
     /// x86_64 baseline: SSE2 `_mm_mul_ps` + `_mm_add_ps` (not fused).
     X86Sse2,
@@ -76,7 +93,13 @@ impl SimdBackend {
 
     #[cfg(simd_x86)]
     fn probe() -> SimdBackend {
-        if std::arch::is_x86_feature_detected!("fma") {
+        let fma = std::arch::is_x86_feature_detected!("fma");
+        if fma
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+        {
+            SimdBackend::X86Avx512Vl
+        } else if fma {
             SimdBackend::X86Fma
         } else {
             SimdBackend::X86Sse2
@@ -86,6 +109,7 @@ impl SimdBackend {
     fn from_u8(v: u8) -> SimdBackend {
         match v {
             x if x == SimdBackend::Neon as u8 => SimdBackend::Neon,
+            x if x == SimdBackend::X86Avx512Vl as u8 => SimdBackend::X86Avx512Vl,
             x if x == SimdBackend::X86Fma as u8 => SimdBackend::X86Fma,
             x if x == SimdBackend::X86Sse2 as u8 => SimdBackend::X86Sse2,
             _ => SimdBackend::Scalar,
@@ -104,6 +128,7 @@ impl SimdBackend {
     pub fn name(self) -> &'static str {
         match self {
             SimdBackend::Neon => "neon",
+            SimdBackend::X86Avx512Vl => "x86_avx512vl",
             SimdBackend::X86Fma => "x86_fma",
             SimdBackend::X86Sse2 => "x86_sse2",
             SimdBackend::Scalar => "scalar",
@@ -261,10 +286,10 @@ impl F32x4 {
     /// Fused multiply-accumulate `self + a*b` via `_mm_fmadd_ps`.
     ///
     /// # Safety
-    /// The host must support the FMA extension ([`SimdBackend::X86Fma`]),
-    /// and the caller must sit (after inlining) inside a
-    /// `#[target_feature(enable = "fma")]` region so the intrinsic is
-    /// inlined rather than called.
+    /// The host must support the FMA extension ([`SimdBackend::X86Fma`]
+    /// or [`SimdBackend::X86Avx512Vl`]), and the caller must sit (after
+    /// inlining) inside a `#[target_feature]` region that enables `fma`
+    /// so the intrinsic is inlined rather than called.
     #[cfg(simd_x86)]
     #[inline(always)]
     pub unsafe fn mul_acc_fma(self, a: F32x4, b: F32x4) -> F32x4 {
@@ -341,24 +366,56 @@ mod tests {
         #[cfg(simd_neon)]
         assert_eq!(b, SimdBackend::Neon);
         #[cfg(simd_x86)]
-        assert!(matches!(b, SimdBackend::X86Fma | SimdBackend::X86Sse2));
+        {
+            let fma = std::arch::is_x86_feature_detected!("fma");
+            let evex = fma
+                && std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512vl");
+            let want = if evex {
+                SimdBackend::X86Avx512Vl
+            } else if fma {
+                SimdBackend::X86Fma
+            } else {
+                SimdBackend::X86Sse2
+            };
+            assert_eq!(b, want, "probe disagrees with is_x86_feature_detected!");
+            assert_eq!(b.fused(), fma);
+        }
     }
 
     #[cfg(simd_x86)]
     #[test]
     fn fma_path_matches_mul_acc_when_available() {
-        if SimdBackend::detect() != SimdBackend::X86Fma {
-            return;
-        }
         #[target_feature(enable = "fma")]
-        unsafe fn fused(acc: F32x4, a: F32x4, b: F32x4) -> F32x4 {
+        unsafe fn vex(acc: F32x4, a: F32x4, b: F32x4) -> F32x4 {
             acc.mul_acc_fma(a, b)
         }
+        #[target_feature(enable = "fma,avx512f,avx512vl")]
+        unsafe fn evex(acc: F32x4, a: F32x4, b: F32x4) -> F32x4 {
+            acc.mul_acc_fma(a, b)
+        }
+        type Fused = unsafe fn(F32x4, F32x4, F32x4) -> F32x4;
+        let builds: Vec<(&str, Fused)> = match SimdBackend::detect() {
+            SimdBackend::X86Avx512Vl => vec![("x86_fma", vex), ("x86_avx512vl", evex)],
+            SimdBackend::X86Fma => vec![("x86_fma", vex)],
+            _ => return,
+        };
         let a = F32x4::from_array([1.5, 2.5, -3.0, 4.0]);
         let b = F32x4::from_array([2.0, -1.0, 0.5, 3.0]);
         let acc = F32x4::splat(1.0);
-        // Products here are exact, so fused and unfused agree bitwise.
-        let got = unsafe { fused(acc, a, b) };
-        assert_eq!(got.to_array(), acc.mul_acc(a, b).to_array());
+        // Products whose low bits a second rounding would drop: only a
+        // single-rounding multiply-add matches `f32::mul_add` on them.
+        let x = F32x4::splat(1.0 + f32::EPSILON);
+        let y = F32x4::splat(1.0 - f32::EPSILON);
+        let z = F32x4::splat(-1.0);
+        let want_rounded = (1.0 + f32::EPSILON).mul_add(1.0 - f32::EPSILON, -1.0);
+        assert_ne!(want_rounded, ((1.0 + f32::EPSILON) * (1.0 - f32::EPSILON)) - 1.0);
+        for (name, fused) in builds {
+            // SAFETY: detect() confirmed the features each build enables.
+            let (exact, rounded) = unsafe { (fused(acc, a, b), fused(z, x, y)) };
+            // Products here are exact, so fused and unfused agree bitwise.
+            assert_eq!(exact.to_array(), acc.mul_acc(a, b).to_array(), "{name}");
+            assert_eq!(rounded.to_array(), [want_rounded; 4], "{name} must round once");
+        }
     }
 }
