@@ -16,18 +16,15 @@ echo "== tier-1: build =="
 cargo build --release
 
 echo "== tier-1: test =="
+# The workspace's default members are the root package and the core
+# crate, so this also runs the core unit tests and doctests (verify,
+# runtime, breaker, ...) against the default build that ships.
 cargo test -q
 
 if [[ "${1:-}" == "quick" ]]; then
     echo "CI quick gate passed."
     exit 0
 fi
-
-echo "== core unit tests, default config =="
-# The root package's `cargo test` does not reach member crates; the core
-# crate's own unit tests (verify, runtime, breaker, ...) run here against
-# the default build that ships, before the feature configs below.
-cargo test -q -p autogemm
 
 echo "== scalar-fallback SIMD config =="
 # Exercise the portable array backend of the SIMD lane layer: the same
@@ -40,7 +37,7 @@ echo "== telemetry config =="
 # Tier-1 runs with the telemetry feature off (timer API compiled to
 # no-ops); this config arms the clocks and session hooks and re-runs the
 # core suite plus the integration guards that assert live timings and
-# traced-vs-untraced bit-identity.
+# that the per-call recorder leaves the driver's output bit-identical.
 cargo test -q -p autogemm --features telemetry
 cargo test -q -p autogemm-repro --features telemetry --test telemetry --test pack_counts
 
@@ -115,7 +112,7 @@ cargo run --release -p autogemm-bench --bin microkernel -- --smoke
 echo "== gemmtrace bench smoke =="
 # Runs the traced shape sweep's cube subset through the engine front
 # door, re-parses every emitted report through the GemmReport
-# schema-version guard, and gates that metrics-off try_gemm latency
+# schema-version guard, and gates that metrics-off try_gemm_opts latency
 # stays within noise of metrics-on.
 cargo run --release -p autogemm-bench --features telemetry --bin gemmtrace -- --smoke
 

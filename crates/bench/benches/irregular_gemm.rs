@@ -1,7 +1,7 @@
 //! Criterion wall-clock benches: native autoGEMM on Table V irregular
 //! shapes (host machine), single- and multi-threaded.
 
-use autogemm::AutoGemm;
+use autogemm::{AutoGemm, GemmOptions};
 use autogemm_arch::ChipSpec;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -25,7 +25,19 @@ fn bench_irregular(c: &mut Criterion) {
             bch.iter(|| engine.gemm(black_box(m), n, k, &a, &b, &mut cc));
         });
         group.bench_with_input(BenchmarkId::new("threads2", layer.name()), &layer, |bch, _| {
-            bch.iter(|| engine.gemm_threaded(black_box(m), n, k, &a, &b, &mut cc, 2));
+            bch.iter(|| {
+                engine
+                    .try_gemm_opts(
+                        black_box(m),
+                        n,
+                        k,
+                        &a,
+                        &b,
+                        &mut cc,
+                        &GemmOptions::new().threads(2),
+                    )
+                    .unwrap()
+            });
         });
     }
     group.finish();

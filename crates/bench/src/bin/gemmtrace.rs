@@ -4,7 +4,7 @@
 //! For every shape in [`autogemm_workloads::gemmtrace_sweep`] (Fig 8
 //! cubes plus one Table V ResNet-50 layer per irregularity class) the
 //! binary runs the engine's traced front door
-//! ([`autogemm::AutoGemm::try_gemm_traced`]), keeps the best-wall
+//! ([`autogemm::AutoGemm::try_gemm_traced_opts`]), keeps the best-wall
 //! report of a few repetitions, joins it against the perfmodel's
 //! projected cycles ([`autogemm::GemmReport::join_model`]) and records
 //! the full versioned-JSON report: per-phase wall/cycle breakdown
@@ -28,7 +28,7 @@
 //! repetition and writes no artifact unless a path is also given — but
 //! still serializes every report, re-parses it through the
 //! schema-version guard, and gates that the registry's metrics-off path
-//! adds no measurable overhead to `try_gemm`. `--timeline` runs a short
+//! adds no measurable overhead to `try_gemm_opts`. `--timeline` runs a short
 //! multi-threaded burst on a tracing engine and writes
 //! `BENCH_timeline.json`, a Chrome trace-event timeline (open it in
 //! Perfetto or `chrome://tracing`) with pack/kernel spans on every
@@ -37,7 +37,7 @@
 //! timings are zero.
 
 use autogemm::telemetry::{Json, ENABLED, SCHEMA_VERSION};
-use autogemm::{AutoGemm, GemmReport};
+use autogemm::{AutoGemm, GemmOptions, GemmReport};
 use autogemm_arch::ChipSpec;
 use autogemm_bench::print_table;
 use autogemm_perfmodel::{ModelOpts, ProjectionTable};
@@ -87,7 +87,7 @@ fn run_timeline(out_path: &str) {
         let mut c = vec![0.0f32; m * n];
         for _ in 0..3 {
             engine
-                .try_gemm_threaded(m, n, k, &a, &b, &mut c, THREADS)
+                .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(THREADS))
                 .unwrap_or_else(|e| panic!("{m}x{n}x{k}: {e}"));
         }
     }
@@ -124,7 +124,7 @@ fn run_timeline(out_path: &str) {
 }
 
 /// `--smoke` gate: a registry that is switched off must not slow down
-/// `try_gemm` — the disabled path is one relaxed atomic load per call.
+/// `try_gemm_opts` — the disabled path is one relaxed atomic load per call.
 fn gate_metrics_overhead() {
     let chip = ChipSpec::graviton2();
     let on = AutoGemm::new(chip.clone());
@@ -135,11 +135,11 @@ fn gate_metrics_overhead() {
     let b = data(k * n, 0x9e37);
     let mut c = vec![0.0f32; m * n];
     let t_on = median_secs(|| {
-        on.try_gemm(m, n, k, &a, &b, &mut c).expect("gemm");
+        on.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new()).expect("gemm");
         std::hint::black_box(&c);
     });
     let t_off = median_secs(|| {
-        off.try_gemm(m, n, k, &a, &b, &mut c).expect("gemm");
+        off.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new()).expect("gemm");
         std::hint::black_box(&c);
     });
     let ratio = t_on / t_off;
@@ -193,7 +193,7 @@ fn main() {
         // steady-state behaviour, not first-touch page faults.
         let run = |c: &mut Vec<f32>| {
             engine
-                .try_gemm_traced(m, n, k, &a, &b, c, THREADS)
+                .try_gemm_traced_opts(m, n, k, &a, &b, c, &GemmOptions::new().threads(THREADS))
                 .unwrap_or_else(|e| panic!("{name}: {e}"))
         };
         run(&mut c);

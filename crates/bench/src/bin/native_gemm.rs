@@ -23,7 +23,8 @@
 //! `--smoke` instead runs the fast CI guard: it asserts the fallible
 //! (`try_*`) driver is bit-identical to and not measurably slower than
 //! the classic path, that a far-future deadline adds no measurable
-//! overhead over `try_gemm` (the passive-monitor fast path), that the
+//! overhead over the same call without one (the passive-monitor fast
+//! path), that the
 //! input-aware dispatch is bit-identical to and never slower (beyond
 //! noise) than the panel-cache path on Table V ResNet shapes, that
 //! `Sample { rate: 16 }` verification prices near its 2% design target
@@ -38,7 +39,7 @@
 //! never stuck Open once faults stop.
 
 use autogemm::native::{gemm_with_plan_pooled, gemm_with_plan_repack, try_gemm_with_plan_pooled};
-use autogemm::{AutoGemm, PanelPool};
+use autogemm::{AutoGemm, GemmOptions, PanelPool};
 use autogemm_arch::ChipSpec;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -179,25 +180,32 @@ fn smoke() {
         let mut c_plain = vec![0.0f32; m * n];
         let plain_s = median_secs(|| {
             engine
-                .try_gemm_threaded(m, n, k, black_box(&a), &b, &mut c_plain, threads)
+                .try_gemm_opts(
+                    m,
+                    n,
+                    k,
+                    black_box(&a),
+                    &b,
+                    &mut c_plain,
+                    &GemmOptions::new().threads(threads),
+                )
                 .expect("smoke gemm failed")
         });
         let mut c_dl = vec![0.0f32; m * n];
         let dl_s = median_secs(|| {
             engine
-                .try_gemm_deadline(
+                .try_gemm_opts(
                     m,
                     n,
                     k,
                     black_box(&a),
                     &b,
                     &mut c_dl,
-                    threads,
-                    Duration::from_secs(3600),
+                    &GemmOptions::new().threads(threads).deadline(Duration::from_secs(3600)),
                 )
                 .expect("smoke deadline gemm failed")
         });
-        assert_eq!(c_dl, c_plain, "deadline path diverged from try_gemm");
+        assert_eq!(c_dl, c_plain, "deadline path diverged from the deadline-free call");
         let ratio = dl_s / plain_s;
         println!(
             "{m:>4}x{n:>4}x{k:>4} t{threads}: try {:>9.1} µs  deadline {:>9.1} µs  ratio {ratio:.3}",
@@ -207,7 +215,7 @@ fn smoke() {
         if ratio > 1.02 {
             println!("  note: deadline ratio {ratio:.3} above the 2% design target (host noise?)");
         }
-        assert!(ratio < 1.35, "far-future deadline {ratio:.3}x slower than try_gemm");
+        assert!(ratio < 1.35, "far-future deadline {ratio:.3}x slower than the deadline-free call");
     }
 
     // Input-aware dispatch gate over Table V ResNet shapes: the engine's
@@ -230,7 +238,7 @@ fn smoke() {
             let mut c_aware = vec![0.0f32; m * n];
             let aware_s = median_secs(|| {
                 engine
-                    .try_gemm(m, n, k, black_box(&a), &b, &mut c_aware)
+                    .try_gemm_opts(m, n, k, black_box(&a), &b, &mut c_aware, &GemmOptions::new())
                     .expect("smoke input-aware gemm failed")
             });
             assert_eq!(c_aware, c_panel, "{label}: input-aware path diverged from panel cache");
@@ -277,9 +285,13 @@ fn smoke() {
         let (a, b) = data(m, n, k);
         let fresh = AutoGemm::new(ChipSpec::graviton2());
         let mut c1 = vec![0.0f32; m * n];
-        let r1 = fresh.try_gemm_traced(m, n, k, &a, &b, &mut c1, 1).expect("traced call failed");
+        let r1 = fresh
+            .try_gemm_traced_opts(m, n, k, &a, &b, &mut c1, &GemmOptions::new().threads(1))
+            .expect("traced call failed");
         let mut c2 = vec![0.0f32; m * n];
-        let r2 = fresh.try_gemm_traced(m, n, k, &a, &b, &mut c2, 1).expect("traced call failed");
+        let r2 = fresh
+            .try_gemm_traced_opts(m, n, k, &a, &b, &mut c2, &GemmOptions::new().threads(1))
+            .expect("traced call failed");
         assert!(!r1.dispatch.plan_cache_hit, "first call must tune (cache miss)");
         assert!(r2.dispatch.plan_cache_hit, "second identical call must be a plan-cache hit");
         assert_eq!(c2, c1, "cached plan must reproduce the miss call's bits");
@@ -425,7 +437,9 @@ fn soak(iters: usize) {
     let (a, b) = data(m, n, k);
     for _ in 0..16 {
         let mut c = vec![0.0f32; m * n];
-        engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 2).expect("clean tail call failed");
+        engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+            .expect("clean tail call failed");
     }
     let health = engine.health();
     assert!(
@@ -543,13 +557,21 @@ fn main() {
         let mut c_aware = vec![0.0f32; m * n];
         let aware_s = median_secs(|| {
             engine
-                .try_gemm_threaded(m, n, k, black_box(&a), &b, &mut c_aware, threads)
+                .try_gemm_opts(
+                    m,
+                    n,
+                    k,
+                    black_box(&a),
+                    &b,
+                    &mut c_aware,
+                    &GemmOptions::new().threads(threads),
+                )
                 .expect("input-aware bench call failed")
         });
         assert_eq!(c_aware, c_panel, "{label}: input-aware path diverged from panel cache");
         let mut c_r = vec![0.0f32; m * n];
         let report = engine
-            .try_gemm_traced(m, n, k, &a, &b, &mut c_r, threads)
+            .try_gemm_traced_opts(m, n, k, &a, &b, &mut c_r, &GemmOptions::new().threads(threads))
             .expect("traced bench call failed");
         let flops = 2.0 * (m * n * k) as f64;
         println!(

@@ -27,8 +27,9 @@
 
 use autogemm::native::try_gemm_with_plan_supervised;
 use autogemm::supervisor::Supervision;
-use autogemm::{AutoGemm, PanelPool, Runtime};
+use autogemm::{AutoGemm, GemmOptions, PanelPool, Runtime};
 use autogemm_arch::ChipSpec;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -107,9 +108,9 @@ fn measure(
     // Bit-identity rides along with every bench run.
     let mut c_pooled = vec![0.0f32; m * n];
     let mut c_scoped = vec![0.0f32; m * n];
-    try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_pooled, threads, &pool, &pooled_sup)
+    try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_pooled, threads, &pool, &pooled_sup, None)
         .expect("pooled bench call failed");
-    try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_scoped, threads, &pool, &scoped_sup)
+    try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_scoped, threads, &pool, &scoped_sup, None)
         .expect("scoped bench call failed");
     assert_eq!(c_pooled, c_scoped, "{label}: pooled diverged from scoped baseline");
 
@@ -123,16 +124,35 @@ fn measure(
             1,
             &pool,
             &Supervision::none(),
+            None,
         )
-        .expect("inline bench call failed")
+        .expect("inline bench call failed");
     });
     let pooled_p = stream(|| {
-        try_gemm_with_plan_supervised(black_box(&plan), &a, &b, &mut c, threads, &pool, &pooled_sup)
-            .expect("pooled bench call failed")
+        try_gemm_with_plan_supervised(
+            black_box(&plan),
+            &a,
+            &b,
+            &mut c,
+            threads,
+            &pool,
+            &pooled_sup,
+            None,
+        )
+        .expect("pooled bench call failed");
     });
     let scoped_p = stream(|| {
-        try_gemm_with_plan_supervised(black_box(&plan), &a, &b, &mut c, threads, &pool, &scoped_sup)
-            .expect("scoped bench call failed")
+        try_gemm_with_plan_supervised(
+            black_box(&plan),
+            &a,
+            &b,
+            &mut c,
+            threads,
+            &pool,
+            &scoped_sup,
+            None,
+        )
+        .expect("scoped bench call failed");
     });
 
     // Dispatch overhead: what the threaded call pays over the inline
@@ -173,16 +193,11 @@ fn measure(
     }
 }
 
-/// Reads this process's thread count from /proc (Linux CI hosts); 0
-/// where /proc is absent, which disables the stability assert.
-fn os_thread_count() -> u64 {
-    std::fs::read_to_string("/proc/self/stat")
-        .ok()
-        .and_then(|s| {
-            let rest = &s[s.rfind(')')? + 2..];
-            rest.split_whitespace().nth(17)?.parse::<u64>().ok()
-        })
-        .unwrap_or(0)
+/// This process's OS thread ids, read from `/proc/self/task` (Linux CI
+/// hosts); `None` where /proc is absent, which disables the check.
+fn os_thread_ids() -> Option<BTreeSet<u64>> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(tasks.filter_map(|t| t.ok()?.file_name().to_str()?.parse().ok()).collect())
 }
 
 /// Fast CI guard: pooled dispatch must be bit-identical to scoped, not
@@ -203,21 +218,29 @@ fn smoke() {
         e.scoped_p.p50 * 1e6,
     );
 
-    // Zero per-call OS thread creation: a warmed-up stream must leave
-    // the process thread count untouched.
+    // Zero per-call OS thread creation: no thread alive after a
+    // warmed-up stream may be missing from the set alive before it.
+    // Comparing ids rather than counts tolerates a thread from an
+    // earlier phase (the scoped baseline) leaving `/proc` during the
+    // stream, and still catches a thread created while another exits.
     let (a, b) = data(m, n, k);
     let mut c = vec![0.0f32; m * n];
-    engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads).expect("smoke call failed");
-    let threads_before = os_thread_count();
+    engine
+        .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads))
+        .expect("smoke call failed");
+    let threads_before = os_thread_ids();
     let submissions_before = rt.stats().submissions;
     for _ in 0..64 {
-        engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads).expect("smoke call failed");
+        engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads))
+            .expect("smoke call failed");
     }
     let stats = rt.stats();
     assert!(stats.submissions > submissions_before, "stream bypassed the pool");
     assert_eq!(rt.alive_workers(), stats.workers as usize, "pool leaked a worker");
-    if threads_before > 0 {
-        assert_eq!(os_thread_count(), threads_before, "threaded calls created OS threads");
+    if let (Some(before), Some(after)) = (threads_before, os_thread_ids()) {
+        let created: Vec<&u64> = after.difference(&before).collect();
+        assert!(created.is_empty(), "threaded calls created OS threads {created:?}");
     }
     println!(
         "pool_overhead smoke passed: pooled/scoped p50 ratio {:.3}, overhead ratio {:.1}x, \

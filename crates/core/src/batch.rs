@@ -63,9 +63,10 @@ fn slice_key(s: &[f32]) -> (usize, usize) {
     (s.as_ptr() as usize, s.len())
 }
 
-/// Execute a batch natively with a shared tuned plan. `c` holds the
-/// outputs back to back (`len · m · n` elements), either zeroed or
-/// carrying accumulation inputs.
+/// Execute a batch natively with a shared tuned plan under a
+/// [`Supervision`] bundle. `c` holds the outputs back to back
+/// (`len · m · n` elements), either zeroed or carrying accumulation
+/// inputs.
 ///
 /// Items that bind the *same* `B` slice (pointer identity) share one
 /// offline-packed copy of it: `B` is packed once for the whole group and
@@ -73,31 +74,15 @@ fn slice_key(s: &[f32]) -> (usize, usize) {
 /// re-packing `B` per item. Each worker thread also carries its own
 /// [`PanelPool`], so A-panel buffers are recycled across that worker's
 /// items.
-pub fn gemm_batch(plan: &ExecutionPlan, batch: &GemmBatch, c: &mut [f32], threads: usize) {
-    if let Err(e) = try_gemm_batch(plan, batch, c, threads) {
-        panic!("{e}");
-    }
-}
-
-/// Fallible [`gemm_batch`]: output-length and plan-shape mismatches come
-/// back as `Err`, and a panicking batch worker poisons the run — the
-/// survivors finish their current item, stop, and the caller gets the
-/// first failure. Item-level failures (including contained worker
-/// panics inside an item) come back wrapped as
-/// [`GemmError::InBatch`]`{ index, source }` so the caller knows which
-/// item failed; completed items keep their results and the failing
-/// item's slice follows the per-item untouched-/partial-`C` rules of
-/// [`crate::error`].
-pub fn try_gemm_batch(
-    plan: &ExecutionPlan,
-    batch: &GemmBatch,
-    c: &mut [f32],
-    threads: usize,
-) -> Result<(), GemmError> {
-    try_gemm_batch_supervised(plan, batch, c, threads, &Supervision::none())
-}
-
-/// [`try_gemm_batch`] under a [`Supervision`] bundle.
+///
+/// Output-length and plan-shape mismatches come back as `Err`, and a
+/// panicking batch worker poisons the run — the survivors finish their
+/// current item, stop, and the caller gets the first failure. Item-level
+/// failures (including contained worker panics inside an item) come
+/// back wrapped as [`GemmError::InBatch`]`{ index, source }` so the
+/// caller knows which item failed; completed items keep their results
+/// and the failing item's slice follows the per-item untouched-/
+/// partial-`C` rules of [`crate::error`].
 ///
 /// The batch is itself a work queue of items, so supervision applies at
 /// *item* granularity: the deadline and watchdog are checked between
@@ -217,8 +202,9 @@ pub fn try_gemm_batch_supervised(
                         plan, batch.a[i], packed, c_item, 1, &pool, &item_sup,
                     ),
                     None => native::try_gemm_with_plan_supervised(
-                        plan, batch.a[i], batch.b[i], c_item, 1, &pool, &item_sup,
-                    ),
+                        plan, batch.a[i], batch.b[i], c_item, 1, &pool, &item_sup, None,
+                    )
+                    .map(|_| ()),
                 };
                 match r {
                     Ok(()) => {
@@ -297,7 +283,7 @@ mod tests {
             batch.push(&a_store[t], &b_store[t]);
         }
         let mut c = vec![0.0f32; items * m * n];
-        gemm_batch(&plan, &batch, &mut c, 3);
+        try_gemm_batch_supervised(&plan, &batch, &mut c, 3, &Supervision::none()).unwrap();
         for t in 0..items {
             let mut want = vec![0.0f32; m * n];
             naive(m, n, k, &a_store[t], &b_store[t], &mut want);
@@ -317,9 +303,9 @@ mod tests {
             batch.push(&a, &b);
         }
         let mut c1 = vec![0.0f32; items * m * n];
-        gemm_batch(&plan, &batch, &mut c1, 1);
+        try_gemm_batch_supervised(&plan, &batch, &mut c1, 1, &Supervision::none()).unwrap();
         let mut c4 = vec![0.0f32; items * m * n];
-        gemm_batch(&plan, &batch, &mut c4, 4);
+        try_gemm_batch_supervised(&plan, &batch, &mut c4, 4, &Supervision::none()).unwrap();
         assert_eq!(c1, c4);
     }
 
@@ -329,7 +315,7 @@ mod tests {
         let plan = engine.plan(4, 4, 4);
         let batch = GemmBatch::new(4, 4, 4);
         let mut c: Vec<f32> = vec![];
-        gemm_batch(&plan, &batch, &mut c, 4);
+        try_gemm_batch_supervised(&plan, &batch, &mut c, 4, &Supervision::none()).unwrap();
     }
 
     #[test]

@@ -1,7 +1,19 @@
 //! The [`AutoGemm`] engine: the library's front door.
+//!
+//! The GEMM surface is five entry points — [`AutoGemm::gemm`] (the one
+//! panicking convenience), [`AutoGemm::try_gemm_opts`],
+//! [`AutoGemm::try_gemm_traced_opts`], [`AutoGemm::try_gemm_batch_opts`]
+//! and [`AutoGemm::try_gemm_resilient`] — with every per-call setting
+//! in [`GemmOptions`]. The single-GEMM forms share one private call
+//! path: validate → breaker admission and supervision set-up → fast
+//! route or plan → driver → verify → breaker record. Tracing rides on
+//! that path as an optional recorder, and the resilient ladder's rungs
+//! as a [`ResilientMode`]; batches share the same set-up and breaker
+//! record.
 
 use crate::batch::GemmBatch;
 use crate::error::{self, GemmError};
+use crate::gemv;
 use crate::native;
 use crate::plan::{ExecutionPlan, OperandRouting};
 use crate::plancache::{PlanCache, PlanCacheStats, PlanKey};
@@ -12,7 +24,7 @@ use crate::supervisor::{
     ResilientReport, Supervision,
 };
 use crate::telemetry::metrics::{CallOutcome, Counter, MetricsRegistry, MetricsSnapshot};
-use crate::telemetry::{DispatchStats, HealthReport, IntegrityReport, TraceBuf};
+use crate::telemetry::{DispatchStats, HealthReport, IntegrityReport, Session, TraceBuf};
 use crate::verify::{self, VerifyPolicy};
 use autogemm_arch::ChipSpec;
 use autogemm_sim::Warmth;
@@ -21,7 +33,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Result of a simulated GEMM run on the modelled chip.
 #[derive(Debug, Clone, Copy)]
@@ -343,109 +354,31 @@ impl AutoGemm {
         (*plan).clone().with_routing(OperandRouting::packed())
     }
 
-    /// Native single-threaded GEMM on the host: `C = A·B`, row-major.
-    /// Panel buffers are recycled through the engine's pool.
+    /// Native GEMM on the host: `C = A·B`, row-major, single-threaded,
+    /// with panel buffers recycled through the engine's pool — the one
+    /// panicking convenience over [`Self::try_gemm_opts`].
     ///
     /// Panics with the structured [`GemmError`] message on invalid
-    /// operands or a contained worker panic; [`Self::try_gemm`] is the
-    /// non-panicking form.
+    /// operands or a contained worker panic; [`Self::try_gemm_opts`] is
+    /// the non-panicking form.
     pub fn gemm(&self, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        if let Err(e) = self.try_gemm(m, n, k, a, b, c) {
+        if let Err(e) = self.try_gemm_opts(m, n, k, a, b, c, &GemmOptions::new()) {
             panic!("{e}");
         }
-    }
-
-    /// Fallible [`Self::gemm`]: operand mismatches come back as `Err`
-    /// before any plan is tuned, degenerate shapes (`m`, `n` or `k`
-    /// zero) early-return, and worker panics are contained per the
-    /// [`crate::error`] policy.
-    pub fn try_gemm(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-    ) -> Result<(), GemmError> {
-        self.try_gemm_opts(m, n, k, a, b, c, &GemmOptions::new().threads(1))
-    }
-
-    /// Native multi-threaded GEMM on the host (panel-cache driver: each
-    /// operand panel packed once, blocks drained from the shared work
-    /// queue, buffers recycled through the engine's pool).
-    ///
-    /// Panics with the structured [`GemmError`] message;
-    /// [`Self::try_gemm_threaded`] is the non-panicking form.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_threaded(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        threads: usize,
-    ) {
-        if let Err(e) = self.try_gemm_threaded(m, n, k, a, b, c, threads) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`Self::gemm_threaded`]. A panicking worker poisons the
-    /// run: survivors drain the queue cursor and exit cleanly, and the
-    /// first panic comes back as [`GemmError::WorkerPanicked`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_gemm_threaded(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        threads: usize,
-    ) -> Result<(), GemmError> {
-        self.try_gemm_opts(m, n, k, a, b, c, &GemmOptions::new().threads(threads))
-    }
-
-    /// [`Self::try_gemm_threaded`] with a relative deadline: the run
-    /// stops cooperatively at the next panel/block boundary once
-    /// `deadline` has elapsed and reports
-    /// [`GemmError::Cancelled`] with its progress. A deadline that never
-    /// fires costs one clock read per claimed block; see
-    /// [`crate::supervisor`] for the overhead contract.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_gemm_deadline(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        threads: usize,
-        deadline: Duration,
-    ) -> Result<(), GemmError> {
-        self.try_gemm_opts(
-            m,
-            n,
-            k,
-            a,
-            b,
-            c,
-            &GemmOptions::new().threads(threads).deadline(deadline),
-        )
     }
 
     /// The supervised front door: execute with per-call [`GemmOptions`]
-    /// (threads, deadline, cancel token, watchdog). All plain `try_gemm*`
-    /// entry points funnel through here, so every native call consults
-    /// the engine's circuit breaker: quarantined paths are rerouted
-    /// (scalar kernels / transient buffers / single thread) and call
-    /// outcomes advance the breaker state machine. Cancelled calls are
-    /// neutral — they never move the breaker.
+    /// (threads, deadline, cancel token, watchdog, verify policy).
+    /// Operand mismatches come back as `Err` before any plan is tuned,
+    /// degenerate shapes (`m`, `n` or `k` zero) early-return, and worker
+    /// panics are contained per the [`crate::error`] policy. Every call
+    /// consults the engine's circuit breaker: quarantined paths are
+    /// rerouted (scalar kernels / transient buffers / single thread /
+    /// inline section drains) and call outcomes advance the breaker
+    /// state machine. Cancelled calls are neutral — they never move the
+    /// breaker. A deadline stops the run cooperatively at the next
+    /// panel/block boundary; one that never fires costs one clock read
+    /// per claimed block (see [`crate::supervisor`]).
     #[allow(clippy::too_many_arguments)]
     pub fn try_gemm_opts(
         &self,
@@ -457,7 +390,38 @@ impl AutoGemm {
         c: &mut [f32],
         opts: &GemmOptions,
     ) -> Result<(), GemmError> {
-        self.run_supervised(m, n, k, a, b, c, opts, false, false, false)
+        self.run_supervised(m, n, k, a, b, c, opts, ResilientMode::AsRequested, None).map(|_| ())
+    }
+
+    /// [`Self::try_gemm_opts`] with per-call telemetry: the same call
+    /// path with a recorder attached, returning the [`crate::GemmReport`]
+    /// — phase breakdown, pack stats, per-thread busy profiles, the
+    /// dispatched kernel-shape histogram, the route taken and any
+    /// graceful degradation ([`crate::telemetry::FallbackStats`]). Output
+    /// `C` is bit-identical to the untraced call; without the
+    /// `telemetry` feature the report's timings and counters are zero.
+    /// The report's `health` section holds the post-call breaker
+    /// snapshot plus every transition this call performed, and its
+    /// `metrics` section the post-call registry view.
+    #[allow(clippy::too_many_arguments)]
+    pub fn try_gemm_traced_opts(
+        &self,
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        opts: &GemmOptions,
+    ) -> Result<crate::GemmReport, GemmError> {
+        let sess = Arc::new(Session::new());
+        let report =
+            self.run_supervised(m, n, k, a, b, c, opts, ResilientMode::AsRequested, Some(&sess))?;
+        // Degenerate shapes run nothing: report the shape with an
+        // otherwise-empty profile.
+        let mut report = report.unwrap_or(crate::GemmReport { m, n, k, ..Default::default() });
+        report.metrics = Some(self.metrics());
+        Ok(report)
     }
 
     /// [`Self::try_gemm_opts`] with one bounded retry-with-degradation
@@ -485,10 +449,13 @@ impl AutoGemm {
         opts: &GemmOptions,
     ) -> Result<ResilientReport, GemmError> {
         let start = std::time::Instant::now();
-        let err = match self.run_supervised(m, n, k, a, b, c, opts, false, false, false) {
-            Ok(()) => return Ok(ResilientReport { attempts: 1, mode: ResilientMode::AsRequested }),
-            Err(e) => e,
-        };
+        let err =
+            match self.run_supervised(m, n, k, a, b, c, opts, ResilientMode::AsRequested, None) {
+                Ok(_) => {
+                    return Ok(ResilientReport { attempts: 1, mode: ResilientMode::AsRequested })
+                }
+                Err(e) => e,
+            };
         if matches!(err, GemmError::IntegrityViolation { .. }) {
             // The verified-reexecution rung: the computed output failed
             // the integrity check, so re-run on the trusted scalar
@@ -498,27 +465,28 @@ impl AutoGemm {
             // is fully overwritten by the re-run (drivers write, not
             // accumulate), so the corrupted buffer needs no reset.
             let rung_opts = Self::deduct_deadline(opts, start)?.verify(VerifyPolicy::Always);
+            let mode = ResilientMode::VerifiedReexecution;
             self.metrics.add(Counter::VerifyReexecutions, 1);
-            return self.run_supervised(m, n, k, a, b, c, &rung_opts, true, true, true).map(|()| {
-                ResilientReport { attempts: 2, mode: ResilientMode::VerifiedReexecution }
-            });
+            return self
+                .run_supervised(m, n, k, a, b, c, &rung_opts, mode, None)
+                .map(|_| ResilientReport { attempts: 2, mode });
         }
         if !is_retryable(&err) {
             return Err(err);
         }
         let rung_opts = Self::deduct_deadline(opts, start)?;
         self.metrics.add(Counter::RetryAttempts, 1);
-        match self.run_supervised(m, n, k, a, b, c, &rung_opts, false, false, true) {
-            Ok(()) => {
-                return Ok(ResilientReport { attempts: 2, mode: ResilientMode::SingleThread })
-            }
+        let mode = ResilientMode::SingleThread;
+        match self.run_supervised(m, n, k, a, b, c, &rung_opts, mode, None) {
+            Ok(_) => return Ok(ResilientReport { attempts: 2, mode }),
             Err(e) if !is_retryable(&e) => return Err(e),
             Err(_) => {}
         }
         let rung_opts = Self::deduct_deadline(opts, start)?;
         self.metrics.add(Counter::RetryAttempts, 1);
-        self.run_supervised(m, n, k, a, b, c, &rung_opts, true, true, true)
-            .map(|()| ResilientReport { attempts: 3, mode: ResilientMode::ScalarTransient })
+        let mode = ResilientMode::ScalarTransient;
+        self.run_supervised(m, n, k, a, b, c, &rung_opts, mode, None)
+            .map(|_| ResilientReport { attempts: 3, mode })
     }
 
     /// The per-rung options of the resilient ladder: the original
@@ -564,11 +532,50 @@ impl AutoGemm {
         2u64.saturating_mul(m as u64).saturating_mul(n as u64).saturating_mul(k as u64)
     }
 
-    /// Shared implementation of every supervised native call: breaker
-    /// admission → supervision bundle → plan → driver → breaker record.
-    /// `force_*` flags are the resilient ladder's degradations, OR-ed
-    /// with whatever the breaker quarantines. Wraps the whole call in
-    /// the registry's latency/throughput measurement.
+    /// Breaker admission plus the call's supervision bundle and worker
+    /// count — the set-up every native call shares (single calls, every
+    /// rung of the resilient ladder, batches). `rung`'s degradations
+    /// ([`ResilientMode::SingleThread`] forces one thread; the scalar
+    /// rungs also force the reference kernels and transient buffers) are
+    /// OR-ed with whatever the breaker quarantines. A quarantined
+    /// `verify_integrity` path reroutes to the trusted scalar reference
+    /// kernels — the same degraded twin as a SIMD quarantine, because a
+    /// silently wrong answer implicates the fast compute path.
+    fn supervise(
+        &self,
+        opts: &GemmOptions,
+        rung: ResilientMode,
+    ) -> (Admission, Supervision, usize) {
+        let adm = self.breaker.admit();
+        let reroute = |path: BreakerPath| adm.reroute[path.index()];
+        let scalar =
+            matches!(rung, ResilientMode::ScalarTransient | ResilientMode::VerifiedReexecution);
+        let mut sup = Supervision::from_options(opts).with_runtime(self.runtime.clone());
+        if let Some(t) = &self.tracer {
+            sup = sup.with_tracer(Arc::clone(t));
+        }
+        sup.set_force_reference(
+            scalar || reroute(BreakerPath::SimdDispatch) || reroute(BreakerPath::VerifyIntegrity),
+        );
+        sup.set_force_transient(scalar || reroute(BreakerPath::PoolAlloc));
+        sup.set_force_inline(reroute(BreakerPath::PoolSubmit));
+        let mut threads = self.clamp_threads(opts.threads);
+        if rung != ResilientMode::AsRequested || reroute(BreakerPath::ThreadedDriver) {
+            threads = 1;
+        }
+        (adm, sup, threads)
+    }
+
+    /// The one call path behind every single-GEMM entry point: validate →
+    /// admit and supervise ([`Self::supervise`]) → fast route or plan →
+    /// driver → verify → breaker record, wrapped in the registry's
+    /// latency/throughput measurement. Admission happens before plan
+    /// selection: a ThreadedDriver quarantine changes the plan
+    /// (single-thread `k_c`), not just the worker count.
+    ///
+    /// With a recorder (`rec`) the driver returns the call's report and
+    /// this path stamps its `health`, `pool`, `integrity` and `dispatch`
+    /// sections; degenerate shapes run nothing and return `Ok(None)`.
     #[allow(clippy::too_many_arguments)]
     fn run_supervised(
         &self,
@@ -579,89 +586,61 @@ impl AutoGemm {
         b: &[f32],
         c: &mut [f32],
         opts: &GemmOptions,
-        force_reference: bool,
-        force_transient: bool,
-        force_single_thread: bool,
-    ) -> Result<(), GemmError> {
+        rung: ResilientMode,
+        rec: Option<&Arc<Session>>,
+    ) -> Result<Option<crate::GemmReport>, GemmError> {
         let t0 = self.metrics.call_begin();
-        let result = self.run_supervised_inner(
-            m,
-            n,
-            k,
-            a,
-            b,
-            c,
-            opts,
-            force_reference,
-            force_transient,
-            force_single_thread,
-        );
-        self.metrics.call_end(t0, Self::call_flops(m, n, k), Self::call_outcome(&result));
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_supervised_inner(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        opts: &GemmOptions,
-        force_reference: bool,
-        force_transient: bool,
-        force_single_thread: bool,
-    ) -> Result<(), GemmError> {
-        error::check_operands(m, n, k, a, b, c)?;
-        if m == 0 || n == 0 {
-            return Ok(());
-        }
-        if k == 0 {
-            c.fill(0.0);
-            return Ok(());
-        }
-        // Admission happens before plan selection: a ThreadedDriver
-        // quarantine changes the plan (single-thread k_c), not just the
-        // worker count.
-        let adm = self.breaker.admit();
-        let reroute = adm.reroute;
-        let mut sup = Supervision::from_options(opts).with_runtime(self.runtime.clone());
-        if let Some(t) = &self.tracer {
-            sup = sup.with_tracer(Arc::clone(t));
-        }
-        // A quarantined verify_integrity path reroutes to the trusted
-        // scalar reference kernels — same degraded twin as a SIMD
-        // quarantine, because a silently wrong answer implicates the
-        // fast compute path.
-        sup.set_force_reference(
-            force_reference
-                || reroute[BreakerPath::SimdDispatch.index()]
-                || reroute[BreakerPath::VerifyIntegrity.index()],
-        );
-        sup.set_force_transient(force_transient || reroute[BreakerPath::PoolAlloc.index()]);
-        sup.set_force_inline(reroute[BreakerPath::PoolSubmit.index()]);
-        let mut threads = self.clamp_threads(opts.threads);
-        if force_single_thread || reroute[BreakerPath::ThreadedDriver.index()] {
-            threads = 1;
-        }
-        // Degenerate shapes (m = 1, n = 1, tiny k) skip the tuner and the
-        // block driver entirely: the GEMV/small-k fast paths produce
-        // bit-identical output with none of the planning or packing cost.
-        if let Some(route) = crate::gemv::fast_route(m, n, k) {
-            let mut result =
-                crate::gemv::try_fast_supervised(route, m, n, k, a, b, c, threads, &sup);
+        let result = (|| {
+            error::check_operands(m, n, k, a, b, c)?;
+            if m == 0 || n == 0 || k == 0 {
+                // `k == 0` writes the empty sum; with `m` or `n` zero `C`
+                // is empty. Degenerate shapes never reach the tuner and
+                // are neutral for the breaker.
+                c.fill(0.0);
+                return Ok(None);
+            }
+            let (adm, sup, threads) = self.supervise(opts, rung);
+            // Degenerate shapes (m = 1, n = 1, tiny k) skip the tuner and
+            // the block driver entirely: the GEMV/small-k fast paths
+            // produce bit-identical output with none of the planning or
+            // packing cost.
+            let (mut result, route, routing, cache_hit) = match gemv::fast_route(m, n, k) {
+                Some(route) => {
+                    let run =
+                        gemv::try_fast_supervised(route, m, n, k, a, b, c, threads, &sup, rec);
+                    let unpacked = OperandRouting { pack_a: false, pack_b: false };
+                    (run, route.name(), unpacked, false)
+                }
+                None => {
+                    let tuner_threads = if threads > 1 { threads.max(2) } else { 1 };
+                    let (plan, hit) = self.plan_dispatch(m, n, k, tuner_threads);
+                    let pool = &self.panel_pool;
+                    let run = native::try_gemm_with_plan_supervised(
+                        &plan, a, b, c, threads, pool, &sup, rec,
+                    );
+                    (run, "block", plan.routing, hit)
+                }
+            };
             let verified = self.maybe_verify(m, n, k, a, b, c, opts, &sup, &adm, &mut result);
-            self.breaker_record(&sup, &adm, threads, &result, verified);
-            return result;
-        }
-        let tuner_threads = if threads > 1 { threads.max(2) } else { 1 };
-        let (plan, _) = self.plan_dispatch(m, n, k, tuner_threads);
-        let mut result =
-            native::try_gemm_with_plan_supervised(&plan, a, b, c, threads, &self.panel_pool, &sup);
-        let verified = self.maybe_verify(m, n, k, a, b, c, opts, &sup, &adm, &mut result);
-        self.breaker_record(&sup, &adm, threads, &result, verified);
+            let events = self.breaker_record(&sup, &adm, threads, &result, verified);
+            let mut report = result?;
+            if let Some(report) = &mut report {
+                let stats = self.plans.stats();
+                report.health = self.breaker.health_report([adm.events, events].concat());
+                report.pool = self.runtime.stats();
+                report.integrity = Some(self.integrity_section(opts, verified));
+                report.dispatch = DispatchStats {
+                    route: route.to_string(),
+                    packed_a: routing.pack_a,
+                    packed_b: routing.pack_b,
+                    plan_cache_hit: cache_hit,
+                    plan_cache_hits: stats.hits,
+                    plan_cache_misses: stats.misses,
+                };
+            }
+            Ok(report)
+        })();
+        self.metrics.call_end(t0, Self::call_flops(m, n, k), Self::call_outcome(&result));
         result
     }
 
@@ -686,7 +665,7 @@ impl AutoGemm {
     /// path; `C` then holds the untrusted output per the error's
     /// contract.
     #[allow(clippy::too_many_arguments)]
-    fn maybe_verify(
+    fn maybe_verify<T>(
         &self,
         m: usize,
         n: usize,
@@ -697,7 +676,7 @@ impl AutoGemm {
         opts: &GemmOptions,
         sup: &Supervision,
         adm: &Admission,
-        result: &mut Result<(), GemmError>,
+        result: &mut Result<T, GemmError>,
     ) -> bool {
         if result.is_err() {
             // The driver already failed structurally; there is no
@@ -774,177 +753,6 @@ impl AutoGemm {
         self.breaker.record(&sup.observed, reroute, adm.probe, neutral)
     }
 
-    /// [`Self::gemm_threaded`] with per-call telemetry: runs the same
-    /// plan through the traced panel-cache driver and returns the
-    /// [`crate::GemmReport`] — phase breakdown, pack stats, per-thread
-    /// busy profiles and the dispatched kernel-shape histogram. Output
-    /// `C` is bit-identical to the untraced call; without the
-    /// `telemetry` feature the report's timings and counters are zero.
-    ///
-    /// Panics with the structured [`GemmError`] message;
-    /// [`Self::try_gemm_traced`] is the non-panicking form.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_traced(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        threads: usize,
-    ) -> crate::GemmReport {
-        match self.try_gemm_traced(m, n, k, a, b, c, threads) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Self::gemm_traced`]. The report's
-    /// [`crate::telemetry::FallbackStats`] records any graceful
-    /// degradation (unpooled packing, scalar-kernel reroute) the run
-    /// took, and [`crate::telemetry::GemmReport::health`] carries the
-    /// breaker snapshot with this call's transitions.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_gemm_traced(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        threads: usize,
-    ) -> Result<crate::GemmReport, GemmError> {
-        self.try_gemm_traced_opts(m, n, k, a, b, c, &GemmOptions::new().threads(threads))
-    }
-
-    /// [`Self::try_gemm_traced`] with per-call [`GemmOptions`]: the
-    /// traced twin of [`Self::try_gemm_opts`], with identical breaker
-    /// and supervision semantics. The returned report's `health` section
-    /// holds the post-call breaker snapshot plus every transition this
-    /// call performed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_gemm_traced_opts(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        opts: &GemmOptions,
-    ) -> Result<crate::GemmReport, GemmError> {
-        let t0 = self.metrics.call_begin();
-        let result = self.try_gemm_traced_inner(m, n, k, a, b, c, opts);
-        self.metrics.call_end(t0, Self::call_flops(m, n, k), Self::call_outcome(&result));
-        // Stamp the post-call registry view on the report (schema-v5
-        // `metrics` section) so committed artifacts carry it.
-        result.map(|mut report| {
-            report.metrics = Some(self.metrics());
-            report
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn try_gemm_traced_inner(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        opts: &GemmOptions,
-    ) -> Result<crate::GemmReport, GemmError> {
-        error::check_operands(m, n, k, a, b, c)?;
-        if m == 0 || n == 0 || k == 0 {
-            // Degenerate shapes never reach the tuner (and are neutral
-            // for the breaker); report the shape with an otherwise-empty
-            // profile.
-            if k == 0 && m > 0 && n > 0 {
-                c.fill(0.0);
-            }
-            return Ok(crate::GemmReport { m, n, k, ..crate::GemmReport::default() });
-        }
-        let adm = self.breaker.admit();
-        let reroute = adm.reroute;
-        let mut events = adm.events.clone();
-        let mut sup = Supervision::from_options(opts).with_runtime(self.runtime.clone());
-        if let Some(t) = &self.tracer {
-            sup = sup.with_tracer(Arc::clone(t));
-        }
-        sup.set_force_reference(
-            reroute[BreakerPath::SimdDispatch.index()]
-                || reroute[BreakerPath::VerifyIntegrity.index()],
-        );
-        sup.set_force_transient(reroute[BreakerPath::PoolAlloc.index()]);
-        sup.set_force_inline(reroute[BreakerPath::PoolSubmit.index()]);
-        let mut threads = self.clamp_threads(opts.threads);
-        if reroute[BreakerPath::ThreadedDriver.index()] {
-            threads = 1;
-        }
-        if let Some(route) = crate::gemv::fast_route(m, n, k) {
-            let mut result =
-                crate::gemv::try_fast_traced_supervised(route, m, n, k, a, b, c, threads, &sup);
-            let mut unit = result.as_ref().map(|_| ()).map_err(GemmError::clone);
-            let verified = self.maybe_verify(m, n, k, a, b, c, opts, &sup, &adm, &mut unit);
-            if let Err(e) = unit {
-                result = Err(e);
-            }
-            events.extend(self.breaker_record(&sup, &adm, threads, &result, verified));
-            let stats = self.plans.stats();
-            let integrity = self.integrity_section(opts, verified);
-            return result.map(|mut report| {
-                report.health = self.breaker.health_report(events);
-                report.pool = self.runtime.stats();
-                report.integrity = Some(integrity);
-                report.dispatch = DispatchStats {
-                    route: route.name().to_string(),
-                    packed_a: false,
-                    packed_b: false,
-                    plan_cache_hit: false,
-                    plan_cache_hits: stats.hits,
-                    plan_cache_misses: stats.misses,
-                };
-                report
-            });
-        }
-        let tuner_threads = if threads > 1 { threads.max(2) } else { 1 };
-        let (plan, cache_hit) = self.plan_dispatch(m, n, k, tuner_threads);
-        let mut result = native::try_gemm_with_plan_traced_supervised(
-            &plan,
-            a,
-            b,
-            c,
-            threads,
-            &self.panel_pool,
-            &sup,
-        );
-        let mut unit = result.as_ref().map(|_| ()).map_err(GemmError::clone);
-        let verified = self.maybe_verify(m, n, k, a, b, c, opts, &sup, &adm, &mut unit);
-        if let Err(e) = unit {
-            result = Err(e);
-        }
-        events.extend(self.breaker_record(&sup, &adm, threads, &result, verified));
-        let stats = self.plans.stats();
-        let integrity = self.integrity_section(opts, verified);
-        result.map(|mut report| {
-            report.health = self.breaker.health_report(events);
-            report.pool = self.runtime.stats();
-            report.integrity = Some(integrity);
-            report.dispatch = DispatchStats {
-                route: "block".to_string(),
-                packed_a: plan.routing.pack_a,
-                packed_b: plan.routing.pack_b,
-                plan_cache_hit: cache_hit,
-                plan_cache_hits: stats.hits,
-                plan_cache_misses: stats.misses,
-            };
-            report
-        })
-    }
-
     /// The schema-v7 `integrity` report section: this call's resolved
     /// policy plus the engine-lifetime verification counters and timing.
     fn integrity_section(&self, opts: &GemmOptions, verified: bool) -> IntegrityReport {
@@ -962,34 +770,15 @@ impl AutoGemm {
     }
 
     /// Batched same-shape GEMM through the engine: tunes the shape once
-    /// and spreads items over `threads` workers (each item runs
-    /// single-threaded on its own disjoint output slice).
-    ///
-    /// Panics with the structured [`GemmError`] message;
-    /// [`Self::try_gemm_batch`] is the non-panicking form.
-    pub fn gemm_batch(&self, batch: &GemmBatch, c: &mut [f32], threads: usize) {
-        if let Err(e) = self.try_gemm_batch(batch, c, threads) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`Self::gemm_batch`]: output-length mismatches and size
-    /// overflows come back as `Err` before any plan is tuned; item
-    /// failures come back as [`GemmError::InBatch`] naming the failing
-    /// index, per [`crate::batch::try_gemm_batch`].
-    pub fn try_gemm_batch(
-        &self,
-        batch: &GemmBatch,
-        c: &mut [f32],
-        threads: usize,
-    ) -> Result<(), GemmError> {
-        self.try_gemm_batch_opts(batch, c, &GemmOptions::new().threads(threads))
-    }
-
-    /// [`Self::try_gemm_batch`] with per-call [`GemmOptions`]: the batch
-    /// honours the deadline/watchdog at item boundaries (reporting
-    /// `phase: "batch"` with item counts) and a cancel token inside the
-    /// in-flight items too; breaker reroutes apply to every item.
+    /// and spreads items over `opts.threads` workers (each item runs
+    /// single-threaded on its own disjoint output slice). Output-length
+    /// mismatches and size overflows come back as `Err` before any plan
+    /// is tuned; item failures come back as [`GemmError::InBatch`]
+    /// naming the failing index, per
+    /// [`crate::batch::try_gemm_batch_supervised`]. The batch honours the
+    /// deadline/watchdog at item boundaries (reporting `phase: "batch"`
+    /// with item counts) and a cancel token inside the in-flight items
+    /// too; breaker reroutes apply to every item.
     pub fn try_gemm_batch_opts(
         &self,
         batch: &GemmBatch,
@@ -1031,19 +820,7 @@ impl AutoGemm {
             c.fill(0.0);
             return Ok(());
         }
-        let adm = self.breaker.admit();
-        let reroute = adm.reroute;
-        let mut sup = Supervision::from_options(opts).with_runtime(self.runtime.clone());
-        if let Some(t) = &self.tracer {
-            sup = sup.with_tracer(Arc::clone(t));
-        }
-        sup.set_force_reference(reroute[BreakerPath::SimdDispatch.index()]);
-        sup.set_force_transient(reroute[BreakerPath::PoolAlloc.index()]);
-        sup.set_force_inline(reroute[BreakerPath::PoolSubmit.index()]);
-        let mut threads = self.clamp_threads(opts.threads);
-        if reroute[BreakerPath::ThreadedDriver.index()] {
-            threads = 1;
-        }
+        let (adm, sup, threads) = self.supervise(opts, ResilientMode::AsRequested);
         // Items run single-threaded (parallelism is across items), so
         // the per-item plan is the single-thread plan.
         let plan = self.plan(m, n, k);
@@ -1234,13 +1011,63 @@ mod tests {
         let a: Vec<f32> = (0..m * k).map(|i| (i % 7) as f32 - 3.0).collect();
         let b: Vec<f32> = (0..k * n).map(|i| (i % 5) as f32 - 2.0).collect();
         for threads in [1usize, 3] {
+            let opts = GemmOptions::new().threads(threads);
             let mut c_plain = vec![0.0f32; m * n];
-            engine.gemm_threaded(m, n, k, &a, &b, &mut c_plain, threads);
+            engine.try_gemm_opts(m, n, k, &a, &b, &mut c_plain, &opts).unwrap();
             let mut c_traced = vec![0.0f32; m * n];
-            let report = engine.gemm_traced(m, n, k, &a, &b, &mut c_traced, threads);
+            let report =
+                engine.try_gemm_traced_opts(m, n, k, &a, &b, &mut c_traced, &opts).unwrap();
             assert_eq!(c_traced, c_plain, "t{threads}: traced front door diverged");
             assert_eq!((report.m, report.n, report.k), (m, n, k));
             assert!(!report.thread_profiles.is_empty());
+        }
+    }
+
+    #[test]
+    fn every_caller_reroutes_each_open_breaker_path() {
+        use crate::supervisor::ObservedFaults;
+        use BreakerPath::*;
+        // (open path, force_reference, force_transient, force_inline,
+        // threads) for a 2-thread call on the as-requested rung.
+        let paths = [
+            (None, false, false, false, 2),
+            (Some(SimdDispatch), true, false, false, 2),
+            (Some(PoolAlloc), false, true, false, 2),
+            (Some(ThreadedDriver), false, false, false, 1),
+            (Some(PoolSubmit), false, false, true, 2),
+            (Some(VerifyIntegrity), true, false, false, 2),
+        ];
+        // (caller, the rung it runs on, whether the rung itself forces
+        // the scalar reference + transient buffers, and one thread).
+        let callers = [
+            ("plain", ResilientMode::AsRequested, false, false),
+            ("traced", ResilientMode::AsRequested, false, false),
+            ("batch", ResilientMode::AsRequested, false, false),
+            ("single-thread rung", ResilientMode::SingleThread, false, true),
+            ("scalar rung", ResilientMode::ScalarTransient, true, true),
+            ("re-execution rung", ResilientMode::VerifiedReexecution, true, true),
+        ];
+        let opts = GemmOptions::new().threads(2);
+        for (open, reference, transient, inline, threads) in paths {
+            for (caller, rung, scalar, single) in callers {
+                let cfg = BreakerConfig { fail_threshold: 1, open_cooldown: 1000, close_after: 1 };
+                let engine = AutoGemm::new(ChipSpec::graviton2()).with_breaker_config(cfg);
+                if let Some(path) = open {
+                    let faults = ObservedFaults::default();
+                    faults.set(path);
+                    engine.breaker().record(&faults, [false; 5], [false; 5], false);
+                    assert_eq!(engine.breaker().state(path), crate::BreakerState::Open);
+                }
+                let (_, sup, got_threads) = engine.supervise(&opts, rung);
+                let want = (
+                    reference || scalar,
+                    transient || scalar,
+                    inline,
+                    if single { 1 } else { threads },
+                );
+                let got = (sup.force_reference, sup.force_transient, sup.force_inline, got_threads);
+                assert_eq!(got, want, "{caller} with {open:?} open");
+            }
         }
     }
 

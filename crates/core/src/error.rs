@@ -111,7 +111,7 @@ pub enum GemmError {
         /// Per-worker heartbeat counters at the moment of the verdict.
         heartbeats: Vec<u64>,
     },
-    /// An item of a [`gemm_batch`](crate::batch::try_gemm_batch) call
+    /// An item of a [`try_gemm_batch_opts`](crate::AutoGemm::try_gemm_batch_opts) call
     /// failed; `index` is its position in the batch and `source` the
     /// underlying error. Other items may have completed (their `C`
     /// chunks are valid); the failed item's chunk follows `source`'s

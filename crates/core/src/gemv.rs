@@ -39,15 +39,12 @@
 use crate::error::GemmError;
 use crate::faultinject::{self, FaultSite};
 use crate::kernels::micro_kernel_simd;
-use crate::native::{contain, heartbeat, micro_kernel_ref, CTile, Poison, RunConfig};
+use crate::native::{self, micro_kernel_ref, CTile, RunConfig};
 use crate::runtime::Exec;
 use crate::supervisor::{BreakerPath, RunMonitor, Supervision};
 use crate::telemetry::clock::Stamp;
-use crate::telemetry::report::{GemmReport, PhaseProfile, PhaseTimes, ThreadProfile};
+use crate::telemetry::report::GemmReport;
 use crate::telemetry::session::{self, Session};
-use parking_lot::Mutex;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Largest `k` the small-`k` route takes over from the block driver: at
@@ -385,114 +382,17 @@ fn smallk_rows(
     }
 }
 
-/// Run `f` inside `sess` when tracing, bare otherwise.
-fn with_optional_session(sess: Option<&Arc<Session>>, f: impl FnOnce()) {
-    match sess {
-        Some(s) => session::with_session(s, f),
-        None => f(),
-    }
-}
-
-/// Drain the unit list through a shared atomic cursor with the block
-/// driver's worker discipline: startup probe, heartbeat per claim,
-/// cancellation polls, panic containment via [`Poison`], and per-worker
-/// busy/drain profiles for the traced twin. Ends with the phase
-/// resolution (`monitor.outcome("kernel", units)`).
-#[allow(clippy::too_many_arguments)]
-fn try_run_units(
-    route: FastRoute,
-    reference: bool,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c_root: CTile,
-    threads: usize,
-    sess: Option<&Arc<Session>>,
-    exec: &Exec,
-    monitor: &RunMonitor,
-) -> Result<(Vec<ThreadProfile>, PhaseTimes, PhaseTimes), GemmError> {
-    let units = unit_count(route, m, n);
-    let threads = threads.max(1).min(units);
-    let section0 = Stamp::now();
-    let mut finished: Vec<(ThreadProfile, Stamp)> = Vec::with_capacity(threads);
-    if threads == 1 {
-        let mut prof = ThreadProfile { thread: 0, ..ThreadProfile::default() };
-        let s0 = exec.trace_begin();
-        contain(|| {
-            with_optional_session(sess, || {
-                faultinject::probe(FaultSite::WorkerStartup);
-                for u in 0..units {
-                    if monitor.should_stop() || !heartbeat(monitor, 0) {
-                        break;
-                    }
-                    let u0 = Stamp::now();
-                    run_unit(route, u, reference, m, n, k, a, b, c_root);
-                    prof.busy += u0.elapsed();
-                    prof.blocks += 1;
-                    monitor.note_done();
-                }
-            })
-        })?;
-        exec.trace_phase(0, "kernel", s0);
-        finished.push((prof, Stamp::now()));
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let poison = Poison::new();
-        let collected: Mutex<Vec<(ThreadProfile, Stamp)>> = Mutex::new(Vec::with_capacity(threads));
-        let body = |t: usize| {
-            let mut prof = ThreadProfile { thread: t, ..ThreadProfile::default() };
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                with_optional_session(sess, || {
-                    faultinject::probe(FaultSite::WorkerStartup);
-                    loop {
-                        if poison.is_poisoned() || monitor.should_stop() {
-                            break;
-                        }
-                        let u = cursor.fetch_add(1, Ordering::Relaxed);
-                        if u >= units {
-                            break;
-                        }
-                        if !heartbeat(monitor, t) {
-                            break;
-                        }
-                        let u0 = Stamp::now();
-                        run_unit(route, u, reference, m, n, k, a, b, c_root);
-                        prof.busy += u0.elapsed();
-                        prof.blocks += 1;
-                        monitor.note_done();
-                    }
-                })
-            }));
-            if let Err(payload) = run {
-                poison.record(t, payload);
-            }
-            collected.lock().push((prof, Stamp::now()));
-        };
-        exec.run_section_traced(threads, "kernel", &body);
-        poison.into_result()?;
-        finished = collected.into_inner();
-        finished.sort_by_key(|(p, _)| p.thread);
-    }
-    monitor.outcome("kernel", units)?;
-    let end = Stamp::now();
-    let kernel = section0.delta_to(end);
-    let mut drain_total = PhaseTimes::default();
-    let profiles = finished
-        .into_iter()
-        .map(|(mut p, f)| {
-            p.drain = f.delta_to(end);
-            drain_total += p.drain;
-            p
-        })
-        .collect();
-    Ok((profiles, kernel, drain_total))
-}
-
-/// Execute a fast route under a [`Supervision`] bundle. The caller (the
-/// engine front door) has already validated the operands and handled
-/// zero-sized dimensions.
+/// Execute a fast route under a [`Supervision`] bundle, draining the
+/// route's work units with the block driver's worker discipline
+/// ([`native::try_drain`]). The caller (the engine front door) has
+/// already validated the operands and handled zero-sized dimensions.
+///
+/// `rec` is the optional per-call recorder, as for
+/// [`native::try_gemm_with_plan_supervised`]: with a [`Session`] the call
+/// returns its [`GemmReport`], otherwise `Ok(None)`. The fast routes have
+/// no cache blocking, so the report's `mc/nc/kc` echo the problem shape,
+/// and no packing, so the pack phase times and counters stay zero. The
+/// engine stamps `dispatch` and `health` after the call.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_fast_supervised(
     route: FastRoute,
@@ -504,88 +404,28 @@ pub(crate) fn try_fast_supervised(
     c: &mut [f32],
     threads: usize,
     sup: &Supervision,
-) -> Result<(), GemmError> {
+    rec: Option<&Arc<Session>>,
+) -> Result<Option<GemmReport>, GemmError> {
     let cfg = RunConfig::probe(sup, threads)?;
     let exec = Exec::new(sup, cfg.pool_inline);
+    let t0 = rec.is_some().then(Stamp::now);
     // SAFETY: units partition C's cells; each is claimed by one worker.
     let c_root = unsafe { CTile::new(c.as_mut_ptr(), n, c.len()) };
     let monitor = RunMonitor::new(sup, threads.max(1));
     let watchdog = exec.runtime().watch(&monitor);
     monitor.begin_phase();
-    let result =
-        try_run_units(route, cfg.reference, m, n, k, a, b, c_root, threads, None, &exec, &monitor)
-            .map(|_| ());
+    let result = native::try_drain(unit_count(route, m, n), threads, &exec, &monitor, rec, |u| {
+        run_unit(route, u, cfg.reference, m, n, k, a, b, c_root)
+    });
     monitor.finish();
     drop(watchdog);
     if matches!(result, Err(GemmError::WorkerPanicked { .. }) | Err(GemmError::Stalled { .. })) {
         sup.observe_fault(BreakerPath::ThreadedDriver);
     }
-    result
-}
-
-/// The traced twin of [`try_fast_supervised`]: the same numeric path
-/// and supervision checkpoints, returning a [`GemmReport`]. The fast
-/// routes have no cache blocking, so the report's `mc/nc/kc` echo the
-/// problem shape, and no packing, so the pack phase times and counters
-/// stay zero. The engine stamps `dispatch` and `health` after the call.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_fast_traced_supervised(
-    route: FastRoute,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threads: usize,
-    sup: &Supervision,
-) -> Result<GemmReport, GemmError> {
-    let cfg = RunConfig::probe(sup, threads)?;
-    let exec = Exec::new(sup, cfg.pool_inline);
-    let sess = Arc::new(Session::new());
-    let t0 = Stamp::now();
-    // SAFETY: units partition C's cells; each is claimed by one worker.
-    let c_root = unsafe { CTile::new(c.as_mut_ptr(), n, c.len()) };
-    let monitor = RunMonitor::new(sup, threads.max(1));
-    let watchdog = exec.runtime().watch(&monitor);
-    monitor.begin_phase();
-    let result = try_run_units(
-        route,
-        cfg.reference,
-        m,
-        n,
-        k,
-        a,
-        b,
-        c_root,
-        threads,
-        Some(&sess),
-        &exec,
-        &monitor,
-    );
-    monitor.finish();
-    drop(watchdog);
-    if matches!(result, Err(GemmError::WorkerPanicked { .. }) | Err(GemmError::Stalled { .. })) {
-        sup.observe_fault(BreakerPath::ThreadedDriver);
-    }
-    let (thread_profiles, kernel, drain) = result?;
-    let wall = t0.elapsed();
-    let stats = sess.take();
-    Ok(GemmReport {
-        m,
-        n,
-        k,
-        threads: thread_profiles.len(),
-        mc: m,
-        nc: n,
-        kc: k,
-        wall,
-        phases: PhaseProfile { kernel, drain, ..PhaseProfile::default() },
-        tiles: stats.tile_counts(),
-        thread_profiles,
-        fallbacks: cfg.fallbacks,
-        ..GemmReport::default()
-    })
+    let section = result?;
+    let (Some(sess), Some(section), Some(t0)) = (rec, section, t0) else { return Ok(None) };
+    let shape = GemmReport { m, n, k, mc: m, nc: n, kc: k, ..GemmReport::default() };
+    Ok(Some(section.into_report(shape, t0, sess, cfg.fallbacks)))
 }
 
 #[cfg(test)]
@@ -645,8 +485,19 @@ mod tests {
             fill(&mut b, 7 + n as u32);
             for threads in [1usize, 3] {
                 let mut c = vec![f32::NAN; m * n];
-                try_fast_supervised(route, m, n, k, &a, &b, &mut c, threads, &Supervision::none())
-                    .expect("fast route runs");
+                try_fast_supervised(
+                    route,
+                    m,
+                    n,
+                    k,
+                    &a,
+                    &b,
+                    &mut c,
+                    threads,
+                    &Supervision::none(),
+                    None,
+                )
+                .expect("fast route runs");
                 assert_eq!(c, naive(m, n, k, &a, &b), "({m},{n},{k}) t{threads} {route:?}");
             }
         }
@@ -654,27 +505,25 @@ mod tests {
 
     #[test]
     fn traced_fast_route_is_bit_identical_and_structured() {
+        // One driver, recorder off vs on: the recorder only observes.
         let (m, n, k) = (1usize, 200usize, 48usize);
         let (mut a, mut b) = (vec![0.0f32; m * k], vec![0.0f32; k * n]);
         fill(&mut a, 3);
         fill(&mut b, 11);
-        let mut c1 = vec![0.0f32; m * n];
-        let mut c2 = vec![0.0f32; m * n];
-        try_fast_supervised(FastRoute::RowGemv, m, n, k, &a, &b, &mut c1, 2, &Supervision::none())
-            .expect("plain");
-        let report = try_fast_traced_supervised(
-            FastRoute::RowGemv,
-            m,
-            n,
-            k,
-            &a,
-            &b,
-            &mut c2,
-            2,
-            &Supervision::none(),
-        )
-        .expect("traced");
-        assert_eq!(c1, c2, "tracing must not change bits");
+        let sess = Arc::new(Session::new());
+        let mut outs = Vec::new();
+        let mut reports = Vec::new();
+        for rec in [None, Some(&sess)] {
+            let mut c = vec![0.0f32; m * n];
+            let sup = Supervision::none();
+            let r = try_fast_supervised(FastRoute::RowGemv, m, n, k, &a, &b, &mut c, 2, &sup, rec)
+                .expect("fast route runs");
+            outs.push(c);
+            reports.push(r);
+        }
+        assert_eq!(outs[0], outs[1], "tracing must not change bits");
+        assert!(reports[0].is_none(), "an unrecorded run returns no report");
+        let report = reports[1].as_ref().expect("a recorded run returns its report");
         assert_eq!((report.m, report.n, report.k), (m, n, k));
         assert_eq!((report.mc, report.nc, report.kc), (m, n, k), "no cache blocking");
         assert_eq!(report.packs.a_packs + report.packs.b_packs, 0, "no packing");

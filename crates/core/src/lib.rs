@@ -63,7 +63,7 @@
 //!   cycle counts, and composes multi-core makespans;
 //! * [`telemetry`] — the per-GEMM observability layer: scoped wall/cycle
 //!   timers behind the `telemetry` feature, per-phase and per-thread
-//!   profiles from the traced drivers, the dispatched kernel-shape
+//!   profiles from recording driver calls, the dispatched kernel-shape
 //!   histogram, and versioned-JSON [`telemetry::GemmReport`]s joined
 //!   against the perfmodel projection (the measured-vs-model feedback
 //!   loop every perf PR cites) — plus the always-available engine-
@@ -94,20 +94,20 @@
 //!
 //! ## Fallible API
 //!
-//! Every execution entry point has a `try_*` twin returning
-//! `Result<_, GemmError>`; the classic names are thin wrappers that
-//! panic with the same structured message. See [`error`] for the
-//! contract.
+//! Every engine entry point except [`AutoGemm::gemm`] returns
+//! `Result<_, GemmError>`; `gemm` and the plan-level `gemm_with_plan*`
+//! drivers are thin wrappers that panic with the same structured
+//! message. See [`error`] for the contract.
 //!
 //! ```
-//! use autogemm::{AutoGemm, GemmError};
+//! use autogemm::{AutoGemm, GemmError, GemmOptions};
 //! use autogemm_arch::ChipSpec;
 //!
 //! let engine = AutoGemm::new(ChipSpec::graviton2());
 //! let a = vec![0.0f32; 4 * 8];
 //! let b = vec![0.0f32; 8 * 4];
 //! let mut c = vec![0.0f32; 3]; // wrong: needs 4*4 = 16
-//! match engine.try_gemm(4, 4, 8, &a, &b, &mut c) {
+//! match engine.try_gemm_opts(4, 4, 8, &a, &b, &mut c, &GemmOptions::new().threads(2)) {
 //!     Err(GemmError::SliceLen { expected, got, .. }) => {
 //!         assert_eq!((expected, got), (16, 3));
 //!     }
@@ -135,13 +135,10 @@ pub mod telemetry;
 pub mod transpose;
 pub mod verify;
 
-pub use batch::{gemm_batch, try_gemm_batch, try_gemm_batch_supervised, GemmBatch};
+pub use batch::{try_gemm_batch_supervised, GemmBatch};
 pub use engine::{AutoGemm, SimGemmReport};
 pub use error::{GemmError, RejectReason};
-pub use offline::{
-    gemm_prepacked, gemm_prepacked_pooled, try_gemm_prepacked, try_gemm_prepacked_pooled,
-    try_gemm_prepacked_supervised, PackedB,
-};
+pub use offline::{try_gemm_prepacked_pooled, try_gemm_prepacked_supervised, PackedB};
 pub use packing::PanelPool;
 pub use plan::{ExecutionPlan, OperandRouting};
 pub use plancache::{PlanCacheStats, PLAN_CACHE_CAPACITY};

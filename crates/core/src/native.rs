@@ -38,6 +38,18 @@
 //! per-block `kb`-ascending accumulation order are identical to the
 //! historical per-block path ([`gemm_with_plan_repack`]), so results are
 //! bit-identical.
+//!
+//! ## One driver, optional recorder
+//!
+//! [`try_gemm_with_plan_supervised`] is the one block driver every
+//! entry point reaches. Tracing is not a second copy of it: the caller
+//! passes an optional [`Session`] recorder, and the same body then also
+//! times its phases, profiles each worker and tallies packs and tiles
+//! into a [`GemmReport`]. Without one it reads no telemetry clock, takes
+//! no profile lock and allocates no profile. The work-unit drain every
+//! kernel section shares (cancellation, heartbeats, panic containment,
+//! per-worker profiles) lives once, in `try_drain`, used by this driver
+//! and the GEMV/small-`k` fast routes alike.
 
 use crate::error::{self, GemmError};
 use crate::faultinject::{self, FaultSite, Probe};
@@ -99,7 +111,7 @@ impl Poison {
 /// Run `f` on the caller thread with panic containment. The caller
 /// thread acts as worker 0 (setup phases and single-threaded runs), so a
 /// caught panic reports `thread: 0`.
-pub(crate) fn contain<R>(f: impl FnOnce() -> R) -> Result<R, GemmError> {
+fn contain<R>(f: impl FnOnce() -> R) -> Result<R, GemmError> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| GemmError::WorkerPanicked {
         thread: 0,
         detail: error::panic_detail(payload.as_ref()),
@@ -141,7 +153,7 @@ pub(crate) struct RunConfig {
     /// inline instead of submitting it to the worker pool. Correct —
     /// section bodies are slot-agnostic cursor drains — just slower.
     pub(crate) pool_inline: bool,
-    /// Degradations taken, for the traced driver's report.
+    /// Degradations taken, for a recording call's report.
     pub(crate) fallbacks: FallbackStats,
 }
 
@@ -254,7 +266,7 @@ impl RunConfig {
 /// and stop (the block was never executed, per the partial-`C`
 /// contract).
 #[inline]
-pub(crate) fn heartbeat(monitor: &RunMonitor, t: usize) -> bool {
+fn heartbeat(monitor: &RunMonitor, t: usize) -> bool {
     if let Probe::Stall(cap_ms) = faultinject::probe(FaultSite::WorkerHeartbeat) {
         let t0 = std::time::Instant::now();
         let cap = std::time::Duration::from_millis(cap_ms);
@@ -922,7 +934,8 @@ pub fn try_gemm_with_plan_pooled(
     threads: usize,
     pool: &PanelPool,
 ) -> Result<(), GemmError> {
-    try_gemm_with_plan_supervised(plan, a, b, c, threads, pool, &Supervision::none())
+    try_gemm_with_plan_supervised(plan, a, b, c, threads, pool, &Supervision::none(), None)
+        .map(|_| ())
 }
 
 /// [`try_gemm_with_plan_pooled`] under a [`Supervision`] bundle:
@@ -932,10 +945,25 @@ pub fn try_gemm_with_plan_pooled(
 /// (one predictable branch per checkpoint, no clock reads) and behavior
 /// is identical to the unsupervised call.
 ///
+/// `rec` is the optional per-call recorder. With `None` the driver takes
+/// no lock, allocates no profile and reads no telemetry clock, and
+/// returns `Ok(None)`. With a [`Session`] it returns the call's
+/// [`GemmReport`]: the phase breakdown (pack-A, pack-B, kernel, drain),
+/// pack counts/bytes, per-thread busy profiles from the work queue, the
+/// kernel-shape histogram actually dispatched and any degradations taken
+/// ([`GemmReport::fallbacks`]). Degenerate shapes report the shape with
+/// no thread profiles. Recording never changes the numeric path: the
+/// same panels are packed and accumulated in the same order, so `C` is
+/// bit-identical either way. Without the `telemetry` feature the
+/// report's timings and counters are zero but its structure is filled
+/// in. The engine stamps the `health`, `dispatch` and `integrity`
+/// sections after the call.
+///
 /// On [`GemmError::Cancelled`]/[`GemmError::Stalled`] every panel buffer
 /// has been released back to its pool and the plan/pool/engine are
 /// immediately reusable; `C` follows the [`crate::error`] partial-write
 /// contract (untouched unless the kernel phase had started).
+#[allow(clippy::too_many_arguments)]
 pub fn try_gemm_with_plan_supervised(
     plan: &ExecutionPlan,
     a: &[f32],
@@ -944,22 +972,25 @@ pub fn try_gemm_with_plan_supervised(
     threads: usize,
     pool: &PanelPool,
     sup: &Supervision,
-) -> Result<(), GemmError> {
+    rec: Option<&Arc<Session>>,
+) -> Result<Option<GemmReport>, GemmError> {
     let s = &plan.schedule;
     let (m, n, k) = (s.m, s.n, s.k);
     error::check_operands(m, n, k, a, b, c)?;
-    if m == 0 || n == 0 {
-        return Ok(());
-    }
-    if k == 0 {
+    let shape = || GemmReport { m, n, k, mc: s.mc, nc: s.nc, kc: s.kc, ..GemmReport::default() };
+    if m == 0 || n == 0 || k == 0 {
+        // `k == 0` writes the empty sum; with `m` or `n` zero `C` is
+        // empty and the fill is a no-op.
         c.fill(0.0);
-        return Ok(());
+        return Ok(rec.map(|_| shape()));
     }
     let (tm, tn, tk) = plan.grid();
     let routing = plan.routing;
     let mut cfg = RunConfig::probe(sup, threads)?;
     let exec = Exec::new(sup, cfg.pool_inline);
     let transient = PanelPool::new();
+    let traced = rec.is_some();
+    let t0 = traced.then(Stamp::now);
 
     let monitor = RunMonitor::new(sup, threads.max(1));
     let watchdog = exec.runtime().watch(&monitor);
@@ -973,10 +1004,11 @@ pub fn try_gemm_with_plan_supervised(
     // checkpoint (so a cancelled call reports the same `phase` it would
     // with packing on) — it just packs nothing.
     let result = (|| {
+        let pa0 = traced.then(Stamp::now);
         monitor.begin_phase();
         let a_pool = cfg.pack_pool(pool, &transient, "pack A", sup)?;
         let a_panels = if routing.pack_a {
-            Some(try_pack_a_panels_supervised(plan, a, threads, a_pool, &exec, &monitor)?)
+            Some(try_pack_a_panels_supervised(plan, a, threads, a_pool, &exec, &monitor, rec)?)
         } else {
             // Poll before resolving: `outcome` reports a cancellation
             // only once `should_stop` has latched it (the packed path
@@ -985,11 +1017,13 @@ pub fn try_gemm_with_plan_supervised(
             monitor.outcome("pack A", tm * tk)?;
             None
         };
+        let pack_a_t = pa0.map(Stamp::elapsed);
         let release_a = |panels: Option<Vec<PackedBlock>>| {
             if let Some(panels) = panels {
                 a_pool.release_blocks(panels);
             }
         };
+        let pb0 = traced.then(Stamp::now);
         let b_pool = match cfg.pack_pool(pool, &transient, "pack B", sup) {
             Ok(p) => p,
             Err(e) => {
@@ -1006,6 +1040,7 @@ pub fn try_gemm_with_plan_supervised(
                 &exec,
                 &monitor,
                 "pack B",
+                rec,
                 |idx, p| {
                     let (kb, bj) = (idx / tn, idx % tn);
                     pack_b_into(p, b, n, kb * s.kc, bj * s.nc, s.kc, s.nc, plan.sigma_lane);
@@ -1025,6 +1060,7 @@ pub fn try_gemm_with_plan_supervised(
             }
             None
         };
+        let pack_b_t = pb0.map(Stamp::elapsed);
 
         let owned_b = b_panels.map(|panels| BPanels::Owned { panels, tn });
         let a_src = match &a_panels {
@@ -1036,8 +1072,17 @@ pub fn try_gemm_with_plan_supervised(
             None => BSource::Unpacked(b),
         };
         monitor.begin_phase();
-        let run =
-            try_run_blocks_cached(plan, &a_src, &b_src, c, threads, cfg.reference, &exec, &monitor);
+        let run = try_run_blocks_cached(
+            plan,
+            &a_src,
+            &b_src,
+            c,
+            threads,
+            cfg.reference,
+            &exec,
+            &monitor,
+            rec,
+        );
 
         // Buffers go back even when the run was poisoned or cancelled: a
         // contained panic never corrupts a panel buffer (they hold plain
@@ -1046,342 +1091,162 @@ pub fn try_gemm_with_plan_supervised(
         if let Some(BPanels::Owned { panels, .. }) = owned_b {
             b_pool.release_blocks(panels);
         }
-        run
+        Ok((run?, pack_a_t, pack_b_t))
     })();
     monitor.finish();
     drop(watchdog);
     if matches!(result, Err(GemmError::WorkerPanicked { .. }) | Err(GemmError::Stalled { .. })) {
         sup.observe_fault(BreakerPath::ThreadedDriver);
     }
-    result
+    let (section, pack_a_t, pack_b_t) = result?;
+    let (Some(sess), Some(section), Some(t0)) = (rec, section, t0) else { return Ok(None) };
+    let pack_a = pack_a_t.unwrap_or_default();
+    let pack_b = pack_b_t.unwrap_or_default();
+    let phases = PhaseProfile { pack_a, pack_b, ..PhaseProfile::default() };
+    Ok(Some(section.into_report(GemmReport { phases, ..shape() }, t0, sess, cfg.fallbacks)))
 }
 
-/// [`gemm_with_plan_pooled`] with per-call telemetry: returns a
-/// [`GemmReport`] carrying the phase breakdown (pack-A, pack-B, kernel,
-/// drain), pack counts/bytes, per-thread busy profiles from the work
-/// queue, and the kernel-shape histogram actually dispatched.
+/// What a recorded kernel section measured ([`try_drain`] with a
+/// recorder): the engaged workers' profiles sorted by slot, the
+/// wall/cycle span of the whole section (the `kernel` phase) and the
+/// summed per-thread drain.
+pub(crate) struct SectionProfile {
+    threads: Vec<ThreadProfile>,
+    kernel: PhaseTimes,
+    drain: PhaseTimes,
+}
+
+impl SectionProfile {
+    /// Complete `report` (whose shape fields the caller filled) with this
+    /// section, the call's wall time since `t0`, the session's pack and
+    /// tile tallies, and the degradations the run took.
+    pub(crate) fn into_report(
+        self,
+        report: GemmReport,
+        t0: Stamp,
+        sess: &Session,
+        fallbacks: FallbackStats,
+    ) -> GemmReport {
+        let wall = t0.elapsed();
+        let stats = sess.take();
+        GemmReport {
+            threads: self.threads.len(),
+            wall,
+            phases: PhaseProfile { kernel: self.kernel, drain: self.drain, ..report.phases },
+            packs: PackStats {
+                a_packs: stats.a_packs,
+                b_packs: stats.b_packs,
+                a_bytes: stats.a_bytes,
+                b_bytes: stats.b_bytes,
+            },
+            tiles: stats.tile_counts(),
+            thread_profiles: self.threads,
+            fallbacks,
+            ..report
+        }
+    }
+}
+
+/// Run `f` with `rec`'s pack/tile tally installed on this thread, or
+/// bare when the call is not recording.
+#[inline]
+fn with_recorder<R>(rec: Option<&Arc<Session>>, f: impl FnOnce() -> R) -> R {
+    match rec {
+        Some(sess) => session::with_session(sess, f),
+        None => f(),
+    }
+}
+
+/// Drain work units `0..units` through a shared atomic cursor over up to
+/// `threads` pool runners — the worker discipline every kernel section
+/// shares (the block driver's cache blocks, the fast routes' row/column
+/// units). Each runner probes the startup fault site, checks supervision
+/// and its heartbeat before each claim, and runs under `catch_unwind`: a
+/// panic poisons the section, the survivors stop claiming units and join
+/// cleanly, and the first panic is reported as
+/// [`GemmError::WorkerPanicked`]. Ends with the phase resolution
+/// (`monitor.outcome("kernel", units)`), so an interrupted run reports
+/// [`GemmError::Cancelled`]/[`GemmError::Stalled`] with `phase:
+/// "kernel"`. Units write whole, so on any of these errors `C` holds a
+/// mix of original and fully computed units (see [`crate::error`]).
 ///
-/// The numeric path is the cached driver's, executed in the same pack and
-/// accumulation order — outputs are bit-identical to
-/// [`gemm_with_plan_pooled`] whether or not the `telemetry` feature is
-/// enabled. With the feature disabled the report's timings and counters
-/// are all zero (the clock and session hooks compile to no-ops) but its
-/// structure — shape, grid, thread count — is still filled in.
-pub fn gemm_with_plan_traced(
-    plan: &ExecutionPlan,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
+/// With a recorder each runner also accumulates its unit count and busy
+/// time and stamps its finish, so the idle tail can be charged per
+/// thread; without one no clock is read and nothing is collected.
+pub(crate) fn try_drain<F>(
+    units: usize,
     threads: usize,
-    pool: &PanelPool,
-) -> GemmReport {
-    match try_gemm_with_plan_traced(plan, a, b, c, threads, pool) {
-        Ok(report) => report,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`gemm_with_plan_traced`]: the same validation, degenerate
-/// shapes and containment as [`try_gemm_with_plan_pooled`]. Degenerate
-/// shapes return a structurally filled report with no thread profiles
-/// (there is no parallel section to profile); degradations taken during
-/// the run land in [`GemmReport::fallbacks`].
-pub fn try_gemm_with_plan_traced(
-    plan: &ExecutionPlan,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threads: usize,
-    pool: &PanelPool,
-) -> Result<GemmReport, GemmError> {
-    try_gemm_with_plan_traced_supervised(plan, a, b, c, threads, pool, &Supervision::none())
-}
-
-/// [`try_gemm_with_plan_traced`] under a [`Supervision`] bundle — the
-/// traced twin of [`try_gemm_with_plan_supervised`], with the same
-/// cancellation points, buffer-release guarantees and breaker-fault
-/// attribution. The engine stamps the report's `health` section after the
-/// call (the driver leaves it default).
-pub fn try_gemm_with_plan_traced_supervised(
-    plan: &ExecutionPlan,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threads: usize,
-    pool: &PanelPool,
-    sup: &Supervision,
-) -> Result<GemmReport, GemmError> {
-    let s = &plan.schedule;
-    let (m, n, k) = (s.m, s.n, s.k);
-    error::check_operands(m, n, k, a, b, c)?;
-    if m == 0 || n == 0 || k == 0 {
-        if k == 0 {
-            c.fill(0.0);
-        }
-        return Ok(GemmReport {
-            m,
-            n,
-            k,
-            threads: 0,
-            mc: s.mc,
-            nc: s.nc,
-            kc: s.kc,
-            ..GemmReport::default()
-        });
-    }
-    let (tm, tn, tk) = plan.grid();
-    let routing = plan.routing;
-    let mut cfg = RunConfig::probe(sup, threads)?;
-    let exec = Exec::new(sup, cfg.pool_inline);
-    let transient = PanelPool::new();
-
-    let sess = Arc::new(Session::new());
-    let t0 = Stamp::now();
-
-    let monitor = RunMonitor::new(sup, threads.max(1));
-    let watchdog = exec.runtime().watch(&monitor);
-    let result = (|| {
-        let pa0 = Stamp::now();
-        let a_pool = cfg.pack_pool(pool, &transient, "pack A", sup)?;
-        monitor.begin_phase();
-        let a_panels = if routing.pack_a {
-            let mut panels = a_pool.acquire_blocks(tm * tk);
-            let packed = try_pack_panels_parallel(
-                &mut panels,
-                threads,
-                &exec,
-                &monitor,
-                "pack A",
-                |idx, p| {
-                    session::with_session(&sess, || {
-                        let (bi, kb) = (idx / tk, idx % tk);
-                        pack_a_into(p, a, s.k, bi * s.mc, kb * s.kc, s.mc, s.kc, plan.sigma_lane);
-                    })
-                },
-            );
-            if let Err(e) = packed {
-                a_pool.release_blocks(panels);
-                return Err(e);
-            }
-            Some(panels)
-        } else {
-            let _ = monitor.should_stop();
-            monitor.outcome("pack A", tm * tk)?;
-            None
-        };
-        let pack_a_t = pa0.elapsed();
-        let release_a = |panels: Option<Vec<PackedBlock>>| {
-            if let Some(panels) = panels {
-                a_pool.release_blocks(panels);
-            }
-        };
-
-        let pb0 = Stamp::now();
-        let b_pool = match cfg.pack_pool(pool, &transient, "pack B", sup) {
-            Ok(p) => p,
-            Err(e) => {
-                release_a(a_panels);
-                return Err(e);
-            }
-        };
-        monitor.begin_phase();
-        let b_panels = if routing.pack_b {
-            let mut panels = b_pool.acquire_blocks(tk * tn);
-            let packed = try_pack_panels_parallel(
-                &mut panels,
-                threads,
-                &exec,
-                &monitor,
-                "pack B",
-                |idx, p| {
-                    session::with_session(&sess, || {
-                        let (kb, bj) = (idx / tn, idx % tn);
-                        pack_b_into(p, b, n, kb * s.kc, bj * s.nc, s.kc, s.nc, plan.sigma_lane);
-                    })
-                },
-            );
-            if let Err(e) = packed {
-                release_a(a_panels);
-                b_pool.release_blocks(panels);
-                return Err(e);
-            }
-            Some(panels)
-        } else {
-            let _ = monitor.should_stop();
-            if let Err(e) = monitor.outcome("pack B", tk * tn) {
-                release_a(a_panels);
-                return Err(e);
-            }
-            None
-        };
-        let pack_b_t = pb0.elapsed();
-
-        let owned_b = b_panels.map(|panels| BPanels::Owned { panels, tn });
-        let a_src = match &a_panels {
-            Some(panels) => ASource::Packed(panels),
-            None => ASource::Unpacked(a),
-        };
-        let b_src = match &owned_b {
-            Some(bp) => BSource::Packed(bp),
-            None => BSource::Unpacked(b),
-        };
-        monitor.begin_phase();
-        let run = try_run_blocks_traced(
-            plan,
-            &a_src,
-            &b_src,
-            c,
-            threads,
-            &sess,
-            cfg.reference,
-            &exec,
-            &monitor,
-        );
-
-        release_a(a_panels);
-        if let Some(BPanels::Owned { panels, .. }) = owned_b {
-            b_pool.release_blocks(panels);
-        }
-        let (thread_profiles, kernel, drain) = run?;
-        Ok((thread_profiles, kernel, drain, pack_a_t, pack_b_t))
-    })();
-    monitor.finish();
-    drop(watchdog);
-    if matches!(result, Err(GemmError::WorkerPanicked { .. }) | Err(GemmError::Stalled { .. })) {
-        sup.observe_fault(BreakerPath::ThreadedDriver);
-    }
-    let (thread_profiles, kernel, drain, pack_a_t, pack_b_t) = result?;
-
-    let wall = t0.elapsed();
-    let stats = sess.take();
-    Ok(GemmReport {
-        m,
-        n,
-        k,
-        threads: thread_profiles.len(),
-        mc: s.mc,
-        nc: s.nc,
-        kc: s.kc,
-        wall,
-        phases: PhaseProfile { pack_a: pack_a_t, pack_b: pack_b_t, kernel, drain },
-        packs: PackStats {
-            a_packs: stats.a_packs,
-            b_packs: stats.b_packs,
-            a_bytes: stats.a_bytes,
-            b_bytes: stats.b_bytes,
-        },
-        tiles: stats.tile_counts(),
-        thread_profiles,
-        fallbacks: cfg.fallbacks,
-        ..GemmReport::default()
-    })
-}
-
-/// The traced twin of [`run_blocks_cached`]: the same atomic-cursor drain
-/// in the same claim order, but each worker accumulates its block count
-/// and busy time into a [`ThreadProfile`] and stamps its finish so the
-/// idle tail (drain) can be charged per thread. Returns the sorted
-/// profiles, the wall/cycle span of the whole parallel section (the
-/// `kernel` phase), and the summed per-thread drain.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn try_run_blocks_traced(
-    plan: &ExecutionPlan,
-    a_src: &ASource<'_>,
-    b_src: &BSource<'_>,
-    c: &mut [f32],
-    threads: usize,
-    sess: &Arc<Session>,
-    reference: bool,
     exec: &Exec,
     monitor: &RunMonitor,
-) -> Result<(Vec<ThreadProfile>, PhaseTimes, PhaseTimes), GemmError> {
-    let s = &plan.schedule;
-    let (tm, tn, tk) = plan.grid();
-    let blocks = block_visit_order(&s.order, tm, tn);
-    let threads = threads.max(1).min(blocks.len().max(1));
-
-    // SAFETY: identical ownership argument to `try_run_blocks_cached` —
-    // each (bi, bj) block is claimed by exactly one thread via the cursor.
-    let c_root = unsafe { CTile::new(c.as_mut_ptr(), s.n, c.len()) };
-    let section0 = Stamp::now();
-    let mut finished: Vec<(ThreadProfile, Stamp)> = Vec::with_capacity(threads);
-    if threads == 1 {
-        let mut prof = ThreadProfile { thread: 0, ..ThreadProfile::default() };
-        let s0 = exec.trace_begin();
-        contain(|| {
-            session::with_session(sess, || {
+    rec: Option<&Arc<Session>>,
+    run: F,
+) -> Result<Option<SectionProfile>, GemmError>
+where
+    F: Fn(usize) + Sync,
+{
+    let threads = threads.max(1).min(units.max(1));
+    let traced = rec.is_some();
+    let section0 = traced.then(Stamp::now);
+    let cursor = AtomicUsize::new(0);
+    let poison = Poison::new();
+    let collected = traced.then(|| Mutex::new(Vec::with_capacity(threads)));
+    // Slot-agnostic body: a single-threaded section runs slot 0 inline
+    // on the caller; a slot never reached by a pool worker (the pool was
+    // busy and slot 0 drained the cursor first) simply contributes no
+    // profile — `report.threads` counts engaged slots.
+    let body = |t: usize| {
+        let mut prof = ThreadProfile { thread: t, ..ThreadProfile::default() };
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            with_recorder(rec, || {
                 faultinject::probe(FaultSite::WorkerStartup);
-                for &(bi, bj) in &blocks {
-                    if monitor.should_stop() || !heartbeat(monitor, 0) {
+                loop {
+                    if poison.is_poisoned() || monitor.should_stop() {
                         break;
                     }
-                    let b0 = Stamp::now();
-                    run_block_cached(plan, a_src, b_src, c_root, bi, bj, tk, reference);
-                    prof.busy += b0.elapsed();
-                    prof.blocks += 1;
+                    let u = cursor.fetch_add(1, Ordering::Relaxed);
+                    if u >= units || !heartbeat(monitor, t) {
+                        break;
+                    }
+                    let u0 = traced.then(Stamp::now);
+                    run(u);
+                    if let Some(u0) = u0 {
+                        prof.busy += u0.elapsed();
+                        prof.blocks += 1;
+                    }
                     monitor.note_done();
                 }
             })
-        })?;
-        exec.trace_phase(0, "kernel", s0);
-        finished.push((prof, Stamp::now()));
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let poison = Poison::new();
-        let collected: Mutex<Vec<(ThreadProfile, Stamp)>> = Mutex::new(Vec::with_capacity(threads));
-        // Slot-agnostic body: a slot never reached by a pool worker (the
-        // pool was busy and slot 0 drained the cursor first) simply
-        // contributes no profile — `report.threads` counts engaged slots.
-        let body = |t: usize| {
-            let mut prof = ThreadProfile { thread: t, ..ThreadProfile::default() };
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                session::with_session(sess, || {
-                    faultinject::probe(FaultSite::WorkerStartup);
-                    loop {
-                        if poison.is_poisoned() || monitor.should_stop() {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(bi, bj)) = blocks.get(i) else { break };
-                        if !heartbeat(monitor, t) {
-                            break;
-                        }
-                        let b0 = Stamp::now();
-                        run_block_cached(plan, a_src, b_src, c_root, bi, bj, tk, reference);
-                        prof.busy += b0.elapsed();
-                        prof.blocks += 1;
-                        monitor.note_done();
-                    }
-                })
-            }));
-            if let Err(payload) = run {
-                poison.record(t, payload);
-            }
-            // One lock per slot lifetime — never on the block path.
+        }));
+        if let Err(payload) = run {
+            poison.record(t, payload);
+        }
+        // One lock per slot lifetime — never on the unit path.
+        if let Some(collected) = &collected {
             collected.lock().push((prof, Stamp::now()));
-        };
-        exec.run_section_traced(threads, "kernel", &body);
-        poison.into_result()?;
-        finished = collected.into_inner();
-        finished.sort_by_key(|(p, _)| p.thread);
-    }
-    monitor.outcome("kernel", blocks.len())?;
+        }
+    };
+    exec.run_section_traced(threads, "kernel", &body);
+    poison.into_result()?;
+    monitor.outcome("kernel", units)?;
+    let (Some(section0), Some(collected)) = (section0, collected) else { return Ok(None) };
+    let mut finished: Vec<(ThreadProfile, Stamp)> = collected.into_inner();
+    finished.sort_by_key(|(p, _)| p.thread);
     let end = Stamp::now();
-    let kernel = section0.delta_to(end);
-    let mut drain_total = PhaseTimes::default();
-    let profiles = finished
+    let mut drain = PhaseTimes::default();
+    let threads = finished
         .into_iter()
         .map(|(mut p, f)| {
             p.drain = f.delta_to(end);
-            drain_total += p.drain;
+            drain += p.drain;
             p
         })
         .collect();
-    Ok((profiles, kernel, drain_total))
+    Ok(Some(SectionProfile { threads, kernel: section0.delta_to(end), drain }))
 }
 
 /// Pack all A panels of a plan (indexed `[bi * tk + kb]`) from `pool`
-/// buffers, in parallel when the problem is large enough to pay for it.
+/// buffers, in parallel when the problem is large enough to pay for it,
+/// tallying the packs into `rec` when the call records.
 /// On error (including cancellation) the acquired buffers are returned
 /// to `pool` first. The caller must have called `monitor.begin_phase()`.
 pub(crate) fn try_pack_a_panels_supervised(
@@ -1391,12 +1256,13 @@ pub(crate) fn try_pack_a_panels_supervised(
     pool: &PanelPool,
     exec: &Exec,
     monitor: &RunMonitor,
+    rec: Option<&Arc<Session>>,
 ) -> Result<Vec<PackedBlock>, GemmError> {
     let s = &plan.schedule;
     let (tm, _, tk) = plan.grid();
     let mut panels = pool.acquire_blocks(tm * tk);
     let packed =
-        try_pack_panels_parallel(&mut panels, threads, exec, monitor, "pack A", |idx, p| {
+        try_pack_panels_parallel(&mut panels, threads, exec, monitor, "pack A", rec, |idx, p| {
             let (bi, kb) = (idx / tk, idx % tk);
             pack_a_into(p, a, s.k, bi * s.mc, kb * s.kc, s.mc, s.kc, plan.sigma_lane);
         });
@@ -1420,34 +1286,25 @@ pub(crate) fn try_pack_a_panels_supervised(
 /// [`GemmError::WorkerPanicked`] (`C` is untouched — nothing has run
 /// yet). Supervision (deadline/cancel/watchdog heartbeats) is checked at
 /// the same slot boundaries; an interrupted phase reports
-/// [`GemmError::Cancelled`]/[`GemmError::Stalled`] with `phase`.
+/// [`GemmError::Cancelled`]/[`GemmError::Stalled`] with `phase`. With a
+/// recorder, each runner tallies its packs into the call's session.
 fn try_pack_panels_parallel<F>(
     panels: &mut [PackedBlock],
     threads: usize,
     exec: &Exec,
     monitor: &RunMonitor,
     phase: &'static str,
+    rec: Option<&Arc<Session>>,
     pack: F,
 ) -> Result<(), GemmError>
 where
     F: Fn(usize, &mut PackedBlock) + Sync,
 {
     let total = panels.len();
-    let threads = threads.max(1).min(total.max(1));
-    if threads == 1 || total < 2 * threads {
-        let s0 = exec.trace_begin();
-        contain(|| {
-            for (idx, p) in panels.iter_mut().enumerate() {
-                if monitor.should_stop() {
-                    break;
-                }
-                pack(idx, p);
-                monitor.beat(0);
-                monitor.note_done();
-            }
-        })?;
-        exec.trace_phase(0, phase, s0);
-        return monitor.outcome(phase, total);
+    let mut threads = threads.max(1).min(total.max(1));
+    if total < 2 * threads {
+        // Too few panels to pay for a submission: slot 0 runs inline.
+        threads = 1;
     }
     /// Shared view of the panel slots for the cursor drain; an index is
     /// only touched by the runner that claimed it.
@@ -1464,21 +1321,23 @@ where
     let cursor = AtomicUsize::new(0);
     let poison = Poison::new();
     let body = |t: usize| {
-        let run = catch_unwind(AssertUnwindSafe(|| loop {
-            if poison.is_poisoned() || monitor.should_stop() {
-                break;
-            }
-            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-            if idx >= total {
-                break;
-            }
-            // SAFETY: the cursor hands each index to exactly one runner,
-            // so this `&mut` is exclusive; the borrow ends before
-            // `run_section` returns (join-before-return).
-            let p = unsafe { &mut *slots.ptr.add(idx) };
-            pack(idx, p);
-            monitor.beat(t);
-            monitor.note_done();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            with_recorder(rec, || loop {
+                if poison.is_poisoned() || monitor.should_stop() {
+                    break;
+                }
+                let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                if idx >= total {
+                    break;
+                }
+                // SAFETY: the cursor hands each index to exactly one
+                // runner, so this `&mut` is exclusive; the borrow ends
+                // before `run_section` returns (join-before-return).
+                let p = unsafe { &mut *slots.ptr.add(idx) };
+                pack(idx, p);
+                monitor.beat(t);
+                monitor.note_done();
+            })
         }));
         if let Err(payload) = run {
             poison.record(t, payload);
@@ -1489,19 +1348,11 @@ where
     monitor.outcome(phase, total)
 }
 
-/// Drain the `σ_order`-sorted block list through a shared atomic cursor:
-/// each worker claims the next unprocessed block, so threads that land on
-/// cheap edge blocks immediately pull more work instead of idling behind
-/// a static stride assignment.
-///
-/// Every worker runs under `catch_unwind`: a panic poisons the run, the
-/// survivors stop claiming blocks and join cleanly, and the first panic
-/// is reported as [`GemmError::WorkerPanicked`]. On that error `C` may
-/// hold a mix of original and fully computed blocks (tiles are written
-/// whole — see [`crate::error`]). Supervision is checked before each
-/// block claim: an interrupted run reports
-/// [`GemmError::Cancelled`]/[`GemmError::Stalled`] with `phase: "kernel"`
-/// under the same partial-write contract.
+/// Drain the `σ_order`-sorted block list through [`try_drain`]'s shared
+/// atomic cursor: each worker claims the next unprocessed block, so
+/// threads that land on cheap edge blocks immediately pull more work
+/// instead of idling behind a static stride assignment. Supervision,
+/// panic containment and the partial-`C` contract are [`try_drain`]'s.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_run_blocks_cached(
     plan: &ExecutionPlan,
@@ -1512,57 +1363,19 @@ pub(crate) fn try_run_blocks_cached(
     reference: bool,
     exec: &Exec,
     monitor: &RunMonitor,
-) -> Result<(), GemmError> {
+    rec: Option<&Arc<Session>>,
+) -> Result<Option<SectionProfile>, GemmError> {
     let s = &plan.schedule;
     let (tm, tn, tk) = plan.grid();
     let blocks = block_visit_order(&s.order, tm, tn);
-    let threads = threads.max(1).min(blocks.len().max(1));
-
     // SAFETY: each (bi, bj) block is claimed by exactly one thread via the
     // cursor and the blocks partition C; CTile accesses stay within a
     // block's cells, and K is never split across threads (§V-C).
     let c_root = unsafe { CTile::new(c.as_mut_ptr(), s.n, c.len()) };
-    if threads == 1 {
-        // The caller thread is worker 0; its panics are contained too.
-        let s0 = exec.trace_begin();
-        contain(|| {
-            faultinject::probe(FaultSite::WorkerStartup);
-            for &(bi, bj) in &blocks {
-                if monitor.should_stop() || !heartbeat(monitor, 0) {
-                    break;
-                }
-                run_block_cached(plan, a_src, b_src, c_root, bi, bj, tk, reference);
-                monitor.note_done();
-            }
-        })?;
-        exec.trace_phase(0, "kernel", s0);
-        return monitor.outcome("kernel", blocks.len());
-    }
-    let cursor = AtomicUsize::new(0);
-    let poison = Poison::new();
-    let body = |t: usize| {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            faultinject::probe(FaultSite::WorkerStartup);
-            loop {
-                if poison.is_poisoned() || monitor.should_stop() {
-                    break;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(bi, bj)) = blocks.get(i) else { break };
-                if !heartbeat(monitor, t) {
-                    break;
-                }
-                run_block_cached(plan, a_src, b_src, c_root, bi, bj, tk, reference);
-                monitor.note_done();
-            }
-        }));
-        if let Err(payload) = run {
-            poison.record(t, payload);
-        }
-    };
-    exec.run_section_traced(threads, "kernel", &body);
-    poison.into_result()?;
-    monitor.outcome("kernel", blocks.len())
+    try_drain(blocks.len(), threads, exec, monitor, rec, |i| {
+        let (bi, bj) = blocks[i];
+        run_block_cached(plan, a_src, b_src, c_root, bi, bj, tk, reference);
+    })
 }
 
 /// Execute all K-slices of one `C` block from cached panels
@@ -1913,9 +1726,33 @@ mod tests {
         }
     }
 
+    /// Run the supervised driver with a recorder attached.
+    fn traced(
+        plan: &ExecutionPlan,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        threads: usize,
+    ) -> GemmReport {
+        let pool = crate::packing::PanelPool::new();
+        let sess = Arc::new(Session::new());
+        try_gemm_with_plan_supervised(
+            plan,
+            a,
+            b,
+            c,
+            threads,
+            &pool,
+            &Supervision::none(),
+            Some(&sess),
+        )
+        .expect("traced run")
+        .expect("a recording run returns its report")
+    }
+
     #[test]
     fn traced_driver_bit_identical_to_untraced() {
-        // The traced driver must be a pure observer: identical pack and
+        // The recorder must be a pure observer: identical pack and
         // accumulation order, so outputs match gemm_with_plan bit-for-bit
         // with telemetry on or off.
         let chip = ChipSpec::graviton2();
@@ -1925,9 +1762,8 @@ mod tests {
             let (a, b) = data(m, n, k);
             let mut c_plain = vec![0.0f32; m * n];
             gemm_with_plan(&plan, &a, &b, &mut c_plain, threads);
-            let pool = crate::packing::PanelPool::new();
             let mut c_traced = vec![0.0f32; m * n];
-            let report = gemm_with_plan_traced(&plan, &a, &b, &mut c_traced, threads, &pool);
+            let report = traced(&plan, &a, &b, &mut c_traced, threads);
             assert_eq!(c_traced, c_plain, "{m}x{n}x{k} t{threads} traced path diverged bitwise");
             assert_eq!((report.m, report.n, report.k), (m, n, k));
             assert!(report.threads >= 1 && report.threads <= threads.max(1));
@@ -1947,8 +1783,7 @@ mod tests {
         let (tm, tn, tk) = plan.grid();
         let (a, b) = data(m, n, k);
         let mut c = vec![0.0f32; m * n];
-        let pool = crate::packing::PanelPool::new();
-        let report = gemm_with_plan_traced(&plan, &a, &b, &mut c, 3, &pool);
+        let report = traced(&plan, &a, &b, &mut c, 3);
 
         // Panel-cache invariant: each A panel packed once (tm·tk), each B
         // panel once (tk·tn) — the per-call session sees exactly those.

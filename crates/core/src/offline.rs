@@ -59,54 +59,16 @@ impl PackedB {
     }
 }
 
-/// `C = A · B` with `B` pre-packed offline.
+/// `C = A · B` with `B` pre-packed offline, recycling A-panel buffers
+/// through `pool`.
 ///
 /// The packed panels feed the shared panel-cache driver **zero-copy**
 /// ([`crate::native`]'s `BPanels::Prepacked` borrows them in place): only
 /// the A panels are packed at call time (once each, `tm·tk` packs), and
 /// blocks are drained from the same atomic work queue as
-/// [`crate::native::gemm_with_plan`].
-pub fn gemm_prepacked(
-    plan: &ExecutionPlan,
-    a: &[f32],
-    packed_b: &PackedB,
-    c: &mut [f32],
-    threads: usize,
-) {
-    if let Err(e) = try_gemm_prepacked(plan, a, packed_b, c, threads) {
-        panic!("{e}");
-    }
-}
-
-/// Fallible [`gemm_prepacked`]: plan-mismatch and operand validation as
-/// `Err` instead of panics, worker panics contained (see
+/// [`crate::native::gemm_with_plan`]. Plan-mismatch and operand
+/// validation come back as `Err`, and worker panics are contained (see
 /// [`crate::error`]).
-pub fn try_gemm_prepacked(
-    plan: &ExecutionPlan,
-    a: &[f32],
-    packed_b: &PackedB,
-    c: &mut [f32],
-    threads: usize,
-) -> Result<(), GemmError> {
-    let pool = crate::packing::PanelPool::new();
-    try_gemm_prepacked_pooled(plan, a, packed_b, c, threads, &pool)
-}
-
-/// [`gemm_prepacked`] recycling A-panel buffers through `pool`.
-pub fn gemm_prepacked_pooled(
-    plan: &ExecutionPlan,
-    a: &[f32],
-    packed_b: &PackedB,
-    c: &mut [f32],
-    threads: usize,
-    pool: &crate::packing::PanelPool,
-) {
-    if let Err(e) = try_gemm_prepacked_pooled(plan, a, packed_b, c, threads, pool) {
-        panic!("{e}");
-    }
-}
-
-/// Fallible [`gemm_prepacked_pooled`].
 pub fn try_gemm_prepacked_pooled(
     plan: &ExecutionPlan,
     a: &[f32],
@@ -149,8 +111,9 @@ pub fn try_gemm_prepacked_supervised(
     let watchdog = exec.runtime().watch(&monitor);
     let result = (|| {
         monitor.begin_phase();
-        let a_panels =
-            crate::native::try_pack_a_panels_supervised(plan, a, threads, pool, &exec, &monitor)?;
+        let a_panels = crate::native::try_pack_a_panels_supervised(
+            plan, a, threads, pool, &exec, &monitor, None,
+        )?;
         monitor.begin_phase();
         let b_panels = crate::native::BPanels::Prepacked(packed_b);
         let run = crate::native::try_run_blocks_cached(
@@ -162,9 +125,10 @@ pub fn try_gemm_prepacked_supervised(
             false,
             &exec,
             &monitor,
+            None,
         );
         pool.release_blocks(a_panels);
-        run
+        run.map(|_| ())
     })();
     monitor.finish();
     drop(watchdog);
@@ -177,6 +141,7 @@ pub fn try_gemm_prepacked_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packing::PanelPool;
     use crate::AutoGemm;
     use autogemm_arch::ChipSpec;
 
@@ -201,7 +166,8 @@ mod tests {
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 3) % 11) as f32 - 5.0).collect();
         let packed = PackedB::new(&plan, &b);
         let mut c = vec![0.0f32; m * n];
-        gemm_prepacked(&plan, &a, &packed, &mut c, 1);
+        let pool = PanelPool::new();
+        try_gemm_prepacked_pooled(&plan, &a, &packed, &mut c, 1, &pool).unwrap();
         assert_eq!(c, naive(m, n, k, &a, &b));
     }
 
@@ -214,16 +180,16 @@ mod tests {
         let b: Vec<f32> = (0..k * n).map(|i| (i % 5) as f32).collect();
         let packed = PackedB::new(&plan, &b);
         assert!(packed.bytes() >= 4 * k * n);
+        let pool = PanelPool::new();
         for seed in 0..3 {
             let a: Vec<f32> = (0..m * k).map(|i| ((i + seed) % 7) as f32 - 3.0).collect();
             let mut c = vec![0.0f32; m * n];
-            gemm_prepacked(&plan, &a, &packed, &mut c, 2);
+            try_gemm_prepacked_pooled(&plan, &a, &packed, &mut c, 2, &pool).unwrap();
             assert_eq!(c, naive(m, n, k, &a, &b), "seed {seed}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "different plan")]
     fn plan_mismatch_is_caught() {
         let engine = AutoGemm::new(ChipSpec::m2());
         let plan_a = engine.plan(16, 16, 16);
@@ -232,6 +198,9 @@ mod tests {
         let packed = PackedB::new(&plan_a, &b);
         let a = vec![0.0f32; 32 * 32];
         let mut c = vec![0.0f32; 32 * 32];
-        gemm_prepacked(&plan_b, &a, &packed, &mut c, 1);
+        let pool = PanelPool::new();
+        let e = try_gemm_prepacked_pooled(&plan_b, &a, &packed, &mut c, 1, &pool).unwrap_err();
+        assert!(matches!(e, GemmError::PlanMismatch { .. }), "{e:?}");
+        assert!(e.to_string().contains("different plan"), "{e}");
     }
 }

@@ -137,7 +137,7 @@ impl PackedBlock {
 // panel-cache driver must pack each A panel `(bi, kb)` and each B panel
 // `(kb, bj)` exactly once per GEMM — `tm·tk` + `tk·tn` packs, not the
 // `tm·tn·tk` of a per-block repacking loop — and that invariant is
-// pinned per call by the traced drivers' [`crate::GemmReport`]
+// pinned per call by a recording driver call's [`crate::GemmReport`]
 // (`packs.a_packs` / `packs.b_packs`), race-free across concurrent
 // GEMMs. (The process-global `counters` shims that predated the session
 // API have been removed.)

@@ -664,21 +664,6 @@ impl Exec {
         }
     }
 
-    /// Timestamp for a manually-emitted span; 0 when untraced (the
-    /// matching [`Exec::trace_phase`] is then a no-op too).
-    pub(crate) fn trace_begin(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, |t| t.now_ns())
-    }
-
-    /// Close a span opened with [`Exec::trace_begin`] on `track`. Used
-    /// by the drivers' single-threaded paths, which run their phase
-    /// bodies inline rather than through [`Exec::run_section_traced`].
-    pub(crate) fn trace_phase(&self, track: usize, name: &'static str, start_ns: u64) {
-        if let Some(t) = &self.tracer {
-            t.push(track, name, "phase", start_ns, t.now_ns());
-        }
-    }
-
     /// [`Exec::run_section`] plus timeline emission: one `name` phase
     /// span per active slot, a caller-lane `submit` lead-in, per-worker
     /// `wake` lead-ins (submit → body start), and per-slot `drain` tails

@@ -45,8 +45,7 @@
 //! stops within one block budget. When a call carries no deadline,
 //! token or watchdog, the per-run monitor is *passive*: every check is
 //! a single predictable branch on a plain bool and no clock is read, so
-//! `try_gemm_deadline` with supervision off costs the same as
-//! `try_gemm`.
+//! `try_gemm_opts` with supervision off pays nothing for it.
 
 use crate::error::GemmError;
 use crate::runtime::Runtime;
@@ -847,7 +846,8 @@ pub struct ResilientReport {
     pub mode: ResilientMode,
 }
 
-/// The degradation rung a resilient call succeeded on.
+/// A rung of the resilient ladder: the degradations one attempt runs
+/// with, and the rung a resilient call succeeded on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResilientMode {
     /// First attempt, as requested.

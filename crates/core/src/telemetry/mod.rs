@@ -4,8 +4,8 @@
 //! The paper's whole pipeline — the micro-kernel cycle model (Eqns 6/8),
 //! DMT (Algorithm 1) and the tuner's Eqn-13 pruning — runs on *projected*
 //! cycle counts. This module closes the loop: every traced GEMM
-//! ([`crate::native::gemm_with_plan_traced`], or the engine front doors
-//! [`crate::AutoGemm::gemm_traced`] / `gemm_threaded_traced`) produces a
+//! (the engine's [`crate::AutoGemm::try_gemm_traced_opts`], or
+//! [`crate::native::try_gemm_with_plan_supervised`] with a recorder) produces a
 //! [`GemmReport`] holding
 //!
 //! * per-phase wall/cycle times (pack-A, pack-B, kernel, drain);
@@ -29,13 +29,14 @@
 //! feature **off** (the default), [`clock`] stamps return zero and the
 //! recording hooks in the packing/dispatch paths compile to empty
 //! `#[inline(always)]` functions — the hot paths are bit-for-bit the
-//! untraced code, and the traced drivers still run correctly but report
-//! zeroed timings/counters. With the feature **on**, the untraced drivers
-//! remain unchanged (recording hooks check a thread-local session handle
-//! that is only installed by traced calls); a traced call adds one stamp
-//! pair per phase, one per claimed block, and one histogram bump per
-//! dispatched micro-tile — all far below the work they measure (a block
-//! is `O(m_c·n_c·k)` FLOPs, a tile `O(m_r·n_r·k_c)`).
+//! untraced code, and recording calls still run correctly but report
+//! zeroed timings/counters. With the feature **on**, a call without a
+//! recorder reads no telemetry clock (recording hooks check a
+//! thread-local session handle that only a recording call installs); a
+//! recording call adds one stamp pair per phase, one per claimed block,
+//! and one histogram bump per dispatched micro-tile — all far below the
+//! work they measure (a block is `O(m_c·n_c·k)` FLOPs, a tile
+//! `O(m_r·n_r·k_c)`).
 //!
 //! ## Report schema
 //!

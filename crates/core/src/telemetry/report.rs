@@ -100,7 +100,7 @@ impl ThreadProfile {
 
 /// Graceful degradations taken during one run (see `crate::error` for
 /// the degradation policy). Unlike the timing counters these are live
-/// regardless of the `telemetry` feature — the traced driver records its
+/// regardless of the `telemetry` feature — a recording driver reports its
 /// own setup decisions, no clock or session hook involved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FallbackStats {

@@ -1,9 +1,9 @@
 //! Scoped per-call recording: pack counts/bytes and the dispatched
 //! kernel-shape histogram.
 //!
-//! A traced driver creates one [`Session`] per GEMM call and installs a
-//! thread-local tally in every thread that does work for it
-//! ([`with_session`]). The recording hooks the packing and dispatch paths
+//! A recording call creates one [`Session`] per GEMM and hands it to the
+//! driver as its recorder, which installs a thread-local tally in every
+//! thread that does work for it ([`with_session`]). The recording hooks the packing and dispatch paths
 //! call ([`record_pack_a`], [`record_pack_b`], [`record_tile`]) write to
 //! that tally — plain thread-local counters, no atomics in the hot path —
 //! and the tally is merged into the session when the scope ends. A thread
@@ -87,8 +87,8 @@ mod imp {
     }
 
     /// Run `f` with a tally for `session` installed in this thread,
-    /// merging it into the session afterwards. Scopes do not nest: the
-    /// traced drivers install exactly one scope per thread per phase.
+    /// merging it into the session afterwards. Scopes do not nest: a
+    /// recording driver installs exactly one scope per thread per phase.
     ///
     /// The merge runs from a drop guard, so it happens even when `f`
     /// unwinds — required by the worker-panic containment in

@@ -78,12 +78,16 @@ fn pack_alloc_degrade_recovers_bit_identical() {
     for threads in THREADS {
         // Fault-free reference run first (same plan, same kernels).
         let mut c_ref = vec![0.0f32; m * n];
-        engine.try_gemm_threaded(m, n, k, &a, &b, &mut c_ref, threads).unwrap();
+        engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c_ref, &GemmOptions::new().threads(threads))
+            .unwrap();
 
         let guard =
             arm(FaultPlan::single(FaultSite::PackAlloc, FaultAction::Degrade, Trigger::Nth(1)));
         let mut c = vec![0.0f32; m * n];
-        engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads).unwrap();
+        engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads))
+            .unwrap();
         assert!(guard.fired() >= 1, "t{threads}: degrade never fired");
         drop(guard);
         // Degraded packing only changes where the panels live, never the
@@ -101,7 +105,9 @@ fn pack_alloc_degrade_is_recorded_in_the_report() {
     let guard =
         arm(FaultPlan::single(FaultSite::PackAlloc, FaultAction::Degrade, Trigger::EveryKth(1)));
     let mut c = vec![0.0f32; m * n];
-    let report = engine.try_gemm_traced(m, n, k, &a, &b, &mut c, 2).unwrap();
+    let report = engine
+        .try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+        .unwrap();
     assert!(guard.fired() >= 2, "both pack phases should degrade");
     assert!(
         report.fallbacks.pool_packs >= 2,
@@ -125,7 +131,9 @@ fn pack_alloc_fail_is_a_structured_error_with_c_untouched() {
                 arm(FaultPlan::single(FaultSite::PackAlloc, FaultAction::Fail, Trigger::Nth(nth)));
             let sentinel: Vec<f32> = (0..m * n).map(|i| i as f32 - 7.0).collect();
             let mut c = sentinel.clone();
-            let e = engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads).unwrap_err();
+            let e = engine
+                .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads))
+                .unwrap_err();
             assert!(guard.fired() >= 1);
             drop(guard);
             match &e {
@@ -151,7 +159,9 @@ fn pack_alloc_panic_is_contained() {
             arm(FaultPlan::single(FaultSite::PackAlloc, FaultAction::Panic, Trigger::Nth(1)));
         let sentinel: Vec<f32> = vec![9.25; m * n];
         let mut c = sentinel.clone();
-        let e = engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads).unwrap_err();
+        let e = engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads))
+            .unwrap_err();
         assert!(guard.fired() >= 1);
         drop(guard);
         match &e {
@@ -178,11 +188,15 @@ fn kernel_dispatch_faults_reroute_to_the_scalar_oracle() {
     for action in [FaultAction::Degrade, FaultAction::Fail] {
         for threads in THREADS {
             let mut c_ref = vec![0.0f32; m * n];
-            engine.try_gemm_threaded(m, n, k, &a, &b, &mut c_ref, threads).unwrap();
+            engine
+                .try_gemm_opts(m, n, k, &a, &b, &mut c_ref, &GemmOptions::new().threads(threads))
+                .unwrap();
 
             let guard = arm(FaultPlan::single(FaultSite::KernelDispatch, action, Trigger::Nth(1)));
             let mut c = vec![0.0f32; m * n];
-            let report = engine.try_gemm_traced(m, n, k, &a, &b, &mut c, threads).unwrap();
+            let report = engine
+                .try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads))
+                .unwrap();
             assert!(guard.fired() >= 1, "{action:?} t{threads}: never fired");
             drop(guard);
             assert!(report.fallbacks.scalar_kernels >= 1, "{action:?} t{threads}");
@@ -207,7 +221,9 @@ fn worker_startup_panic_poisons_the_run_without_deadlock() {
         let guard =
             arm(FaultPlan::single(FaultSite::WorkerStartup, FaultAction::Panic, Trigger::Nth(1)));
         let mut c = vec![0.0f32; m * n];
-        let e = engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads).unwrap_err();
+        let e = engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads))
+            .unwrap_err();
         assert_eq!(guard.fired(), 1, "t{threads}");
         drop(guard);
         match &e {
@@ -218,14 +234,17 @@ fn worker_startup_panic_poisons_the_run_without_deadlock() {
         }
         // The engine (pool included) survives a poisoned run.
         let mut c_after = vec![0.0f32; m * n];
-        engine.try_gemm_threaded(m, n, k, &a, &b, &mut c_after, threads).unwrap();
+        engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c_after, &GemmOptions::new().threads(threads))
+            .unwrap();
         assert!(max_rel_error(&c_after, &oracle(m, n, k, &a, &b)) < 1e-5, "t{threads}");
     }
     // EveryKth(1): every worker dies at startup — still a clean error.
     let guard =
         arm(FaultPlan::single(FaultSite::WorkerStartup, FaultAction::Panic, Trigger::EveryKth(1)));
     let mut c = vec![0.0f32; m * n];
-    let e = engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 8).unwrap_err();
+    let e =
+        engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(8)).unwrap_err();
     assert!(matches!(e, GemmError::WorkerPanicked { .. }), "{e:?}");
     assert!(guard.fired() >= 1);
 }
@@ -245,7 +264,7 @@ fn nth_and_every_kth_triggers_are_deterministic_across_calls() {
     let mut outcomes = Vec::new();
     for _ in 0..4 {
         let mut c = vec![0.0f32; m * n];
-        let r = engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 1);
+        let r = engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(1));
         if r.is_ok() {
             assert!(max_rel_error(&c, &want) < 1e-5);
         }
@@ -261,7 +280,9 @@ fn nth_and_every_kth_triggers_are_deterministic_across_calls() {
     let mut outcomes = Vec::new();
     for _ in 0..4 {
         let mut c = vec![0.0f32; m * n];
-        outcomes.push(engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 1).is_ok());
+        outcomes.push(
+            engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(1)).is_ok(),
+        );
     }
     assert_eq!(outcomes, [true, true, false, true]);
     assert_eq!(guard.fired(), 1);
@@ -279,7 +300,15 @@ fn seeded_sweep_is_clean_error_or_correct_recovery() {
         let guard = arm(plan.clone());
         for threads in THREADS {
             let mut c = vec![0.0f32; m * n];
-            match engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads) {
+            match engine.try_gemm_opts(
+                m,
+                n,
+                k,
+                &a,
+                &b,
+                &mut c,
+                &GemmOptions::new().threads(threads),
+            ) {
                 // Recovery (or a trigger that never matched): the result
                 // must match the oracle.
                 Ok(()) => {
@@ -296,7 +325,7 @@ fn seeded_sweep_is_clean_error_or_correct_recovery() {
         drop(guard);
         // Disarmed follow-up: the engine is always reusable.
         let mut c = vec![0.0f32; m * n];
-        engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 2).unwrap();
+        engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2)).unwrap();
         assert!(max_rel_error(&c, &want) < 1e-5, "seed {seed}: engine poisoned after sweep");
     }
 }
@@ -316,7 +345,7 @@ fn batch_and_prepacked_paths_contain_worker_panics() {
     let guard =
         arm(FaultPlan::single(FaultSite::WorkerStartup, FaultAction::Panic, Trigger::Nth(1)));
     let mut c = vec![0.0f32; 6 * m * n];
-    let e = engine.try_gemm_batch(&batch, &mut c, 3).unwrap_err();
+    let e = engine.try_gemm_batch_opts(&batch, &mut c, &GemmOptions::new().threads(3)).unwrap_err();
     match &e {
         GemmError::InBatch { index, source } => {
             assert!(*index < 6, "index {index} out of range");
@@ -332,7 +361,8 @@ fn batch_and_prepacked_paths_contain_worker_panics() {
     let guard =
         arm(FaultPlan::single(FaultSite::WorkerStartup, FaultAction::Panic, Trigger::Nth(1)));
     let mut c = vec![0.0f32; m * n];
-    let e = autogemm::try_gemm_prepacked(&plan, &a, &packed, &mut c, 2).unwrap_err();
+    let pool = autogemm::PanelPool::new();
+    let e = autogemm::try_gemm_prepacked_pooled(&plan, &a, &packed, &mut c, 2, &pool).unwrap_err();
     assert!(matches!(e, GemmError::WorkerPanicked { .. }), "{e:?}");
     assert!(guard.fired() >= 1);
 }
@@ -349,7 +379,7 @@ fn assert_recovered(engine: &AutoGemm, threads: usize, ctx: &str) {
     let want = oracle(m, n, k, &a, &b);
     assert_eq!(engine.panel_pool().outstanding(), 0, "{ctx}: pool buffers leaked");
     let mut c = vec![0.0f32; m * n];
-    engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads).unwrap();
+    engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads)).unwrap();
     assert!(max_rel_error(&c, &want) < 1e-5, "{ctx}: engine not reusable");
 }
 
@@ -418,7 +448,15 @@ fn deadline_and_token_interrupt_a_wedged_kernel_mid_run() {
         let mut c = vec![0.0f32; m * n];
         let t0 = std::time::Instant::now();
         let e = engine
-            .try_gemm_deadline(m, n, k, &a, &b, &mut c, threads, Duration::from_millis(150))
+            .try_gemm_opts(
+                m,
+                n,
+                k,
+                &a,
+                &b,
+                &mut c,
+                &GemmOptions::new().threads(threads).deadline(Duration::from_millis(150)),
+            )
             .unwrap_err();
         assert!(t0.elapsed() < Duration::from_secs(8), "t{threads}: deadline did not break wedge");
         match &e {
@@ -515,12 +553,16 @@ fn pool_submit_degrade_drains_inline_bit_identical() {
     for threads in [2, 8] {
         // Fault-free reference run (pooled submission).
         let mut c_ref = vec![0.0f32; m * n];
-        engine.try_gemm_threaded(m, n, k, &a, &b, &mut c_ref, threads).unwrap();
+        engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c_ref, &GemmOptions::new().threads(threads))
+            .unwrap();
 
         let guard =
             arm(FaultPlan::single(FaultSite::PoolSubmit, FaultAction::Degrade, Trigger::Nth(1)));
         let mut c = vec![0.0f32; m * n];
-        let report = engine.try_gemm_traced(m, n, k, &a, &b, &mut c, threads).unwrap();
+        let report = engine
+            .try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads))
+            .unwrap();
         assert!(guard.fired() >= 1, "t{threads}: degrade never fired");
         drop(guard);
         // The caller drained every section alone; section bodies are
@@ -545,7 +587,9 @@ fn pool_submit_fail_is_a_structured_error_with_c_untouched() {
             arm(FaultPlan::single(FaultSite::PoolSubmit, FaultAction::Fail, Trigger::Nth(1)));
         let sentinel: Vec<f32> = (0..m * n).map(|i| i as f32 + 0.5).collect();
         let mut c = sentinel.clone();
-        let e = engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads).unwrap_err();
+        let e = engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads))
+            .unwrap_err();
         assert!(guard.fired() >= 1, "t{threads}");
         drop(guard);
         match &e {
@@ -570,7 +614,9 @@ fn pool_submit_panic_is_contained_and_the_pool_survives() {
         let guard =
             arm(FaultPlan::single(FaultSite::PoolSubmit, FaultAction::Panic, Trigger::Nth(1)));
         let mut c = vec![0.0f32; m * n];
-        let e = engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads).unwrap_err();
+        let e = engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads))
+            .unwrap_err();
         assert!(guard.fired() >= 1, "t{threads}");
         drop(guard);
         match &e {
@@ -594,7 +640,7 @@ fn pool_submit_probe_never_fires_single_threaded() {
     let guard =
         arm(FaultPlan::single(FaultSite::PoolSubmit, FaultAction::Fail, Trigger::EveryKth(1)));
     let mut c = vec![0.0f32; m * n];
-    engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 1).unwrap();
+    engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(1)).unwrap();
     assert_eq!(guard.fired(), 0, "single-threaded calls must not consult the pool gate");
     drop(guard);
     assert!(max_rel_error(&c, &oracle(m, n, k, &a, &b)) < 1e-5);
@@ -613,7 +659,8 @@ fn dedicated_pool_survives_poisoned_submissions_and_stays_reusable() {
     let guard =
         arm(FaultPlan::single(FaultSite::WorkerStartup, FaultAction::Panic, Trigger::EveryKth(1)));
     let mut c = vec![0.0f32; m * n];
-    let e = engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 2).unwrap_err();
+    let e =
+        engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2)).unwrap_err();
     assert!(matches!(e, GemmError::WorkerPanicked { .. }), "{e:?}");
     drop(guard);
 
@@ -622,7 +669,7 @@ fn dedicated_pool_survives_poisoned_submissions_and_stays_reusable() {
     assert_eq!(rt.alive_workers(), workers, "poisoned submission killed a pool worker");
     let submissions_before = rt.stats().submissions;
     let mut c = vec![0.0f32; m * n];
-    engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 2).unwrap();
+    engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2)).unwrap();
     assert!(max_rel_error(&c, &oracle(m, n, k, &a, &b)) < 1e-5);
     assert!(rt.stats().submissions > submissions_before, "reuse call must go through the pool");
     assert_eq!(rt.alive_workers(), workers);
@@ -647,7 +694,9 @@ fn pool_submit_breaker_trips_and_reroutes_to_inline_drains() {
     // Two consecutive degraded submissions trip the path.
     for call in 0..2 {
         let mut c = vec![0.0f32; m * n];
-        engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads).unwrap();
+        engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads))
+            .unwrap();
         assert!(max_rel_error(&c, &want) < 1e-5, "call {call}");
     }
     assert_eq!(engine.breaker().state(path), BreakerState::Open);
@@ -656,7 +705,9 @@ fn pool_submit_breaker_trips_and_reroutes_to_inline_drains() {
     // still completes correctly on inline drains.
     let fired_before = guard.fired();
     let mut c = vec![0.0f32; m * n];
-    let report = engine.try_gemm_traced(m, n, k, &a, &b, &mut c, threads).unwrap();
+    let report = engine
+        .try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads))
+        .unwrap();
     assert_eq!(guard.fired(), fired_before, "probe must be skipped while Open");
     assert!(report.fallbacks.breaker_reroutes >= 1);
     assert!(max_rel_error(&c, &want) < 1e-5);
@@ -664,7 +715,7 @@ fn pool_submit_breaker_trips_and_reroutes_to_inline_drains() {
 
     // Disarmed: the half-open probe is clean and the pool path closes.
     let mut c = vec![0.0f32; m * n];
-    engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads).unwrap();
+    engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads)).unwrap();
     assert_eq!(engine.breaker().state(path), BreakerState::Closed);
     assert!(max_rel_error(&c, &want) < 1e-5);
 }
@@ -684,7 +735,9 @@ fn breaker_trips_reroutes_half_opens_and_recovers_deterministically() {
     let path = BreakerPath::SimdDispatch;
     let run = |c: &mut Vec<f32>| {
         c.iter_mut().for_each(|x| *x = 0.0);
-        engine.try_gemm_traced(m, n, k, &a, &b, c, threads).unwrap()
+        engine
+            .try_gemm_traced_opts(m, n, k, &a, &b, c, &GemmOptions::new().threads(threads))
+            .unwrap()
     };
     let mut c = vec![0.0f32; m * n];
 

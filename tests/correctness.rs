@@ -3,7 +3,7 @@
 //! functional simulator, across chips, shapes and thread counts —
 //! the §V "relative error < 1e-6" verification.
 
-use autogemm::AutoGemm;
+use autogemm::{AutoGemm, GemmOptions};
 use autogemm_arch::ChipSpec;
 use autogemm_baselines::naive::{max_rel_error, naive_gemm};
 
@@ -22,7 +22,9 @@ fn check_native(engine: &AutoGemm, m: usize, n: usize, k: usize, threads: usize)
     if threads == 1 {
         engine.gemm(m, n, k, &a, &b, &mut c);
     } else {
-        engine.gemm_threaded(m, n, k, &a, &b, &mut c, threads);
+        engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads))
+            .unwrap();
     }
     let mut want = vec![0.0f32; m * n];
     naive_gemm(m, n, k, &a, &b, &mut want);
@@ -156,7 +158,8 @@ mod property {
             let engine = AutoGemm::new(ChipSpec::graviton2());
             let (a, b) = data(m, n, k, (m * 13 + n * 5 + k * 3 + threads) as u32);
             let mut c = vec![0.0f32; m * n];
-            engine.gemm_threaded(m, n, k, &a, &b, &mut c, threads);
+            let opts = GemmOptions::new().threads(threads);
+            engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &opts).unwrap();
             let mut want = vec![0.0f32; m * n];
             naive_gemm(m, n, k, &a, &b, &mut want);
             prop_assert!(

@@ -17,7 +17,7 @@
 //! the raw `f32`s is therefore an exact, backend-portable check.
 
 use autogemm::native::gemm_with_plan;
-use autogemm::{AutoGemm, ExecutionPlan, OperandRouting};
+use autogemm::{AutoGemm, ExecutionPlan, GemmOptions, OperandRouting};
 use autogemm_arch::ChipSpec;
 use autogemm_tuner::tune;
 use proptest::prelude::*;
@@ -113,7 +113,7 @@ fn degenerate_shapes_match_the_block_driver() {
         for threads in THREADS {
             let mut c_fast = vec![0.0f32; m * n];
             engine
-                .try_gemm_threaded(m, n, k, &a, &b, &mut c_fast, threads)
+                .try_gemm_opts(m, n, k, &a, &b, &mut c_fast, &GemmOptions::new().threads(threads))
                 .unwrap_or_else(|e| panic!("{m}x{n}x{k} t{threads}: {e}"));
             assert_eq!(c_fast, c_block, "{m}x{n}x{k} t{threads}: fast path vs block driver");
         }
@@ -128,7 +128,9 @@ fn traced_dispatch_names_the_route_taken() {
     {
         let (a, b) = data(m, n, k, 3);
         let mut c = vec![0.0f32; m * n];
-        let report = engine.gemm_traced(m, n, k, &a, &b, &mut c, 2);
+        let report = engine
+            .try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+            .unwrap();
         assert_eq!(report.dispatch.route, want, "{m}x{n}x{k}");
         assert!(!report.dispatch.packed_a && !report.dispatch.packed_b);
         assert_eq!(c, naive(m, n, k, &a, &b), "{m}x{n}x{k} traced fast path vs oracle");
@@ -137,7 +139,9 @@ fn traced_dispatch_names_the_route_taken() {
     let (m, n, k) = (48, 64, 32);
     let (a, b) = data(m, n, k, 5);
     let mut c = vec![0.0f32; m * n];
-    let report = engine.gemm_traced(m, n, k, &a, &b, &mut c, 2);
+    let report = engine
+        .try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+        .unwrap();
     assert_eq!(report.dispatch.route, "block");
 }
 
@@ -147,10 +151,14 @@ fn plan_cache_hits_on_repeated_shapes_and_output_is_stable() {
     let (m, n, k) = (52, 40, 48);
     let (a, b) = data(m, n, k, 11);
     let mut c1 = vec![0.0f32; m * n];
-    let r1 = engine.gemm_traced(m, n, k, &a, &b, &mut c1, 1);
+    let r1 = engine
+        .try_gemm_traced_opts(m, n, k, &a, &b, &mut c1, &GemmOptions::new().threads(1))
+        .unwrap();
     assert!(!r1.dispatch.plan_cache_hit, "first call must miss");
     let mut c2 = vec![0.0f32; m * n];
-    let r2 = engine.gemm_traced(m, n, k, &a, &b, &mut c2, 1);
+    let r2 = engine
+        .try_gemm_traced_opts(m, n, k, &a, &b, &mut c2, &GemmOptions::new().threads(1))
+        .unwrap();
     assert!(r2.dispatch.plan_cache_hit, "second identical call must hit");
     assert!(r2.dispatch.plan_cache_hits > r1.dispatch.plan_cache_hits);
     assert_eq!(c2, c1, "cached plan must reproduce the miss call's bits");
@@ -158,7 +166,9 @@ fn plan_cache_hits_on_repeated_shapes_and_output_is_stable() {
     assert_eq!(stats.hits, r2.dispatch.plan_cache_hits);
     // A different thread budget is a different key: miss again.
     let mut c3 = vec![0.0f32; m * n];
-    let r3 = engine.gemm_traced(m, n, k, &a, &b, &mut c3, 2);
+    let r3 = engine
+        .try_gemm_traced_opts(m, n, k, &a, &b, &mut c3, &GemmOptions::new().threads(2))
+        .unwrap();
     assert!(!r3.dispatch.plan_cache_hit, "threaded plan is a separate cache entry");
     assert_eq!(c3, c1);
     // GEMV shapes never consult the tuner, so they never touch the cache.
@@ -188,7 +198,7 @@ proptest! {
         let (a, b) = data(m, n, k, seed);
         let mut c_engine = vec![0.0f32; m * n];
         engine
-            .try_gemm_threaded(m, n, k, &a, &b, &mut c_engine, threads)
+            .try_gemm_opts(m, n, k, &a, &b, &mut c_engine, &GemmOptions::new().threads(threads))
             .unwrap_or_else(|e| panic!("{m}x{n}x{k} t{threads}: {e}"));
         let plan = plan_for(m, n, k);
         let mut c_block = vec![0.0f32; m * n];
@@ -254,7 +264,15 @@ mod chaos {
                         let engine = engine_unbroken();
                         let guard = arm(FaultPlan::single(site, action, Trigger::Nth(1)));
                         let mut c = vec![0.0f32; m * n];
-                        let result = engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads);
+                        let result = engine.try_gemm_opts(
+                            m,
+                            n,
+                            k,
+                            &a,
+                            &b,
+                            &mut c,
+                            &GemmOptions::new().threads(threads),
+                        );
                         drop(guard);
                         match result {
                             Ok(()) => assert_eq!(
@@ -284,7 +302,7 @@ mod chaos {
             let engine = engine_unbroken();
             let guard = arm(FaultPlan::single(FaultSite::PackAlloc, action, Trigger::Nth(1)));
             let mut c = vec![0.0f32; m * n];
-            let result = engine.try_gemm(m, n, k, &a, &b, &mut c);
+            let result = engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new());
             drop(guard);
             match (action, result) {
                 (FaultAction::Degrade, Ok(())) => assert_eq!(c, want),

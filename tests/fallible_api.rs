@@ -5,7 +5,7 @@
 //! `Result` plumbing is bit-identical to the classic panicking path.
 
 use autogemm::error::Operand;
-use autogemm::{AutoGemm, GemmBatch, GemmError, PackedB};
+use autogemm::{AutoGemm, GemmBatch, GemmError, GemmOptions, PackedB, PanelPool};
 use autogemm_arch::ChipSpec;
 use autogemm_baselines::naive::{max_rel_error, naive_gemm};
 
@@ -32,7 +32,7 @@ fn slice_length_mismatches_name_the_operand() {
     let mut good_c = vec![0.0f32; m * n];
 
     let short_a = vec![0.0f32; m * k - 1];
-    match engine.try_gemm(m, n, k, &short_a, &good_b, &mut good_c) {
+    match engine.try_gemm_opts(m, n, k, &short_a, &good_b, &mut good_c, &GemmOptions::new()) {
         Err(GemmError::SliceLen { operand: Operand::A, expected, got, .. }) => {
             assert_eq!((expected, got), (m * k, m * k - 1));
         }
@@ -40,13 +40,17 @@ fn slice_length_mismatches_name_the_operand() {
     }
 
     let short_b = vec![0.0f32; k * n - 3];
-    let e = engine.try_gemm(m, n, k, &good_a, &short_b, &mut good_c).unwrap_err();
+    let e = engine
+        .try_gemm_opts(m, n, k, &good_a, &short_b, &mut good_c, &GemmOptions::new())
+        .unwrap_err();
     assert!(matches!(e, GemmError::SliceLen { operand: Operand::B, .. }), "{e:?}");
     // Display is the same structured message the panicking wrapper uses.
     assert!(e.to_string().contains("must hold"), "{e}");
 
     let mut short_c = vec![0.0f32; m * n + 2];
-    let e = engine.try_gemm(m, n, k, &good_a, &good_b, &mut short_c).unwrap_err();
+    let e = engine
+        .try_gemm_opts(m, n, k, &good_a, &good_b, &mut short_c, &GemmOptions::new())
+        .unwrap_err();
     assert!(matches!(e, GemmError::SliceLen { operand: Operand::C, .. }), "{e:?}");
 }
 
@@ -58,12 +62,13 @@ fn overflow_adjacent_dims_error_before_allocating() {
     let mut c: Vec<f32> = vec![];
     // m*k overflows usize: reported as SizeOverflow, no allocation, no
     // tuning, no panic.
-    let e = engine.try_gemm(usize::MAX, 2, 3, &a, &b, &mut c).unwrap_err();
+    let e =
+        engine.try_gemm_opts(usize::MAX, 2, 3, &a, &b, &mut c, &GemmOptions::new()).unwrap_err();
     assert!(matches!(e, GemmError::SizeOverflow { .. }), "{e:?}");
     assert!(e.to_string().contains("overflows usize"), "{e}");
     // Same guard on the batch front door.
     let batch = GemmBatch::new(usize::MAX, usize::MAX, 1);
-    let e = engine.try_gemm_batch(&batch, &mut c, 2).unwrap_err();
+    let e = engine.try_gemm_batch_opts(&batch, &mut c, &GemmOptions::new().threads(2)).unwrap_err();
     assert!(matches!(e, GemmError::SizeOverflow { .. }), "{e:?}");
 }
 
@@ -76,7 +81,9 @@ fn prepacked_plan_mismatch_is_an_error() {
     let packed = PackedB::new(&plan_small, &b);
     let a = vec![0.0f32; 32 * 32];
     let mut c = vec![0.0f32; 32 * 32];
-    let e = autogemm::try_gemm_prepacked(&plan_big, &a, &packed, &mut c, 1).unwrap_err();
+    let pool = PanelPool::new();
+    let e =
+        autogemm::try_gemm_prepacked_pooled(&plan_big, &a, &packed, &mut c, 1, &pool).unwrap_err();
     assert!(matches!(e, GemmError::PlanMismatch { .. }), "{e:?}");
     assert!(e.to_string().contains("different plan"), "{e}");
 }
@@ -111,9 +118,11 @@ fn c_is_untouched_when_validation_fails() {
     let bad_b = vec![0.0f32; k * n - 1];
     let sentinel: Vec<f32> = (0..m * n).map(|i| i as f32 + 0.5).collect();
     let mut c = sentinel.clone();
-    assert!(engine.try_gemm(m, n, k, &a, &bad_b, &mut c).is_err());
+    assert!(engine.try_gemm_opts(m, n, k, &a, &bad_b, &mut c, &GemmOptions::new()).is_err());
     assert_eq!(c, sentinel, "C must be untouched on a validation error");
-    assert!(engine.try_gemm_threaded(m, n, k, &a, &bad_b, &mut c, 4).is_err());
+    assert!(engine
+        .try_gemm_opts(m, n, k, &a, &bad_b, &mut c, &GemmOptions::new().threads(4))
+        .is_err());
     assert_eq!(c, sentinel);
 }
 
@@ -152,8 +161,10 @@ fn zero_dim_gemm_early_returns() {
     // m == 0 / n == 0: nothing to do, C is empty.
     let mut empty: Vec<f32> = vec![];
     engine.gemm(0, 5, 4, &[], &[0.0; 20], &mut empty);
-    engine.gemm_threaded(7, 0, 4, &[0.0; 28], &[], &mut empty, 4);
-    engine.try_gemm(0, 0, 0, &[], &[], &mut empty).unwrap();
+    engine
+        .try_gemm_opts(7, 0, 4, &[0.0; 28], &[], &mut empty, &GemmOptions::new().threads(4))
+        .unwrap();
+    engine.try_gemm_opts(0, 0, 0, &[], &[], &mut empty, &GemmOptions::new()).unwrap();
 
     // k == 0: the product is the zero matrix, so C is zeroed.
     let (m, n) = (6usize, 9usize);
@@ -162,7 +173,7 @@ fn zero_dim_gemm_early_returns() {
     assert!(c.iter().all(|&v| v == 0.0), "k == 0 must zero C");
 
     let mut c: Vec<f32> = (0..m * n).map(|i| -(i as f32)).collect();
-    engine.try_gemm_threaded(m, n, 0, &[], &[], &mut c, 3).unwrap();
+    engine.try_gemm_opts(m, n, 0, &[], &[], &mut c, &GemmOptions::new().threads(3)).unwrap();
     assert!(c.iter().all(|&v| v == 0.0));
 }
 
@@ -170,11 +181,15 @@ fn zero_dim_gemm_early_returns() {
 fn zero_dim_traced_reports_the_shape() {
     let engine = AutoGemm::new(ChipSpec::m2());
     let mut c: Vec<f32> = vec![3.0; 4 * 5];
-    let report = engine.try_gemm_traced(4, 5, 0, &[], &[], &mut c, 2).unwrap();
+    let report = engine
+        .try_gemm_traced_opts(4, 5, 0, &[], &[], &mut c, &GemmOptions::new().threads(2))
+        .unwrap();
     assert_eq!((report.m, report.n, report.k), (4, 5, 0));
     assert!(c.iter().all(|&v| v == 0.0));
     let mut empty: Vec<f32> = vec![];
-    let report = engine.try_gemm_traced(0, 5, 7, &[], &[0.0; 35], &mut empty, 1).unwrap();
+    let report = engine
+        .try_gemm_traced_opts(0, 5, 7, &[], &[0.0; 35], &mut empty, &GemmOptions::new().threads(1))
+        .unwrap();
     assert_eq!((report.m, report.n, report.k), (0, 5, 7));
 }
 
@@ -189,7 +204,7 @@ fn zero_dim_batch_zeroes_every_item() {
         batch.push(&a, &b);
     }
     let mut c: Vec<f32> = (0..5 * m * n).map(|i| i as f32 + 1.0).collect();
-    engine.try_gemm_batch(&batch, &mut c, 2).unwrap();
+    engine.try_gemm_batch_opts(&batch, &mut c, &GemmOptions::new().threads(2)).unwrap();
     assert!(c.iter().all(|&v| v == 0.0));
 }
 
@@ -230,14 +245,18 @@ fn try_gemm_is_bit_identical_to_gemm() {
         let mut c_classic = vec![0.0f32; m * n];
         engine.gemm(m, n, k, &a, &b, &mut c_classic);
         let mut c_try = vec![0.0f32; m * n];
-        engine.try_gemm(m, n, k, &a, &b, &mut c_try).unwrap();
+        engine.try_gemm_opts(m, n, k, &a, &b, &mut c_try, &GemmOptions::new()).unwrap();
         assert_eq!(c_try, c_classic, "{m}x{n}x{k}: try path diverged");
         for threads in [2usize, 8] {
-            let mut c_t_classic = vec![0.0f32; m * n];
-            engine.gemm_threaded(m, n, k, &a, &b, &mut c_t_classic, threads);
+            // The threaded fallible paths agree with each other: the
+            // plain front door and the resilient ladder's first rung.
+            let opts = GemmOptions::new().threads(threads);
             let mut c_t_try = vec![0.0f32; m * n];
-            engine.try_gemm_threaded(m, n, k, &a, &b, &mut c_t_try, threads).unwrap();
-            assert_eq!(c_t_try, c_t_classic, "{m}x{n}x{k} t{threads}");
+            engine.try_gemm_opts(m, n, k, &a, &b, &mut c_t_try, &opts).unwrap();
+            let mut c_t_resilient = vec![0.0f32; m * n];
+            let r = engine.try_gemm_resilient(m, n, k, &a, &b, &mut c_t_resilient, &opts).unwrap();
+            assert_eq!(r.attempts, 1, "a clean call runs once");
+            assert_eq!(c_t_try, c_t_resilient, "{m}x{n}x{k} t{threads}");
         }
     }
 }
@@ -286,7 +305,9 @@ fn differential_fuzz_against_naive() {
         naive_gemm(m, n, k, &a, &b, &mut want);
         for threads in [1usize, 4] {
             let mut c = vec![0.0f32; m * n];
-            engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads).unwrap();
+            engine
+                .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads))
+                .unwrap();
             let err = max_rel_error(&c, &want);
             assert!(err < 1e-5, "{m}x{n}x{k} t{threads}: rel err {err}");
         }
@@ -300,10 +321,10 @@ fn engine_is_reusable_after_an_error() {
     let (a, b) = data(m, n, k, 3);
     let bad_a = vec![0.0f32; 2];
     let mut c = vec![0.0f32; m * n];
-    assert!(engine.try_gemm(m, n, k, &bad_a, &b, &mut c).is_err());
+    assert!(engine.try_gemm_opts(m, n, k, &bad_a, &b, &mut c, &GemmOptions::new()).is_err());
     // The pool/schedule caches must be unharmed: the next call succeeds
     // and is correct.
-    engine.try_gemm(m, n, k, &a, &b, &mut c).unwrap();
+    engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new()).unwrap();
     let mut want = vec![0.0f32; m * n];
     naive_gemm(m, n, k, &a, &b, &mut want);
     assert!(max_rel_error(&c, &want) < 1e-5);

@@ -97,7 +97,8 @@ fn prepacked_and_plain_native_paths_agree() {
 
     let packed = autogemm::PackedB::new(&plan, &b);
     let mut c_packed = vec![0.0f32; m * n];
-    autogemm::gemm_prepacked(&plan, &a, &packed, &mut c_packed, 2);
+    let pool = autogemm::PanelPool::new();
+    autogemm::try_gemm_prepacked_pooled(&plan, &a, &packed, &mut c_packed, 2, &pool).unwrap();
 
     assert_eq!(c_plain, c_packed);
 }
@@ -118,7 +119,8 @@ fn batch_api_agrees_with_individual_calls() {
         batch.push(&a_store[t], &b_store[t]);
     }
     let mut c_batch = vec![0.0f32; items * m * n];
-    autogemm::gemm_batch(&plan, &batch, &mut c_batch, 2);
+    let sup = autogemm::Supervision::none();
+    autogemm::try_gemm_batch_supervised(&plan, &batch, &mut c_batch, 2, &sup).unwrap();
 
     for t in 0..items {
         let mut c_one = vec![0.0f32; m * n];

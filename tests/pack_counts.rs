@@ -3,10 +3,10 @@
 //! The cached driver packs each A panel `(bi, kb)` and each B panel
 //! `(kb, bj)` exactly once per GEMM — `tm·tk` + `tk·tn` packs — while the
 //! historical per-block path packs `2·tm·tn·tk` times. These tests pin
-//! both counts through the session-stats API: the traced drivers'
-//! per-call `GemmReport` (`packs.a_packs` / `packs.b_packs`) and, for
-//! paths without a traced twin, an explicitly installed telemetry
-//! session scope. Both are race-free across concurrent GEMMs, so unlike
+//! both counts through the session-stats API: the supervised driver's
+//! per-call `GemmReport` when a recorder is attached (`packs.a_packs` /
+//! `packs.b_packs`) and, for paths that take no recorder, an explicitly
+//! installed telemetry session scope. Both are race-free across concurrent GEMMs, so unlike
 //! the removed process-global `packing::counters` the tests below can be
 //! independent `#[test]`s.
 //!
@@ -17,9 +17,9 @@
 
 use std::sync::Arc;
 
-use autogemm::native::{gemm_with_plan_repack, gemm_with_plan_traced};
+use autogemm::native::{gemm_with_plan_repack, try_gemm_with_plan_supervised};
 use autogemm::telemetry::{session, Session};
-use autogemm::{ExecutionPlan, PackedB, PanelPool};
+use autogemm::{ExecutionPlan, GemmBatch, GemmOptions, PackedB, PanelPool, Supervision};
 use autogemm_arch::ChipSpec;
 use autogemm_tuner::tune;
 
@@ -35,7 +35,7 @@ fn data(m: usize, n: usize, k: usize) -> (Vec<f32>, Vec<f32>) {
 }
 
 /// Count packs done by `f` on the calling thread (single-threaded paths
-/// without a traced twin: offline prepack, the repack baseline).
+/// that take no recorder: offline prepack, the repack baseline).
 fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     let sess = Arc::new(Session::new());
     let out = session::with_session(&sess, f);
@@ -46,14 +46,19 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
 #[test]
 fn cached_driver_packs_each_panel_once() {
     // (tm + tn)·tk packs per GEMM, at any thread count — read from the
-    // traced driver's own report, which merges every worker's tally.
+    // recorded driver's own report, which merges every worker's tally.
     for (m, n, k, threads) in [(64, 196, 64, 1), (64, 196, 64, 4), (52, 72, 32, 3), (8, 8, 8, 16)] {
         let plan = plan_for(m, n, k);
         let (tm, tn, tk) = plan.grid();
         let (a, b) = data(m, n, k);
         let mut c = vec![0.0f32; m * n];
         let pool = PanelPool::new();
-        let report = gemm_with_plan_traced(&plan, &a, &b, &mut c, threads, &pool);
+        let sess = Arc::new(Session::new());
+        let sup = Supervision::none();
+        let report =
+            try_gemm_with_plan_supervised(&plan, &a, &b, &mut c, threads, &pool, &sup, Some(&sess))
+                .unwrap()
+                .unwrap();
         assert_eq!(
             report.packs.a_packs,
             (tm * tk) as u64,
@@ -98,7 +103,7 @@ fn offline_prepacked_b_is_never_repacked() {
     for _ in 0..3 {
         let mut c = vec![0.0f32; m * n];
         let ((), a_packs, b_packs) = counted(|| {
-            autogemm::offline::gemm_prepacked_pooled(&plan, &a, &packed, &mut c, 1, &pool)
+            autogemm::try_gemm_prepacked_pooled(&plan, &a, &packed, &mut c, 1, &pool).unwrap()
         });
         assert_eq!(a_packs, (tm * tk) as u64);
         assert_eq!(b_packs, 0, "prepacked B must never be re-packed");
@@ -118,12 +123,14 @@ fn batch_with_shared_b_packs_it_once() {
     let a_store: Vec<Vec<f32>> =
         (0..items).map(|t| (0..m * k).map(|i| ((i + t) % 9) as f32 - 4.0).collect()).collect();
     let b_shared: Vec<f32> = (0..k * n).map(|i| (i % 11) as f32 - 5.0).collect();
-    let mut batch = autogemm::GemmBatch::new(m, n, k);
+    let mut batch = GemmBatch::new(m, n, k);
     for a in &a_store {
         batch.push(a, &b_shared);
     }
     let mut c = vec![0.0f32; items * m * n];
-    let ((), a_packs, b_packs) = counted(|| autogemm::gemm_batch(&plan, &batch, &mut c, 1));
+    let ((), a_packs, b_packs) = counted(|| {
+        autogemm::try_gemm_batch_supervised(&plan, &batch, &mut c, 1, &Supervision::none()).unwrap()
+    });
     assert_eq!(b_packs, (tk * tn) as u64, "batch sharing one B must pack it exactly once");
     assert_eq!(
         a_packs,
@@ -150,7 +157,9 @@ fn elided_pack_phase_does_no_pack_work() {
     let (m, n, k) = (64, 49, 64);
     let (a, b) = data(m, n, k);
     let mut c = vec![0.0f32; m * n];
-    let report = engine.gemm_traced(m, n, k, &a, &b, &mut c, 1);
+    let report = engine
+        .try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(1))
+        .unwrap();
     assert_eq!(report.dispatch.route, "block");
     // The report's routing must be exactly what the heuristic decides
     // for this grid.

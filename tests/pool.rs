@@ -7,7 +7,7 @@
 
 use autogemm::native::try_gemm_with_plan_supervised;
 use autogemm::supervisor::Supervision;
-use autogemm::{AutoGemm, PanelPool, Runtime};
+use autogemm::{AutoGemm, GemmOptions, PanelPool, Runtime};
 use autogemm_arch::ChipSpec;
 use autogemm_baselines::naive::{max_rel_error, naive_gemm};
 use proptest::prelude::*;
@@ -47,14 +47,14 @@ proptest! {
         let pool = PanelPool::new();
         let mut c_pooled = vec![0.0f32; m * n];
         try_gemm_with_plan_supervised(
-            &plan, &a, &b, &mut c_pooled, threads, &pool, &Supervision::none(),
+            &plan, &a, &b, &mut c_pooled, threads, &pool, &Supervision::none(), None,
         ).unwrap();
 
         let pool = PanelPool::new();
         let mut c_scoped = vec![0.0f32; m * n];
         try_gemm_with_plan_supervised(
             &plan, &a, &b, &mut c_scoped, threads, &pool,
-            &Supervision::none().with_spawn_baseline(),
+            &Supervision::none().with_spawn_baseline(), None,
         ).unwrap();
 
         prop_assert_eq!(&c_pooled, &c_scoped, "pool vs scoped diverged");
@@ -77,7 +77,9 @@ fn concurrent_submissions_to_one_engine_are_all_correct() {
                 let want = oracle(m, n, k, &a, &b);
                 for rep in 0..8 {
                     let mut c = vec![0.0f32; m * n];
-                    engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 2).unwrap();
+                    engine
+                        .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+                        .unwrap();
                     assert!(max_rel_error(&c, &want) < 1e-4, "caller {caller} rep {rep} diverged");
                 }
             });
@@ -143,7 +145,7 @@ fn threaded_burst_spawns_no_os_threads_and_leaks_no_workers() {
     // Warm up: first submission lazily spawns the pool workers (and the
     // plan cache tunes the shape).
     let mut c = vec![0.0f32; m * n];
-    engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 2).unwrap();
+    engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2)).unwrap();
     let workers = rt.stats().workers as usize;
     assert_eq!(rt.alive_workers(), workers, "pool failed to spawn");
 
@@ -151,7 +153,7 @@ fn threaded_burst_spawns_no_os_threads_and_leaks_no_workers() {
     let submissions_before = rt.stats().submissions;
     for _ in 0..32 {
         let mut c = vec![0.0f32; m * n];
-        engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 2).unwrap();
+        engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2)).unwrap();
         assert!(max_rel_error(&c, &want) < 1e-4);
     }
     let stats = rt.stats();
@@ -178,7 +180,7 @@ fn oversubscribed_thread_requests_clamp_and_record() {
     let clamped_before = rt.stats().threads_clamped;
 
     let mut c = vec![0.0f32; m * n];
-    engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 16).unwrap();
+    engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(16)).unwrap();
     assert!(max_rel_error(&c, &oracle(m, n, k, &a, &b)) < 1e-4);
     assert!(
         rt.stats().threads_clamped > clamped_before,
@@ -197,7 +199,9 @@ fn traced_report_carries_pool_stats() {
     let (m, n, k) = (26, 36, 64);
     let (a, b) = data(m, n, k, 9);
     let mut c = vec![0.0f32; m * n];
-    let report = engine.try_gemm_traced(m, n, k, &a, &b, &mut c, 2).unwrap();
+    let report = engine
+        .try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+        .unwrap();
     assert!(report.pool.submissions >= 1, "threaded traced call must submit to the pool");
     assert_eq!(report.pool.workers as usize + 1, engine.runtime().capacity());
 
@@ -228,7 +232,9 @@ fn concurrent_submissions_merge_into_one_consistent_histogram() {
                 let want = oracle(m, n, k, &a, &b);
                 for _ in 0..reps {
                     let mut c = vec![0.0f32; m * n];
-                    engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 2).unwrap();
+                    engine
+                        .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+                        .unwrap();
                     assert!(max_rel_error(&c, &want) < 1e-4);
                 }
             });

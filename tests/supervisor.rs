@@ -34,10 +34,20 @@ fn far_future_deadline_is_bit_identical_to_the_plain_call() {
     let (a, b) = data(m, n, k, 1);
     for threads in [1usize, 4] {
         let mut c_plain = vec![0.0f32; m * n];
-        engine.try_gemm_threaded(m, n, k, &a, &b, &mut c_plain, threads).unwrap();
+        engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c_plain, &GemmOptions::new().threads(threads))
+            .unwrap();
         let mut c_dl = vec![0.0f32; m * n];
         engine
-            .try_gemm_deadline(m, n, k, &a, &b, &mut c_dl, threads, Duration::from_secs(3600))
+            .try_gemm_opts(
+                m,
+                n,
+                k,
+                &a,
+                &b,
+                &mut c_dl,
+                &GemmOptions::new().threads(threads).deadline(Duration::from_secs(3600)),
+            )
             .unwrap();
         // Supervision changes when a run may stop, never what it computes.
         assert_eq!(c_dl, c_plain, "t{threads}");
@@ -51,7 +61,17 @@ fn an_already_expired_deadline_cancels_with_c_untouched() {
     let (a, b) = data(m, n, k, 2);
     let sentinel: Vec<f32> = vec![-3.5; m * n];
     let mut c = sentinel.clone();
-    let e = engine.try_gemm_deadline(m, n, k, &a, &b, &mut c, 2, Duration::ZERO).unwrap_err();
+    let e = engine
+        .try_gemm_opts(
+            m,
+            n,
+            k,
+            &a,
+            &b,
+            &mut c,
+            &GemmOptions::new().threads(2).deadline(Duration::ZERO),
+        )
+        .unwrap_err();
     match &e {
         GemmError::Cancelled { phase, blocks_done, .. } => {
             assert_eq!(*phase, "pack A");
@@ -176,7 +196,9 @@ fn a_fresh_engine_reports_every_breaker_path_closed() {
     let (m, n, k) = SHAPE;
     let (a, b) = data(m, n, k, 8);
     let mut c = vec![0.0f32; m * n];
-    let report = engine.try_gemm_traced(m, n, k, &a, &b, &mut c, 2).unwrap();
+    let report = engine
+        .try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+        .unwrap();
     assert!(report.health.all_closed());
     assert!(report.health.transitions.is_empty());
     assert_eq!(report.fallbacks.breaker_reroutes, 0);

@@ -1,19 +1,23 @@
 //! Integration guards for the per-GEMM telemetry layer:
 //!
-//! * the traced driver is a pure observer — its `C` output is
-//!   bit-identical to the untraced panel-cache driver on random shapes
-//!   and thread counts (ci.sh runs this file with the `telemetry`
-//!   feature both off and on, so the property pins both paths);
+//! * the per-call recorder is a pure observer — the supervised
+//!   panel-cache driver's `C` output is bit-identical with the recorder
+//!   on and off, on random shapes and thread counts (ci.sh runs this
+//!   file with the `telemetry` feature both off and on, so the property
+//!   pins both builds);
 //! * reports survive a JSON round trip through the public API and the
 //!   schema-version guard rejects foreign versions;
 //! * with the feature off, every timing and counter in a traced report
 //!   is zero (the clock and session hooks compile to no-ops); with it
 //!   on, the phase clocks tick and the model join is populated.
 
-use autogemm::native::{gemm_with_plan, gemm_with_plan_traced};
+use std::sync::Arc;
+
+use autogemm::native::try_gemm_with_plan_supervised;
 use autogemm::telemetry::metrics::{bucket_index, HIST_BOUNDS};
+use autogemm::telemetry::Session;
 use autogemm::telemetry::{Counter, HealthReport, Histogram, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
-use autogemm::{AutoGemm, ExecutionPlan, GemmReport, PanelPool};
+use autogemm::{AutoGemm, ExecutionPlan, GemmOptions, GemmReport, PanelPool, Supervision};
 use autogemm_arch::ChipSpec;
 use autogemm_perfmodel::{ModelOpts, ProjectionTable};
 use autogemm_tuner::tune;
@@ -38,20 +42,35 @@ fn traced_pair(
     let plan = ExecutionPlan::from_schedule(tune(m, n, k, &chip), &chip);
     let a = data(m * k, seed);
     let b = data(k * n, seed ^ 0x9e37);
+    let (pool, sup) = (PanelPool::new(), Supervision::none());
     let mut c_plain = vec![0.0f32; m * n];
-    gemm_with_plan(&plan, &a, &b, &mut c_plain, threads);
-    let pool = PanelPool::new();
+    let none =
+        try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_plain, threads, &pool, &sup, None)
+            .unwrap();
+    assert!(none.is_none(), "an unrecorded run returns no report");
+    let sess = Arc::new(Session::new());
     let mut c_traced = vec![0.0f32; m * n];
-    let report = gemm_with_plan_traced(&plan, &a, &b, &mut c_traced, threads, &pool);
+    let report = try_gemm_with_plan_supervised(
+        &plan,
+        &a,
+        &b,
+        &mut c_traced,
+        threads,
+        &pool,
+        &sup,
+        Some(&sess),
+    )
+    .unwrap()
+    .expect("a recorded run returns its report");
     (c_plain, c_traced, report)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Telemetry must never perturb numerics: same packs, same
-    /// accumulation order, bit-identical C — whether the feature is on
-    /// (hooks live) or off (hooks are no-ops).
+    /// The recorder must never perturb numerics: same packs, same
+    /// accumulation order, bit-identical C with it on or off — whether
+    /// the feature is on (hooks live) or off (hooks are no-ops).
     #[test]
     fn traced_output_bit_identical_to_untraced(
         m in 1usize..48,
@@ -67,7 +86,7 @@ proptest! {
         prop_assert!(blocks > 0, "every GEMM drains at least one block");
     }
 
-    /// Every report that comes out of the traced driver (model join
+    /// Every report that comes out of a recording driver call (model join
     /// attached or not) must survive serialization unchanged.
     #[test]
     fn live_reports_round_trip_through_json(
@@ -157,7 +176,7 @@ fn engine_metrics_accumulate_over_a_hundred_calls() {
             let a = data(m * k, rep);
             let b = data(k * n, rep ^ 0x5eed);
             let mut c = vec![0.0f32; m * n];
-            engine.try_gemm(m, n, k, &a, &b, &mut c).expect("gemm");
+            engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new()).expect("gemm");
             calls += 1;
         }
     }
@@ -196,18 +215,18 @@ fn metrics_can_be_disabled_at_runtime() {
     let a = data(m * k, 1);
     let b = data(k * n, 2);
     let mut c = vec![0.0f32; m * n];
-    engine.try_gemm(m, n, k, &a, &b, &mut c).expect("gemm");
+    engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new()).expect("gemm");
     engine.set_metrics_enabled(false);
     assert!(!engine.metrics_enabled());
     let frozen = engine.metrics();
     for _ in 0..5 {
-        engine.try_gemm(m, n, k, &a, &b, &mut c).expect("gemm");
+        engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new()).expect("gemm");
     }
     let after = engine.metrics();
     assert_eq!(after.counter(Counter::Calls), frozen.counter(Counter::Calls));
     assert_eq!(after.call_latency_ns.count, frozen.call_latency_ns.count);
     engine.set_metrics_enabled(true);
-    engine.try_gemm(m, n, k, &a, &b, &mut c).expect("gemm");
+    engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new()).expect("gemm");
     assert_eq!(engine.metrics().counter(Counter::Calls), frozen.counter(Counter::Calls) + 1);
 }
 
@@ -221,7 +240,9 @@ fn tracing_engine_exports_a_chrome_timeline() {
     let b = data(k * n, 4);
     let mut c = vec![0.0f32; m * n];
     for _ in 0..2 {
-        engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 2).expect("gemm");
+        engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+            .expect("gemm");
     }
     let tracer = engine.tracer().expect("built with tracing");
     let spans = tracer.snapshot();
@@ -260,7 +281,9 @@ fn engine_reports_carry_a_health_section_that_round_trips() {
     let a = data(m * k, 21);
     let b = data(k * n, 22);
     let mut c = vec![0.0f32; m * n];
-    let report = engine.try_gemm_traced(m, n, k, &a, &b, &mut c, 2).unwrap();
+    let report = engine
+        .try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+        .unwrap();
     assert_eq!(report.health.paths.len(), 5, "engine reports name every breaker path");
     assert!(report.health.all_closed());
     let text = report.to_json();
