@@ -19,6 +19,9 @@
 //! ```
 //!
 //! from the workspace root (default output: `BENCH_native_gemm.json`).
+//! A point whose thread count exceeds the host's parallelism would time
+//! threads sharing cores, so it is not measured and is listed under
+//! `skipped` instead.
 //!
 //! `--smoke` instead runs the fast CI guard: it asserts the fallible
 //! (`try_*`) driver is bit-identical to and not measurably slower than
@@ -39,7 +42,7 @@
 //! never stuck Open once faults stop.
 
 use autogemm::native::{gemm_with_plan_pooled, gemm_with_plan_repack, try_gemm_with_plan_pooled};
-use autogemm::{AutoGemm, GemmOptions, PanelPool};
+use autogemm::{host_parallelism, AutoGemm, GemmOptions, PanelPool};
 use autogemm_arch::ChipSpec;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -491,8 +494,17 @@ fn main() {
         (128, 128, 128, 4),
     ];
 
+    let host = host_parallelism();
+    // (label, m, n, k, threads) of the points not measured; only the
+    // small-irregular points carry a label.
+    let mut skipped: Vec<(Option<&str>, usize, usize, usize, usize)> = Vec::new();
     let mut entries = Vec::new();
     for (m, n, k, threads) in points {
+        if threads > host {
+            println!("{m:>4}x{n:>5}x{k:>4} t{threads}: skipped, host parallelism {host}");
+            skipped.push((None, m, n, k, threads));
+            continue;
+        }
         let plan = if threads > 1 {
             engine.plan_multicore(m, n, k, threads)
         } else {
@@ -543,6 +555,11 @@ fn main() {
     ];
     let mut small_entries = Vec::new();
     for (label, m, n, k, threads) in small_points {
+        if threads > host {
+            println!("{label:>12} t{threads}: skipped, host parallelism {host}");
+            skipped.push((Some(label), m, n, k, threads));
+            continue;
+        }
         let (a, b) = data(m, n, k);
         let plan = if threads > 1 {
             engine.plan_multicore(m, n, k, threads)
@@ -615,11 +632,18 @@ fn main() {
         "  \"command\": \"cargo run --release -p autogemm-bench --bin native_gemm\","
     );
     let _ = writeln!(json, "  \"reps\": {REPS},");
-    let _ = writeln!(
-        json,
-        "  \"host_parallelism\": {},",
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-    );
+    let _ = writeln!(json, "  \"host_parallelism\": {host},");
+    let _ = writeln!(json, "  \"skipped\": [");
+    for (i, (label, m, n, k, threads)) in skipped.iter().enumerate() {
+        let label = label.map(|l| format!("\"label\": \"{l}\", ")).unwrap_or_default();
+        let _ = write!(
+            json,
+            "    {{{label}\"m\": {m}, \"n\": {n}, \"k\": {k}, \"threads\": {threads}, \
+             \"reason\": \"threads exceed host_parallelism\"}}"
+        );
+        let _ = writeln!(json, "{}", if i + 1 < skipped.len() { "," } else { "" });
+    }
+    let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"entries\": [");
     for (i, e) in entries.iter().enumerate() {
         let flops = 2.0 * (e.m * e.n * e.k) as f64;

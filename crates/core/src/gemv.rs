@@ -135,7 +135,7 @@ fn row_gemv_range(
     c_row: CTile,
     j0: usize,
     j1: usize,
-    tail_pad: Option<&[f32]>,
+    pad: &[f32],
 ) {
     let mut j = j0;
     while j1 - j >= 4 {
@@ -181,17 +181,8 @@ fn row_gemv_range(
         // matrix edge, since chunks advance in lane multiples. Widen
         // the tail into a zero-padded panel and run the (1, 4) tile:
         // the same fused ascending-k chain per stored cell as the wide
-        // chunks, without the libm `fmaf` a scalar loop would pay.
-        // Callers looping over many rows build the pad once and pass it
-        // in; one-shot callers let this call build its own.
-        let owned;
-        let pad = match tail_pad {
-            Some(p) => p,
-            None => {
-                owned = pad_lane_tail(k, b, n, j, rem);
-                &owned[..]
-            }
-        };
+        // chunks, without the libm `fmaf` a scalar loop would pay. The
+        // call builds that panel once ([`shared_lane_pad`]).
         session::record_tile(1, 4);
         // SAFETY: this worker owns columns [j0, j1) of the row.
         let c = unsafe { c_row.offset(0, j) };
@@ -250,12 +241,11 @@ fn col_gemv_rows(
     reference: bool,
     k: usize,
     a: &[f32],
-    b: &[f32],
+    b_pad: &[f32],
     c_root: CTile,
     i0: usize,
     i1: usize,
 ) {
-    let b_pad = pad_lane_tail(k, b, 1, 0, 1);
     let mut i = i0;
     while i < i1 {
         let rem = i1 - i;
@@ -264,22 +254,38 @@ fn col_gemv_rows(
         let c = unsafe { c_root.offset(i, 0) };
         i += match rem {
             r if r >= COL_MR => {
-                col_tile::<COL_MR>(reference, k, a_sl, &b_pad, c);
+                col_tile::<COL_MR>(reference, k, a_sl, b_pad, c);
                 COL_MR
             }
             r if r >= 4 => {
-                col_tile::<4>(reference, k, a_sl, &b_pad, c);
+                col_tile::<4>(reference, k, a_sl, b_pad, c);
                 4
             }
             r if r >= 2 => {
-                col_tile::<2>(reference, k, a_sl, &b_pad, c);
+                col_tile::<2>(reference, k, a_sl, b_pad, c);
                 2
             }
             _ => {
-                col_tile::<1>(reference, k, a_sl, &b_pad, c);
+                col_tile::<1>(reference, k, a_sl, b_pad, c);
                 1
             }
         };
+    }
+}
+
+/// The zero-padded lane panel every unit of a call reads: the whole
+/// `k × 1` column on the column route, the `< σ_lane`-column tail of `B`
+/// on the row routes (empty when `n` is a lane multiple). Built once per
+/// call on the submitting thread, not once per unit on whichever pool
+/// worker claims it.
+fn shared_lane_pad(route: FastRoute, n: usize, k: usize, b: &[f32]) -> Vec<f32> {
+    let tail = n % 4;
+    match route {
+        FastRoute::ColGemv => pad_lane_tail(k, b, 1, 0, 1),
+        FastRoute::RowGemv | FastRoute::SmallK if tail != 0 => {
+            pad_lane_tail(k, b, n, n - tail, tail)
+        }
+        FastRoute::RowGemv | FastRoute::SmallK => Vec::new(),
     }
 }
 
@@ -305,23 +311,24 @@ fn run_unit(
     k: usize,
     a: &[f32],
     b: &[f32],
+    pad: &[f32],
     c_root: CTile,
 ) {
     match route {
         FastRoute::RowGemv => {
             let j0 = u * COL_CHUNK;
             let j1 = (j0 + COL_CHUNK).min(n);
-            row_gemv_range(reference, k, &a[..k], b, n, c_root, j0, j1, None);
+            row_gemv_range(reference, k, &a[..k], b, n, c_root, j0, j1, pad);
         }
         FastRoute::ColGemv => {
             let i0 = u * ROW_CHUNK;
             let i1 = (i0 + ROW_CHUNK).min(m);
-            col_gemv_rows(reference, k, a, b, c_root, i0, i1);
+            col_gemv_rows(reference, k, a, pad, c_root, i0, i1);
         }
         FastRoute::SmallK => {
             let i0 = u * SMALLK_ROWS;
             let i1 = (i0 + SMALLK_ROWS).min(m);
-            smallk_rows(reference, m, n, k, a, b, c_root, i0, i1);
+            smallk_rows(reference, n, k, a, b, pad, c_root, i0, i1);
         }
     }
     // Chaos hook: `FaultSite::KernelCompute` fires after the unit's
@@ -358,27 +365,23 @@ fn run_unit(
 }
 
 /// The SmallK unit body: rows `[i0, i1)` of the `m×n` product, each a
-/// row-GEMV over the shared lane-tail padding.
+/// row-GEMV over the call's shared lane-tail padding.
 #[allow(clippy::too_many_arguments)]
 fn smallk_rows(
     reference: bool,
-    _m: usize,
     n: usize,
     k: usize,
     a: &[f32],
     b: &[f32],
+    pad: &[f32],
     c_root: CTile,
     i0: usize,
     i1: usize,
 ) {
-    // Every row shares the same lane tail of B — pad it once
-    // for the whole unit, not once per row.
-    let tail = n % 4;
-    let pad = (tail != 0).then(|| pad_lane_tail(k, b, n, n - tail, tail));
     for i in i0..i1 {
         // SAFETY: rows [i0, i1) are owned by this unit.
         let c_row = unsafe { c_root.offset(i, 0) };
-        row_gemv_range(reference, k, &a[i * k..i * k + k], b, n, c_row, 0, n, pad.as_deref());
+        row_gemv_range(reference, k, &a[i * k..i * k + k], b, n, c_row, 0, n, pad);
     }
 }
 
@@ -414,8 +417,9 @@ pub(crate) fn try_fast_supervised(
     let monitor = RunMonitor::new(sup, threads.max(1));
     let watchdog = exec.runtime().watch(&monitor);
     monitor.begin_phase();
+    let pad = shared_lane_pad(route, n, k, b);
     let result = native::try_drain(unit_count(route, m, n), threads, &exec, &monitor, rec, |u| {
-        run_unit(route, u, cfg.reference, m, n, k, a, b, c_root)
+        run_unit(route, u, cfg.reference, m, n, k, a, b, &pad, c_root)
     });
     monitor.finish();
     drop(watchdog);

@@ -55,7 +55,9 @@ use crate::error::{self, GemmError};
 use crate::faultinject::{self, FaultSite, Probe};
 use crate::kernels::Operand;
 use crate::offline::PackedB;
-use crate::packing::{pack_a, pack_a_into, pack_b, pack_b_into, PackedBlock, PanelPool};
+use crate::packing::{
+    a_panel_len, b_panel_len, pack_a, pack_a_into, pack_b, pack_b_into, PackedBlock, PanelPool,
+};
 use crate::plan::ExecutionPlan;
 use crate::runtime::Exec;
 use crate::supervisor::{BreakerPath, RunMonitor, Supervision};
@@ -1033,7 +1035,8 @@ pub fn try_gemm_with_plan_supervised(
         };
         monitor.begin_phase();
         let b_panels = if routing.pack_b {
-            let mut panels = b_pool.acquire_blocks(tk * tn);
+            let mut panels =
+                b_pool.acquire_blocks(tk * tn, b_panel_len(s.kc, s.nc, plan.sigma_lane));
             let packed = try_pack_panels_parallel(
                 &mut panels,
                 threads,
@@ -1260,7 +1263,7 @@ pub(crate) fn try_pack_a_panels_supervised(
 ) -> Result<Vec<PackedBlock>, GemmError> {
     let s = &plan.schedule;
     let (tm, _, tk) = plan.grid();
-    let mut panels = pool.acquire_blocks(tm * tk);
+    let mut panels = pool.acquire_blocks(tm * tk, a_panel_len(s.mc, s.kc, plan.sigma_lane));
     let packed =
         try_pack_panels_parallel(&mut panels, threads, exec, monitor, "pack A", rec, |idx, p| {
             let (bi, kb) = (idx / tk, idx % tk);

@@ -61,6 +61,16 @@ impl AlignedVec {
         self.chunks.capacity() * CHUNK_LANES
     }
 
+    /// Grow the allocation to hold at least `len` elements; contents and
+    /// length are unchanged. Growth is amortized like `Vec::reserve` (and
+    /// like [`AlignedVec::resize`]): sizing each buffer exactly made
+    /// every slightly larger shape reallocate, and the freed chunks
+    /// raised the process's peak RSS.
+    pub(crate) fn reserve_total(&mut self, len: usize) {
+        let chunks = len.div_ceil(CHUNK_LANES);
+        self.chunks.reserve(chunks.saturating_sub(self.chunks.len()));
+    }
+
     /// Drop the elements, keeping the allocation (like `Vec::clear`).
     #[inline]
     pub fn clear(&mut self) {
@@ -161,6 +171,11 @@ pub fn pack_block(
     dst
 }
 
+/// Elements of a packed block of `rows × cols` with the given padding.
+fn panel_len(rows: usize, cols: usize, pad_cols: usize, pad_rows: usize) -> usize {
+    (rows + pad_rows) * (cols + pad_cols)
+}
+
 /// [`pack_block`] into an existing block, reusing its allocation when the
 /// capacity suffices (the buffer-pool fast path: zero allocations per
 /// pack after warm-up).
@@ -177,7 +192,7 @@ pub fn pack_block_into(
     pad_rows: usize,
 ) {
     let ld = cols + pad_cols;
-    let len = (rows + pad_rows) * ld;
+    let len = panel_len(rows, cols, pad_cols, pad_rows);
     // clear + resize zeroes every element (padding included) without
     // reallocating when capacity is already sufficient.
     dst.data.clear();
@@ -227,6 +242,11 @@ pub fn pack_a_into(
     pack_block_into(dst, a, lda, row0, col0, mc, kc, 2 * sigma_lane, 0);
 }
 
+/// Elements [`pack_a_into`] fills for an `mc × kc` block.
+pub(crate) fn a_panel_len(mc: usize, kc: usize, sigma_lane: usize) -> usize {
+    panel_len(mc, kc, 2 * sigma_lane, 0)
+}
+
 /// Pack a B block (`k_c × n_c`): two zeroed trailing rows plus one lane
 /// of zeroed trailing columns — edge kernels are lane-width-rounded and
 /// read up to `σ_lane - 1` elements past a narrow block's columns.
@@ -260,6 +280,11 @@ pub fn pack_b_into(
     pack_block_into(dst, b, ldb, row0, col0, kc, nc, sigma_lane, 2);
 }
 
+/// Elements [`pack_b_into`] fills for a `kc × nc` block.
+pub(crate) fn b_panel_len(kc: usize, nc: usize, sigma_lane: usize) -> usize {
+    panel_len(kc, nc, sigma_lane, 2)
+}
+
 /// Recycling pool for panel buffers.
 ///
 /// Packing allocates one `Vec<f32>` per operand panel; across repeated
@@ -288,9 +313,12 @@ impl PanelPool {
         PanelPool::default()
     }
 
-    /// Take `n` blocks, reusing pooled buffers (largest first) and
-    /// topping up with empty ones.
-    pub fn acquire_blocks(&self, n: usize) -> Vec<PackedBlock> {
+    /// Take `n` blocks, reusing pooled buffers and topping up with empty
+    /// ones, each grown to hold `len` elements. The growth happens here,
+    /// on the calling thread, so pool workers that pack into the blocks
+    /// never allocate: panel memory stays in the caller's malloc arena
+    /// instead of landing in a second, per-worker one.
+    pub fn acquire_blocks(&self, n: usize, len: usize) -> Vec<PackedBlock> {
         let now = self.outstanding.fetch_add(n, Ordering::Relaxed) + n;
         self.high_water.fetch_max(now, Ordering::Relaxed);
         let mut free = self.free.lock();
@@ -300,6 +328,9 @@ impl PanelPool {
             free.drain(start..).map(|data| PackedBlock { data, ld: 0, rows: 0, cols: 0 }).collect();
         drop(free);
         blocks.resize_with(n, PackedBlock::empty);
+        for b in &mut blocks {
+            b.data.reserve_total(len);
+        }
         blocks
     }
 
@@ -411,7 +442,7 @@ mod tests {
     #[test]
     fn panel_pool_recycles_buffers() {
         let pool = PanelPool::new();
-        let mut blocks = pool.acquire_blocks(3);
+        let mut blocks = pool.acquire_blocks(3, 0);
         assert_eq!(blocks.len(), 3);
         for b in &mut blocks {
             b.data.resize(128, 1.0);
@@ -419,12 +450,33 @@ mod tests {
         let ptrs: Vec<*const f32> = blocks.iter().map(|b| b.data.as_ptr()).collect();
         pool.release_blocks(blocks);
         assert_eq!(pool.buffered(), 3);
-        let again = pool.acquire_blocks(4);
+        let again = pool.acquire_blocks(4, 0);
         assert_eq!(again.len(), 4);
         let reused = again.iter().filter(|b| ptrs.contains(&b.data.as_ptr())).count();
         assert_eq!(reused, 3, "all pooled buffers handed back");
         pool.clear();
         assert_eq!(pool.buffered(), 0);
+    }
+
+    /// Acquisition sizes the buffers, so a pack into an acquired block —
+    /// fresh or recycled from a smaller shape — never reallocates.
+    #[test]
+    fn acquired_blocks_are_presized_for_their_panels() {
+        let (kc, nc, sigma) = (24, 40, 4);
+        let src = vec![1.0f32; kc * nc];
+        let pool = PanelPool::new();
+        pool.release_blocks(pool.acquire_blocks(2, 16));
+        let mut blocks = pool.acquire_blocks(3, b_panel_len(kc, nc, sigma));
+        for b in &mut blocks {
+            let ptr = b.data.as_ptr();
+            pack_b_into(b, &src, nc, 0, 0, kc, nc, sigma);
+            assert_eq!(b.data.len(), b_panel_len(kc, nc, sigma));
+            assert_eq!(b.data.as_ptr(), ptr, "pack reallocated an acquired block");
+        }
+        let mut a = pool.acquire_blocks(1, a_panel_len(kc, nc, sigma)).remove(0);
+        let ptr = a.data.as_ptr();
+        pack_a_into(&mut a, &src, nc, 0, 0, kc, nc, sigma);
+        assert_eq!((a.data.len(), a.data.as_ptr()), (a_panel_len(kc, nc, sigma), ptr));
     }
 
     #[test]
@@ -452,13 +504,13 @@ mod tests {
         let p = pack_a(&src, 8, 0, 0, 4, 4, 4);
         assert_eq!(p.data.as_ptr() as usize % PANEL_ALIGN, 0);
         let pool = PanelPool::new();
-        let mut blocks = pool.acquire_blocks(3);
+        let mut blocks = pool.acquire_blocks(3, 0);
         for b in &mut blocks {
             b.data.resize(100, 0.0);
             assert_eq!(b.data.as_ptr() as usize % PANEL_ALIGN, 0);
         }
         pool.release_blocks(blocks);
-        for b in &pool.acquire_blocks(3) {
+        for b in &pool.acquire_blocks(3, 0) {
             assert_eq!(b.data.as_ptr() as usize % PANEL_ALIGN, 0, "pooled buffer stays aligned");
         }
     }

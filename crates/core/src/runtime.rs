@@ -12,10 +12,10 @@
 //! [`Runtime`] replaces both spawn classes with long-lived threads:
 //!
 //! * **Worker pool** — `(host_parallelism - 1).max(1)` workers are
-//!   created once (lazily, on first use) and then *parked* on a
-//!   [`Condvar`]. A threaded section submits a *job*: a borrowed
+//!   created once (lazily, on first use) and idle between sections (see
+//!   *Hot handoff* below). A threaded section submits a *job*: a borrowed
 //!   `Fn(usize)` body plus a slot count. The submitting caller always
-//!   runs slot 0 itself; parked workers wake, claim the remaining slots
+//!   runs slot 0 itself; idle workers claim the remaining slots
 //!   and run the same body. Job bodies are **slot-agnostic** — every
 //!   driver section drains a shared atomic cursor, so any subset of
 //!   slots (down to the caller alone, when all workers are busy serving
@@ -38,6 +38,38 @@
 //! completion bookkeeping lives under one pool mutex; workers only park
 //! when the queue holds no claimable slot.
 //!
+//! ## Hot handoff: spin, then park
+//!
+//! Parking costs a futex wake on the other side, and a small call
+//! submits up to three sections (pack A, pack B, kernel), so a pool that
+//! parks at once pays that wake several times per call. Both sides
+//! therefore spin — poll, yield, poll — for up to [`SPIN_BUDGET`]
+//! (50 µs) before they park:
+//!
+//! * **Worker.** A worker that finds no claimable slot polls the
+//!   lock-free `open_jobs` count, then takes the lock and claims. Only
+//!   once the budget has run out does it count itself into
+//!   `PoolState::parked` and wait on `work_cv` — under the pool mutex,
+//!   where a submission pushes its job and reads that count, and it
+//!   notifies only when the count is non-zero. A worker either sees the
+//!   job when it re-checks the queue under the lock, or is counted and
+//!   gets the notify: no wakeup is lost.
+//! * **Submitter.** The join barrier closes the job, then polls the
+//!   job's runner count (an atomic on the submitter's stack, written
+//!   under the lock) without the lock. Only once the budget has run out
+//!   does it mark the job `joiner_parked` and wait on `done_cv`; the last
+//!   runner notifies only a marked job, again under the lock.
+//!
+//! **CPU cost.** An idle pool burns at most one budget per worker per
+//! section it served: a worker spins for 50 µs after its last body, a
+//! joining caller for at most 50 µs while a worker finishes, and neither
+//! spins again until new work arrives. Workers that stay idle longer are
+//! parked and cost nothing. On a host with one hardware thread the budget
+//! is zero: a spinner there could only delay the thread it waits for.
+//! [`PoolStats`] splits first claims into `hot_claims` (no park since the
+//! worker's previous claim) and `woken_claims`, and records spinning in
+//! `spin_ns_total` apart from `park_ns_total`.
+//!
 //! ## Panic containment
 //!
 //! Driver job bodies contain their own panics (poison-flag + first-panic
@@ -53,7 +85,7 @@
 
 use crate::supervisor::{RunMonitor, Supervision, WatchdogConfig};
 use crate::telemetry::{MetricsRegistry, TraceBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -79,6 +111,40 @@ fn forgive<T>(r: Result<T, PoisonError<T>>) -> T {
 // Worker pool
 // ---------------------------------------------------------------------------
 
+/// How long an idle worker polls for a new job, and a submitter polls
+/// for its job's last runner, before parking on a condvar.
+///
+/// Parking costs a futex wake on the other side: on a 2-vCPU AVX-512VL
+/// Xeon the mean submit→first-claim latency of a parked worker was
+/// 7–8 µs, and with up to three sections per call (pack A, pack B,
+/// kernel) the pool took a sixth of a small call's time. 50 µs is about
+/// six such wakes: it bridges the gaps between the sections of one call
+/// and between back-to-back small calls (there the mean wake latency
+/// fell to 1.1–1.3 µs), while an idle pool stops burning CPU within
+/// 50 µs of its last section. Hosts with one hardware thread never spin — the
+/// spinner would only delay the thread it waits for.
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// Poll `ready` until it holds or `budget` has passed since `from`;
+/// returns whether it held. Between polls the thread yields rather than
+/// pausing: when the scheduler has put the spinner on the core of the
+/// thread it waits for, a pause loop holds that core for the whole
+/// budget, while a yield lets the other thread run. (With pause-only
+/// polling, a 2-vCPU Xeon at times started a stream of 64×49×64 calls in
+/// that state and kept it for about a second — every spin expired, no
+/// claim was hot — where yielding polls served every claim hot.)
+fn spin_until(from: Instant, budget: Duration, ready: impl Fn() -> bool) -> bool {
+    loop {
+        if ready() {
+            return true;
+        }
+        if from.elapsed() >= budget {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+}
+
 /// One submitted section: a lifetime-erased body plus the slot ledger.
 /// Only ever touched under the pool mutex.
 struct ActiveJob {
@@ -89,36 +155,77 @@ struct ActiveJob {
     slots: usize,
     /// Next slot to hand out; `slots` means closed.
     next_slot: usize,
-    /// Runners currently inside the body.
-    active: usize,
+    /// Runners currently inside the body. The counter lives on the
+    /// submitter's stack, so its join barrier can poll it without the
+    /// lock; it is only written under the lock, and the job leaves the
+    /// queue (under the lock) before the counter goes out of scope. A
+    /// runner's `Release` decrement pairs with the barrier's `Acquire`
+    /// poll, so the body's writes are visible once it reads zero.
+    active: *const AtomicUsize,
     submitted: Instant,
     /// First worker claim recorded (wake-latency sample taken).
     woken: bool,
+    /// The submitter spent its spin budget and waits on `done_cv`: the
+    /// last runner to leave must notify it.
+    joiner_parked: bool,
 }
 
-// SAFETY: the body pointer is only dereferenced between submission and
-// the submitter's join-before-return barrier, while the borrow it was
-// erased from is still live; the pointee is `Sync` so shared calls from
-// several workers are sound.
+// SAFETY: the body and counter pointers are only dereferenced between
+// submission and the submitter's join-before-return barrier, while the
+// borrows they were erased from are still live; the body is `Sync` so
+// shared calls from several workers are sound, and the counter is an
+// atomic.
 unsafe impl Send for ActiveJob {}
+
+impl ActiveJob {
+    fn active(&self) -> &AtomicUsize {
+        // SAFETY: see the `active` field — the job is still queued, so
+        // its submitter has not left the join barrier.
+        unsafe { &*self.active }
+    }
+
+    /// Hand out no further slots: the section's work is drained.
+    fn close(&mut self, open_jobs: &AtomicUsize) {
+        if self.next_slot < self.slots {
+            self.next_slot = self.slots;
+            open_jobs.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
 
 struct PoolState {
     jobs: Vec<ActiveJob>,
     next_job_id: u64,
-    shutdown: bool,
+    /// Workers blocked on `work_cv`. A submission notifies only when
+    /// this is non-zero; a worker counts itself in (after a failed claim)
+    /// and out under the same lock, so no wakeup is lost.
+    parked: usize,
 }
 
 struct PoolShared {
     state: Mutex<PoolState>,
-    /// Workers park here while no job has a claimable slot.
+    /// Workers park here once their spin budget finds no claimable slot.
     work_cv: Condvar,
-    /// Submitters park here until their job's last runner leaves.
+    /// Submitters park here once their spin budget has not seen their
+    /// job's last runner leave.
     done_cv: Condvar,
+    /// Jobs with a claimable slot: written under the lock, polled
+    /// lock-free by spinning workers. `Relaxed` throughout: it is only a
+    /// hint to take the lock, which publishes the job itself.
+    open_jobs: AtomicUsize,
+    /// Set under the lock on drop; polled by spinning workers too (a
+    /// `Relaxed` hint, like `open_jobs`).
+    shutdown: AtomicBool,
+    /// [`SPIN_BUDGET`], or zero on a single-threaded host.
+    spin: Duration,
     submissions: AtomicU64,
     jobs_completed: AtomicU64,
     wake_count: AtomicU64,
+    hot_claims: AtomicU64,
+    woken_claims: AtomicU64,
     wake_ns: AtomicU64,
     busy_ns: AtomicU64,
+    spin_ns: AtomicU64,
     park_ns: AtomicU64,
     threads_clamped: AtomicU64,
     workers_alive: AtomicUsize,
@@ -143,17 +250,29 @@ pub struct PoolStats {
     /// Worker threads currently alive — the leak gauge: equals `workers`
     /// from first use for the life of the runtime.
     pub alive_workers: u64,
-    /// Sections submitted to the pool (each wakes parked workers once).
+    /// Sections submitted to the pool. A submission notifies the
+    /// workers only when one is parked; spinning workers pick it up
+    /// without a wake.
     pub submissions: u64,
     /// Submissions fully retired (closed, drained and joined).
     pub jobs_completed: u64,
     /// Submissions a worker actually reached (on a loaded pool the
     /// caller may drain a whole section alone; those never count here).
+    /// Always `hot_claims + woken_claims`.
     pub wake_count: u64,
+    /// First claims made by a worker that had not parked since its
+    /// previous claim (served while spinning or straight after a body).
+    pub hot_claims: u64,
+    /// First claims made by a worker that parked on the condvar and was
+    /// woken.
+    pub woken_claims: u64,
     /// Total submit→first-worker-claim latency, in nanoseconds.
     pub wake_ns_total: u64,
     /// Total time workers spent inside job bodies, in nanoseconds.
     pub busy_ns_total: u64,
+    /// Total time idle workers spent spinning before a claim or a park,
+    /// in nanoseconds (CPU time, unlike `park_ns_total`).
+    pub spin_ns_total: u64,
     /// Total time workers spent parked, in nanoseconds.
     pub park_ns_total: u64,
     /// Engine calls whose requested thread count was clamped to the
@@ -172,14 +291,20 @@ struct WorkerPool {
 impl WorkerPool {
     fn new(workers: usize) -> WorkerPool {
         let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState { jobs: Vec::new(), next_job_id: 0, shutdown: false }),
+            state: Mutex::new(PoolState { jobs: Vec::new(), next_job_id: 0, parked: 0 }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
+            open_jobs: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            spin: if host_parallelism() > 1 { SPIN_BUDGET } else { Duration::ZERO },
             submissions: AtomicU64::new(0),
             jobs_completed: AtomicU64::new(0),
             wake_count: AtomicU64::new(0),
+            hot_claims: AtomicU64::new(0),
+            woken_claims: AtomicU64::new(0),
             wake_ns: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
+            spin_ns: AtomicU64::new(0),
             park_ns: AtomicU64::new(0),
             threads_clamped: AtomicU64::new(0),
             workers_alive: AtomicUsize::new(0),
@@ -205,62 +330,45 @@ impl WorkerPool {
     }
 
     /// Run `body(t)` for slots `0..slots`: slot 0 on the calling thread,
-    /// the rest on woken pool workers. Returns only once no runner
-    /// remains inside `body` (join-before-return), even on unwind.
+    /// the rest on pool workers. Returns only once no runner remains
+    /// inside `body` (join-before-return), even on unwind.
     fn run(&self, slots: usize, body: &(dyn Fn(usize) + Sync)) {
         debug_assert!(slots >= 2, "single-slot sections run inline");
-        self.shared.submissions.fetch_add(1, Ordering::Relaxed);
+        let shared = &*self.shared;
+        shared.submissions.fetch_add(1, Ordering::Relaxed);
         // SAFETY: lifetime erasure only — the fat pointer layout is
         // identical, and the `Completion` guard below joins every runner
         // before `run` returns, so the erased pointer never outlives the
         // borrow it came from.
         let erased: *const (dyn Fn(usize) + Sync) =
             unsafe { std::mem::transmute(body as *const (dyn Fn(usize) + Sync)) };
-        let id;
-        {
-            let mut st = self.shared.lock_state();
-            id = st.next_job_id;
+        // Declared before the guard, so it outlives the guard's join.
+        let active = AtomicUsize::new(0);
+        let (id, parked) = {
+            let mut st = shared.lock_state();
+            let id = st.next_job_id;
             st.next_job_id += 1;
             st.jobs.push(ActiveJob {
                 id,
                 body: erased,
                 slots,
                 next_slot: 1,
-                active: 0,
+                active: &active,
                 submitted: Instant::now(),
                 woken: false,
+                joiner_parked: false,
             });
-        }
-        if slots == 2 {
-            self.shared.work_cv.notify_one();
-        } else {
-            self.shared.work_cv.notify_all();
-        }
-
-        /// Close-and-join barrier; runs on normal return *and* unwind,
-        /// so the erased body pointer never outlives its borrow.
-        struct Completion<'p> {
-            shared: &'p PoolShared,
-            id: u64,
-        }
-        impl Drop for Completion<'_> {
-            fn drop(&mut self) {
-                let mut st = self.shared.lock_state();
-                while let Some(pos) = st.jobs.iter().position(|j| j.id == self.id) {
-                    // Close: unclaimed slots are abandoned — job bodies
-                    // drain a shared cursor, so the finished slot-0 run
-                    // proves there is no work left for them.
-                    st.jobs[pos].next_slot = st.jobs[pos].slots;
-                    if st.jobs[pos].active == 0 {
-                        st.jobs.remove(pos);
-                        break;
-                    }
-                    st = forgive(self.shared.done_cv.wait(st));
-                }
-                self.shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
+            shared.open_jobs.fetch_add(1, Ordering::Relaxed);
+            (id, st.parked)
+        };
+        let _completion = Completion { shared, id, active: &active };
+        if parked > 0 {
+            if slots == 2 {
+                shared.work_cv.notify_one();
+            } else {
+                shared.work_cv.notify_all();
             }
         }
-        let _completion = Completion { shared: &self.shared, id };
         body(0);
     }
 
@@ -272,17 +380,72 @@ impl WorkerPool {
             submissions: sh.submissions.load(Ordering::Relaxed),
             jobs_completed: sh.jobs_completed.load(Ordering::Relaxed),
             wake_count: sh.wake_count.load(Ordering::Relaxed),
+            hot_claims: sh.hot_claims.load(Ordering::Relaxed),
+            woken_claims: sh.woken_claims.load(Ordering::Relaxed),
             wake_ns_total: sh.wake_ns.load(Ordering::Relaxed),
             busy_ns_total: sh.busy_ns.load(Ordering::Relaxed),
+            spin_ns_total: sh.spin_ns.load(Ordering::Relaxed),
             park_ns_total: sh.park_ns.load(Ordering::Relaxed),
             threads_clamped: sh.threads_clamped.load(Ordering::Relaxed),
         }
     }
 }
 
+/// Close-and-join barrier of one submission; runs on normal return *and*
+/// unwind, so the erased body pointer never outlives its borrow.
+struct Completion<'p> {
+    shared: &'p PoolShared,
+    id: u64,
+    active: &'p AtomicUsize,
+}
+
+impl Drop for Completion<'_> {
+    fn drop(&mut self) {
+        let shared = self.shared;
+        let mut st = shared.lock_state();
+        // Close: unclaimed slots are abandoned — job bodies drain a shared
+        // cursor, so the finished slot-0 run proves there is no work left
+        // for them.
+        if let Some(job) = st.jobs.iter_mut().find(|j| j.id == self.id) {
+            job.close(&shared.open_jobs);
+        }
+        let mut spun = false;
+        loop {
+            if self.active.load(Ordering::Acquire) == 0 {
+                if let Some(pos) = st.jobs.iter().position(|j| j.id == self.id) {
+                    st.jobs.remove(pos);
+                }
+                break;
+            }
+            if !spun {
+                // A worker is still inside the body, usually finishing
+                // its last cursor unit: wait for it without the lock.
+                spun = true;
+                drop(st);
+                spin_until(Instant::now(), shared.spin, || {
+                    self.active.load(Ordering::Acquire) == 0
+                });
+                st = shared.lock_state();
+                continue;
+            }
+            if let Some(job) = st.jobs.iter_mut().find(|j| j.id == self.id) {
+                job.joiner_parked = true;
+            }
+            st = forgive(shared.done_cv.wait(st));
+        }
+        drop(st);
+        shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.lock_state().shutdown = true;
+        {
+            // Under the lock: a worker checks the flag before it counts
+            // itself parked, so it either sees it or gets the notify.
+            let _st = self.shared.lock_state();
+            self.shared.shutdown.store(true, Ordering::Relaxed);
+        }
         self.shared.work_cv.notify_all();
         let handles = std::mem::take(&mut *forgive(self.handles.lock()));
         for h in handles {
@@ -296,39 +459,57 @@ impl Drop for WorkerPool {
 type ClaimedSlot = (*const (dyn Fn(usize) + Sync), usize, u64);
 
 /// Claim the next open slot across queued jobs (FIFO), recording the
-/// job's wake latency on its first worker claim.
-fn claim_slot(st: &mut PoolState, shared: &PoolShared) -> Option<ClaimedSlot> {
+/// job's wake latency — and whether a parked (`woken`) or a spinning
+/// worker served it — on its first worker claim.
+fn claim_slot(st: &mut PoolState, shared: &PoolShared, woken: bool) -> Option<ClaimedSlot> {
     let job = st.jobs.iter_mut().find(|j| j.next_slot < j.slots)?;
     let slot = job.next_slot;
     job.next_slot += 1;
-    job.active += 1;
+    if job.next_slot == job.slots {
+        shared.open_jobs.fetch_sub(1, Ordering::Relaxed);
+    }
+    job.active().fetch_add(1, Ordering::Relaxed);
     if !job.woken {
         job.woken = true;
         let wake_ns = job.submitted.elapsed().as_nanos() as u64;
         shared.wake_count.fetch_add(1, Ordering::Relaxed);
+        let claims = if woken { &shared.woken_claims } else { &shared.hot_claims };
+        claims.fetch_add(1, Ordering::Relaxed);
         shared.wake_ns.fetch_add(wake_ns, Ordering::Relaxed);
         shared.metrics.record(&shared.metrics.pool_wake_ns, wake_ns);
     }
     Some((job.body, slot, job.id))
 }
 
+/// A worker's time between leaving one body and claiming the next slot:
+/// a spin of up to [`SPIN_BUDGET`], then parks on `work_cv`.
+struct Idle {
+    since: Instant,
+    /// Length of the spin, once the budget ran out without a claim.
+    spun_ns: Option<u64>,
+    /// Summed condvar waits; `None` while the worker never parked.
+    park_ns: Option<u64>,
+}
+
 fn worker_loop(shared: &PoolShared) {
     let mut st = shared.lock_state();
-    // When this worker last parked. The park is recorded at the next
-    // claim — under the lock, before the claimed job can complete — so
-    // every runtime-side record lands before the submitter returns. A
-    // wake that finds no open slot (another worker claimed it first)
-    // keeps parking and extends the same park.
-    let mut parked: Option<Instant> = None;
+    // The spin and park of an idle period are recorded at the next claim
+    // — under the lock, before the claimed job can complete — so every
+    // runtime-side record lands before the submitter returns.
+    let mut idle: Option<Idle> = None;
     loop {
-        if st.shutdown {
+        if shared.shutdown.load(Ordering::Relaxed) {
             break;
         }
-        if let Some((body, slot, job_id)) = claim_slot(&mut st, shared) {
-            if let Some(p0) = parked.take() {
-                let park_ns = p0.elapsed().as_nanos() as u64;
-                shared.park_ns.fetch_add(park_ns, Ordering::Relaxed);
-                shared.metrics.record(&shared.metrics.pool_park_ns, park_ns);
+        let woken = idle.as_ref().is_some_and(|i| i.park_ns.is_some());
+        if let Some((body, slot, job_id)) = claim_slot(&mut st, shared, woken) {
+            if let Some(i) = idle.take() {
+                let spin_ns = i.spun_ns.unwrap_or_else(|| i.since.elapsed().as_nanos() as u64);
+                shared.spin_ns.fetch_add(spin_ns, Ordering::Relaxed);
+                if let Some(park_ns) = i.park_ns {
+                    shared.park_ns.fetch_add(park_ns, Ordering::Relaxed);
+                    shared.metrics.record(&shared.metrics.pool_park_ns, park_ns);
+                }
             }
             drop(st);
             let t0 = Instant::now();
@@ -344,16 +525,37 @@ fn worker_loop(shared: &PoolShared) {
             shared.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
             shared.metrics.record(&shared.metrics.pool_busy_ns, busy_ns);
             st = shared.lock_state();
-            if let Some(job) = st.jobs.iter_mut().find(|j| j.id == job_id) {
-                job.active -= 1;
-                if job.active == 0 && job.next_slot >= job.slots {
+            if let Some(job) = st.jobs.iter().find(|j| j.id == job_id) {
+                let left = job.active().fetch_sub(1, Ordering::Release) - 1;
+                if left == 0 && job.joiner_parked {
                     shared.done_cv.notify_all();
                 }
             }
-        } else {
-            parked.get_or_insert_with(Instant::now);
-            st = forgive(shared.work_cv.wait(st));
+            continue;
         }
+        let i = idle.get_or_insert_with(|| Idle {
+            since: Instant::now(),
+            spun_ns: None,
+            park_ns: None,
+        });
+        if i.spun_ns.is_none() {
+            drop(st);
+            let since = i.since;
+            let hit = spin_until(since, shared.spin, || {
+                shared.open_jobs.load(Ordering::Relaxed) > 0
+                    || shared.shutdown.load(Ordering::Relaxed)
+            });
+            if !hit {
+                i.spun_ns = Some(since.elapsed().as_nanos() as u64);
+            }
+            st = shared.lock_state();
+            continue;
+        }
+        st.parked += 1;
+        let p0 = Instant::now();
+        st = forgive(shared.work_cv.wait(st));
+        st.parked -= 1;
+        *i.park_ns.get_or_insert(0) += p0.elapsed().as_nanos() as u64;
     }
     shared.workers_alive.fetch_sub(1, Ordering::Relaxed);
 }
@@ -569,6 +771,13 @@ impl Runtime {
     /// execution-concurrency limit from this.
     pub fn workers(&self) -> usize {
         self.pool.workers
+    }
+
+    /// How long an idle worker, or a submitter joining its section,
+    /// spins before it parks: 50 µs, or zero on a host with one hardware
+    /// thread (see the module docs).
+    pub fn spin_budget(&self) -> Duration {
+        self.pool.shared.spin
     }
 
     /// Cumulative pool counters (see [`PoolStats`]).
@@ -790,6 +999,68 @@ mod tests {
         let stats = rt.stats();
         assert_eq!(stats.jobs_completed, 100);
         assert_eq!(rt.alive_workers(), stats.workers as usize);
+    }
+
+    /// Busy-wait `d`; a sleep would overshoot by the timer slack.
+    fn pause(d: Duration) {
+        let t0 = Instant::now();
+        while t0.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Both directions of the handoff raced at the spin budget. Each
+    /// round first idles the pool for the budget ± 50%, so the submission
+    /// lands as the worker stops spinning and parks; slot 0 then waits
+    /// for the worker to arrive, so a lost `work_cv` notify shows as a
+    /// worker that never comes. The worker's slot then runs for the
+    /// budget ± 50%, so the joining caller stops spinning and parks as
+    /// the worker leaves; a lost `done_cv` notify hangs the round.
+    #[test]
+    fn handoffs_raced_at_the_spin_budget_lose_no_wakeup() {
+        let rt = Runtime::with_workers(1);
+        // A single-threaded host never spins; race as if it did.
+        let budget = rt.spin_budget().max(Duration::from_micros(50));
+        let pool_rt = Arc::clone(&rt);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut lcg = 0x9e37_79b9u64;
+            let mut around_budget = || {
+                lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                budget / 2 + Duration::from_nanos((lcg >> 33) % (budget.as_nanos() as u64 + 1))
+            };
+            for round in 0..3000 {
+                pause(around_budget());
+                let work = around_budget();
+                let arrived = AtomicBool::new(false);
+                let body = |t: usize| {
+                    if t == 0 {
+                        let t0 = Instant::now();
+                        while !arrived.load(Ordering::Acquire)
+                            && t0.elapsed() < Duration::from_secs(2)
+                        {
+                            std::thread::yield_now();
+                        }
+                    } else {
+                        arrived.store(true, Ordering::Release);
+                        pause(work);
+                    }
+                };
+                pool_rt.pool.run(2, &body);
+                if !arrived.load(Ordering::Acquire) {
+                    let _ = tx.send(Err(round));
+                    return;
+                }
+            }
+            let _ = tx.send(Ok(()));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("a joining caller never woke: lost done_cv wakeup");
+        assert_eq!(outcome, Ok(()), "the worker never arrived: lost work_cv wakeup");
+        let stats = rt.stats();
+        assert_eq!(stats.hot_claims + stats.woken_claims, stats.wake_count);
+        assert_eq!(stats.wake_count, 3000, "every round was served by the worker");
     }
 
     #[test]

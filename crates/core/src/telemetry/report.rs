@@ -591,8 +591,11 @@ impl GemmReport {
                 ("submissions".into(), Json::Num(self.pool.submissions as f64)),
                 ("jobs_completed".into(), Json::Num(self.pool.jobs_completed as f64)),
                 ("wake_count".into(), Json::Num(self.pool.wake_count as f64)),
+                ("hot_claims".into(), Json::Num(self.pool.hot_claims as f64)),
+                ("woken_claims".into(), Json::Num(self.pool.woken_claims as f64)),
                 ("wake_ns_total".into(), Json::Num(self.pool.wake_ns_total as f64)),
                 ("busy_ns_total".into(), Json::Num(self.pool.busy_ns_total as f64)),
+                ("spin_ns_total".into(), Json::Num(self.pool.spin_ns_total as f64)),
                 ("park_ns_total".into(), Json::Num(self.pool.park_ns_total as f64)),
                 ("threads_clamped".into(), Json::Num(self.pool.threads_clamped as f64)),
             ]),
@@ -825,7 +828,10 @@ impl GemmReport {
         };
 
         // Schema v4. Pre-v4 reports have no `pool` section: no pool
-        // existed, so all-zero counters are the honest default.
+        // existed, so all-zero counters are the honest default. The
+        // `hot_claims`/`woken_claims`/`spin_ns_total` split was added
+        // inside v7 without a bump: it only adds fields, older v7 reports
+        // read it as zero and older readers skip it.
         let pool = match v.get("pool") {
             None | Some(Json::Null) => PoolStats::default(),
             Some(p) => {
@@ -836,8 +842,11 @@ impl GemmReport {
                     submissions: num("submissions"),
                     jobs_completed: num("jobs_completed"),
                     wake_count: num("wake_count"),
+                    hot_claims: num("hot_claims"),
+                    woken_claims: num("woken_claims"),
                     wake_ns_total: num("wake_ns_total"),
                     busy_ns_total: num("busy_ns_total"),
+                    spin_ns_total: num("spin_ns_total"),
                     park_ns_total: num("park_ns_total"),
                     threads_clamped: num("threads_clamped"),
                 }
@@ -1002,8 +1011,11 @@ mod tests {
                 submissions: 42,
                 jobs_completed: 42,
                 wake_count: 120,
+                hot_claims: 90,
+                woken_claims: 30,
                 wake_ns_total: 84_000,
                 busy_ns_total: 9_000_000,
+                spin_ns_total: 600_000,
                 park_ns_total: 2_000_000,
                 threads_clamped: 1,
             },
@@ -1021,8 +1033,9 @@ mod tests {
     /// The exact serialization of an all-zero `pool` section, as the v3
     /// and older fixtures need to strip it.
     const DEFAULT_POOL_JSON: &str = "\"pool\":{\"workers\":0,\"alive_workers\":0,\
-         \"submissions\":0,\"jobs_completed\":0,\"wake_count\":0,\"wake_ns_total\":0,\
-         \"busy_ns_total\":0,\"park_ns_total\":0,\"threads_clamped\":0},";
+         \"submissions\":0,\"jobs_completed\":0,\"wake_count\":0,\"hot_claims\":0,\
+         \"woken_claims\":0,\"wake_ns_total\":0,\"busy_ns_total\":0,\"spin_ns_total\":0,\
+         \"park_ns_total\":0,\"threads_clamped\":0},";
 
     #[test]
     fn json_round_trip_is_lossless() {
@@ -1201,8 +1214,9 @@ mod tests {
             .replace(DEFAULT_POOL_JSON, "")
             .replace(
                 "\"pool\":{\"workers\":3,\"alive_workers\":3,\"submissions\":42,\
-                 \"jobs_completed\":42,\"wake_count\":120,\"wake_ns_total\":84000,\
-                 \"busy_ns_total\":9000000,\"park_ns_total\":2000000,\"threads_clamped\":1},",
+                 \"jobs_completed\":42,\"wake_count\":120,\"hot_claims\":90,\
+                 \"woken_claims\":30,\"wake_ns_total\":84000,\"busy_ns_total\":9000000,\
+                 \"spin_ns_total\":600000,\"park_ns_total\":2000000,\"threads_clamped\":1},",
                 "",
             )
             .replace(",\"inline_drains\":0", "");

@@ -11,6 +11,8 @@ use autogemm::{AutoGemm, GemmOptions, PanelPool, Runtime};
 use autogemm_arch::ChipSpec;
 use autogemm_baselines::naive::{max_rel_error, naive_gemm};
 use proptest::prelude::*;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn data(m: usize, n: usize, k: usize, seed: u32) -> (Vec<f32>, Vec<f32>) {
     let f = |i: usize, s: u32| {
@@ -267,4 +269,98 @@ fn default_engines_share_the_global_runtime() {
     let e1 = AutoGemm::new(ChipSpec::graviton2());
     let e2 = AutoGemm::new(ChipSpec::graviton2());
     assert!(std::sync::Arc::ptr_eq(e1.runtime(), e2.runtime()));
+}
+
+/// Busy-wait `d` (a sleep overshoots by the timer slack, ~50 µs on
+/// Linux, which is the size of the window under test).
+fn pause(d: Duration) {
+    let t0 = Instant::now();
+    while t0.elapsed() < d {
+        std::hint::spin_loop();
+    }
+}
+
+/// The lost-wakeup guard of the hot handoff: threaded calls spaced by
+/// the spin budget ± 50%, so each call's first section reaches the pool
+/// just before, just after or right as its idle worker gives up spinning
+/// and parks. A submission that misses a parking worker would leave the
+/// caller to drain alone (still correct), but one that loses a notify
+/// would hang: every round must finish under the timeout.
+#[test]
+fn submissions_spaced_around_the_spin_budget_all_complete() {
+    let rt = Runtime::with_workers(1);
+    // A single-threaded host never spins; space calls as if it did.
+    let budget = rt.spin_budget().max(Duration::from_micros(50));
+    let engine = AutoGemm::new(ChipSpec::graviton2()).with_runtime(rt.clone());
+    let (m, n, k) = (26, 36, 64);
+    let (a, b) = data(m, n, k, 11);
+    let want = oracle(m, n, k, &a, &b);
+    let rounds = 3000u64;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut c = vec![0.0f32; m * n];
+        let mut worst = 0.0f32;
+        let mut lcg = 0x2545_f491u64;
+        for _ in 0..rounds {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let jitter = (lcg >> 33) % (budget.as_nanos() as u64 + 1);
+            pause(budget / 2 + Duration::from_nanos(jitter));
+            engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2)).unwrap();
+            worst = worst.max(max_rel_error(&c, &want));
+        }
+        let _ = tx.send(worst);
+    });
+    let worst = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("a spaced submission never completed: lost wakeup in the pool handoff");
+    assert!(worst < 1e-4, "spaced submissions diverged: {worst}");
+    let stats = rt.stats();
+    assert!(stats.submissions >= rounds, "the calls must route through the pool");
+    assert_eq!(stats.jobs_completed, stats.submissions, "every submission retired");
+    assert_eq!(rt.alive_workers(), stats.workers as usize);
+}
+
+/// Dropping the last handle to a runtime right after a threaded call —
+/// while its worker is most likely still spinning for the next section —
+/// stops and joins the worker promptly instead of waiting out a park.
+#[test]
+fn dropping_a_runtime_with_a_spinning_worker_joins_promptly() {
+    let (m, n, k) = (26, 36, 64);
+    let (a, b) = data(m, n, k, 12);
+    let mut slowest = Duration::ZERO;
+    for _ in 0..20 {
+        let rt = Runtime::with_workers(1);
+        let engine = AutoGemm::new(ChipSpec::graviton2()).with_runtime(rt.clone());
+        let mut c = vec![0.0f32; m * n];
+        engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2)).unwrap();
+        drop(engine);
+        assert_eq!(Arc::strong_count(&rt), 1, "the engine must release its runtime handle");
+        let t0 = Instant::now();
+        drop(rt);
+        slowest = slowest.max(t0.elapsed());
+    }
+    assert!(slowest < Duration::from_millis(100), "runtime drop took {slowest:?}");
+}
+
+/// Every first claim is either hot (the worker had not parked since its
+/// previous claim) or woken; which one depends on scheduling, so only
+/// the sum is asserted.
+#[test]
+fn hot_and_woken_claims_sum_to_the_wake_count() {
+    let rt = Runtime::with_workers(1);
+    let engine = AutoGemm::new(ChipSpec::graviton2()).with_runtime(rt.clone());
+    let (m, n, k) = (40, 36, 24);
+    let (a, b) = data(m, n, k, 13);
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..200 {
+        if i % 50 == 0 {
+            // Long enough for the worker to spend its budget and park.
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2)).unwrap();
+    }
+    let stats = rt.stats();
+    assert!(stats.wake_count > 0, "no submission reached the worker");
+    assert_eq!(stats.hot_claims + stats.woken_claims, stats.wake_count, "{stats:?}");
+    assert!(stats.wake_count <= stats.submissions);
 }
