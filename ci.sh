@@ -16,9 +16,10 @@ echo "== tier-1: build =="
 cargo build --release
 
 echo "== tier-1: test =="
-# The workspace's default members are the root package and the core
-# crate, so this also runs the core unit tests and doctests (verify,
-# runtime, breaker, ...) against the default build that ships.
+# The workspace's default members are the root package, the core crate,
+# the tuner and the tiling crate, so this also runs their unit tests and
+# doctests (verify, runtime, breaker, DMT, the cost model, ...) against
+# the default build that ships.
 cargo test -q
 
 if [[ "${1:-}" == "quick" ]]; then

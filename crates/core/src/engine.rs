@@ -590,6 +590,7 @@ impl AutoGemm {
         rec: Option<&Arc<Session>>,
     ) -> Result<Option<crate::GemmReport>, GemmError> {
         let t0 = self.metrics.call_begin();
+        let mut plan_miss = false;
         let result = (|| {
             error::check_operands(m, n, k, a, b, c)?;
             if m == 0 || n == 0 || k == 0 {
@@ -614,6 +615,7 @@ impl AutoGemm {
                 None => {
                     let tuner_threads = if threads > 1 { threads.max(2) } else { 1 };
                     let (plan, hit) = self.plan_dispatch(m, n, k, tuner_threads);
+                    plan_miss = !hit;
                     let pool = &self.panel_pool;
                     let run = native::try_gemm_with_plan_supervised(
                         &plan, a, b, c, threads, pool, &sup, rec,
@@ -640,7 +642,12 @@ impl AutoGemm {
             }
             Ok(report)
         })();
-        self.metrics.call_end(t0, Self::call_flops(m, n, k), Self::call_outcome(&result));
+        self.metrics.call_end(
+            t0,
+            Self::call_flops(m, n, k),
+            Self::call_outcome(&result),
+            plan_miss,
+        );
         result
     }
 
@@ -786,9 +793,10 @@ impl AutoGemm {
         opts: &GemmOptions,
     ) -> Result<(), GemmError> {
         let t0 = self.metrics.call_begin();
-        let result = self.try_gemm_batch_inner(batch, c, opts);
+        let mut plan_miss = false;
+        let result = self.try_gemm_batch_inner(batch, c, opts, &mut plan_miss);
         let flops = Self::call_flops(batch.m, batch.n, batch.k).saturating_mul(batch.len() as u64);
-        self.metrics.call_end(t0, flops, Self::call_outcome(&result));
+        self.metrics.call_end(t0, flops, Self::call_outcome(&result), plan_miss);
         result
     }
 
@@ -797,6 +805,7 @@ impl AutoGemm {
         batch: &GemmBatch,
         c: &mut [f32],
         opts: &GemmOptions,
+        plan_miss: &mut bool,
     ) -> Result<(), GemmError> {
         let (m, n, k) = (batch.m, batch.n, batch.k);
         let item = error::checked_size("m*n", m, n)?;
@@ -822,8 +831,10 @@ impl AutoGemm {
         }
         let (adm, sup, threads) = self.supervise(opts, ResilientMode::AsRequested);
         // Items run single-threaded (parallelism is across items), so
-        // the per-item plan is the single-thread plan.
-        let plan = self.plan(m, n, k);
+        // the per-item plan is the single-thread plan, fully packed.
+        let (plan, hit) = self.plan_dispatch(m, n, k, 1);
+        *plan_miss = !hit;
+        let plan = (*plan).clone().with_routing(OperandRouting::packed());
         let result = crate::batch::try_gemm_batch_supervised(&plan, batch, c, threads, &sup);
         if matches!(result, Err(GemmError::WorkerPanicked { .. }) | Err(GemmError::Stalled { .. }))
         {

@@ -29,7 +29,9 @@
 //!    admission *and again at dispatch* against a cost estimate: the
 //!    roofline floor `2mnk / peak` from the chip model, max'd with the
 //!    tenant engine's observed p95 call latency once
-//!    [`ShedPolicy::min_samples`] calls have been seen. A call that
+//!    [`ShedPolicy::min_samples`] calls have been seen. Calls that missed
+//!    the plan cache (and so include one-off tuning) are left out of that
+//!    p95 and of the sample count. A call that
 //!    provably cannot finish is shed up front
 //!    ([`RejectReason::DeadlineUnmeetable`]) instead of wasting pool time
 //!    and then missing its deadline anyway; a call whose budget expired
@@ -135,7 +137,8 @@ pub struct ShedPolicy {
     /// in-engine, but no call is rejected up front on a cost estimate.
     pub enabled: bool,
     /// Observed-latency term only kicks in once the tenant engine has
-    /// recorded this many calls; below it the roofline floor alone decides.
+    /// recorded this many plan-cache-hit calls; below it the roofline
+    /// floor alone decides.
     pub min_samples: u64,
     /// Multiplier on the cost estimate before comparing against the
     /// remaining budget. 1.0 sheds only provably-doomed calls; larger
@@ -426,8 +429,9 @@ impl GemmService {
     }
 
     /// Cost estimate in nanoseconds for a `m×n×k` call on `tenant`'s
-    /// engine at its thread budget: roofline floor max'd with observed p95
-    /// once warmed, scaled by the shed safety factor.
+    /// engine at its thread budget: roofline floor max'd with the p95 of
+    /// calls that hit the plan cache once warmed, scaled by the shed
+    /// safety factor.
     fn estimate_ns(
         &self,
         tenant: &TenantState,
@@ -440,12 +444,14 @@ impl GemmService {
         // peak_gflops_core is GFLOP/s per core == FLOP/ns per core.
         let peak = self.chip.peak_gflops_core() * threads.max(1) as f64;
         let floor = if peak > 0.0 { flops / peak } else { 0.0 };
+        // Calls that missed the plan cache paid for tuning once; a call
+        // that is being admitted now will not. Counting them let a cold
+        // burst of new shapes hold the p95 above every deadline, and a
+        // shed call records no latency to bring it down again.
         let snap = tenant.engine.metrics();
-        let observed = if snap.call_latency_ns.count >= self.cfg.shed.min_samples {
-            snap.call_latency_ns.quantile(0.95)
-        } else {
-            0
-        };
+        let warm = snap.call_latency_ns.saturating_sub(&snap.plan_miss_ns);
+        let observed =
+            if warm.count >= self.cfg.shed.min_samples { warm.quantile(0.95) } else { 0 };
         let est = (floor as u64).max(observed);
         (est as f64 * self.cfg.shed.safety.max(0.0)) as u64
     }
@@ -641,7 +647,7 @@ impl GemmService {
             };
             let flops =
                 2u64.saturating_mul(m as u64).saturating_mul(n as u64).saturating_mul(k as u64);
-            self.metrics.call_end(t0, flops, outcome);
+            self.metrics.call_end(t0, flops, outcome, false);
             out.map_err(|e| GemmError::InService {
                 tenant: tenant.name().to_string(),
                 source: Box::new(e),

@@ -189,6 +189,20 @@ impl HistogramSnapshot {
         self.quantile(0.99)
     }
 
+    /// Bucket-wise `self − other`, saturating at zero: the samples of
+    /// `self` not in `other` when `other` counts a subset of them (a
+    /// later snapshot minus an earlier one, or a histogram minus one of
+    /// its sub-populations).
+    pub fn saturating_sub(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
+        let mut d = self.clone();
+        for (a, b) in d.buckets.iter_mut().zip(other.buckets.iter()) {
+            *a = a.saturating_sub(*b);
+        }
+        d.sum = self.sum.saturating_sub(other.sum);
+        d.count = self.count.saturating_sub(other.count);
+        d
+    }
+
     /// Mean of the recorded values (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -381,6 +395,11 @@ pub struct MetricsRegistry {
     in_flight: AtomicI64,
     /// End-to-end supervised call latency, nanoseconds.
     pub call_latency_ns: Histogram,
+    /// The subset of `call_latency_ns` spent in calls that missed the
+    /// plan cache and tuned a schedule, nanoseconds. Tuning is a one-off
+    /// cost per shape, so `call_latency_ns` minus this is the latency a
+    /// repeat call can expect.
+    pub plan_miss_ns: Histogram,
     /// Achieved throughput of successful calls, milli-GFLOP/s
     /// (GFLOP/s × 1000, so small calls keep resolution in integer
     /// buckets).
@@ -422,6 +441,7 @@ impl MetricsRegistry {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             in_flight: AtomicI64::new(0),
             call_latency_ns: Histogram::new(),
+            plan_miss_ns: Histogram::new(),
             call_gflops_milli: Histogram::new(),
             pool_wake_ns: Histogram::new(),
             pool_busy_ns: Histogram::new(),
@@ -486,14 +506,18 @@ impl MetricsRegistry {
     }
 
     /// Finish timing a supervised call started by [`Self::call_begin`]:
-    /// records latency, throughput (successful calls only) and outcome
-    /// counters. A `None` token (disabled at begin) is a no-op.
-    pub fn call_end(&self, t0: Option<Instant>, flops: u64, outcome: CallOutcome) {
+    /// records latency (also under `plan_miss_ns` when the call tuned a
+    /// plan), throughput (successful calls only) and outcome counters. A
+    /// `None` token (disabled at begin) is a no-op.
+    pub fn call_end(&self, t0: Option<Instant>, flops: u64, outcome: CallOutcome, plan_miss: bool) {
         let Some(t0) = t0 else { return };
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
         let elapsed_ns = t0.elapsed().as_nanos() as u64;
         let hint = shard_hint();
         self.call_latency_ns.record(elapsed_ns, hint);
+        if plan_miss {
+            self.plan_miss_ns.record(elapsed_ns, hint);
+        }
         self.counters[Counter::Calls.index()].fetch_add(1, Ordering::Relaxed);
         match outcome {
             CallOutcome::Ok => {
@@ -518,6 +542,7 @@ impl MetricsRegistry {
             counters: Counter::ALL.map(|c| self.counter(c)),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             call_latency_ns: self.call_latency_ns.snapshot(),
+            plan_miss_ns: self.plan_miss_ns.snapshot(),
             call_gflops_milli: self.call_gflops_milli.snapshot(),
             pool_wake_ns: self.pool_wake_ns.snapshot(),
             pool_busy_ns: self.pool_busy_ns.snapshot(),
@@ -540,6 +565,7 @@ pub struct MetricsSnapshot {
     /// Calls in flight at snapshot time.
     pub in_flight: i64,
     pub call_latency_ns: HistogramSnapshot,
+    pub plan_miss_ns: HistogramSnapshot,
     pub call_gflops_milli: HistogramSnapshot,
     pub pool_wake_ns: HistogramSnapshot,
     pub pool_busy_ns: HistogramSnapshot,
@@ -555,6 +581,7 @@ impl Default for MetricsSnapshot {
             counters: [0; Counter::COUNT],
             in_flight: 0,
             call_latency_ns: HistogramSnapshot::default(),
+            plan_miss_ns: HistogramSnapshot::default(),
             call_gflops_milli: HistogramSnapshot::default(),
             pool_wake_ns: HistogramSnapshot::default(),
             pool_busy_ns: HistogramSnapshot::default(),
@@ -566,9 +593,10 @@ impl Default for MetricsSnapshot {
 }
 
 /// The histograms a snapshot carries, name-paired for the exporters.
-fn snapshot_hists(s: &MetricsSnapshot) -> [(&'static str, &HistogramSnapshot); 7] {
+fn snapshot_hists(s: &MetricsSnapshot) -> [(&'static str, &HistogramSnapshot); 8] {
     [
         ("call_latency_ns", &s.call_latency_ns),
+        ("plan_miss_ns", &s.plan_miss_ns),
         ("call_gflops_milli", &s.call_gflops_milli),
         ("pool_wake_ns", &s.pool_wake_ns),
         ("pool_busy_ns", &s.pool_busy_ns),
@@ -606,6 +634,7 @@ impl MetricsSnapshot {
             counters: Counter::ALL.map(|c| v.get(c.name()).and_then(Json::as_u64).unwrap_or(0)),
             in_flight: v.get("in_flight").and_then(Json::as_f64).unwrap_or(0.0) as i64,
             call_latency_ns: hist("call_latency_ns"),
+            plan_miss_ns: hist("plan_miss_ns"),
             call_gflops_milli: hist("call_gflops_milli"),
             pool_wake_ns: hist("pool_wake_ns"),
             pool_busy_ns: hist("pool_busy_ns"),
@@ -727,7 +756,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.set_enabled(false);
         assert!(reg.call_begin().is_none());
-        reg.call_end(None, 1000, CallOutcome::Ok);
+        reg.call_end(None, 1000, CallOutcome::Ok, false);
         reg.add(Counter::Errors, 3);
         reg.record(&reg.call_latency_ns, 42);
         let snap = reg.snapshot();
@@ -742,11 +771,11 @@ mod tests {
         let reg = MetricsRegistry::new();
         let t0 = reg.call_begin();
         assert!(t0.is_some());
-        reg.call_end(t0, 2 * 64 * 64 * 64, CallOutcome::Ok);
+        reg.call_end(t0, 2 * 64 * 64 * 64, CallOutcome::Ok, false);
         let t1 = reg.call_begin();
-        reg.call_end(t1, 0, CallOutcome::Error);
+        reg.call_end(t1, 0, CallOutcome::Error, false);
         let t2 = reg.call_begin();
-        reg.call_end(t2, 0, CallOutcome::Cancelled);
+        reg.call_end(t2, 0, CallOutcome::Cancelled, false);
         let snap = reg.snapshot();
         assert_eq!(snap.counter(Counter::Calls), 3);
         assert_eq!(snap.counter(Counter::Errors), 1);

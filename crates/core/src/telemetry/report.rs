@@ -1323,7 +1323,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         for i in 0..25u64 {
             let t0 = reg.call_begin();
-            reg.call_end(t0, 2 * 64 * 64 * (i + 1), CallOutcome::Ok);
+            reg.call_end(t0, 2 * 64 * 64 * (i + 1), CallOutcome::Ok, false);
             reg.add(Counter::PlanCacheHits, 1);
         }
         reg.add(Counter::BreakerTransitions, 2);

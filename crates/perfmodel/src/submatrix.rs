@@ -27,7 +27,7 @@ pub fn region_cycles(
     chip: &ChipSpec,
     opts: ModelOpts,
 ) -> f64 {
-    region_cycles_with(m, n, tile, kc, chip, opts, projected_cycles)
+    region_cycles_with(m, n, tile, kc, chip.sigma_lane(), |t| projected_cycles(t, kc, chip, opts))
 }
 
 /// [`region_cycles`] with the `σ_AI` derating applied per kernel — the
@@ -40,43 +40,47 @@ pub fn region_cycles_derated(
     chip: &ChipSpec,
     opts: ModelOpts,
 ) -> f64 {
-    region_cycles_with(m, n, tile, kc, chip, opts, effective_cycles)
+    region_cycles_with(m, n, tile, kc, chip.sigma_lane(), |t| effective_cycles(t, kc, chip, opts))
 }
 
-fn region_cycles_with(
+/// The region cost of [`region_cycles`] with the per-kernel cost `T_r`
+/// supplied by `cost`, which is asked for `tile` and for each remainder
+/// tile it needs (every one no taller or wider than `tile`). A caller
+/// that prices many regions at one `kc` can pass a table lookup: the
+/// floating-point operations run in the same order whatever `cost` is,
+/// so a table of the same values gives bit-identical totals.
+pub fn region_cycles_with(
     m: usize,
     n: usize,
     tile: MicroTile,
     kc: usize,
-    chip: &ChipSpec,
-    opts: ModelOpts,
-    cost: fn(MicroTile, usize, &ChipSpec, ModelOpts) -> f64,
+    sigma_lane: usize,
+    mut cost: impl FnMut(MicroTile) -> f64,
 ) -> f64 {
     if m == 0 || n == 0 || kc == 0 {
         return 0.0;
     }
-    let sigma = chip.sigma_lane();
     let full_rows = m / tile.mr;
     let rem_rows = m % tile.mr;
     let full_cols = n / tile.nr;
     let rem_cols_elems = n % tile.nr;
     // Remainder columns padded up to a lane multiple (the kernels' n_r must
     // divide σ_lane; padding work is wasted but charged).
-    let rem_nr = rem_cols_elems.div_ceil(sigma) * sigma;
+    let rem_nr = rem_cols_elems.div_ceil(sigma_lane) * sigma_lane;
 
     let mut total = 0.0;
-    let t_full = cost(tile, kc, chip, opts);
+    let t_full = cost(tile);
     total += (full_rows * full_cols) as f64 * t_full;
     if rem_cols_elems > 0 {
-        let t = cost(MicroTile::new(tile.mr, rem_nr), kc, chip, opts);
+        let t = cost(MicroTile::new(tile.mr, rem_nr));
         total += full_rows as f64 * t;
     }
     if rem_rows > 0 {
-        let t = cost(MicroTile::new(rem_rows, tile.nr), kc, chip, opts);
+        let t = cost(MicroTile::new(rem_rows, tile.nr));
         total += full_cols as f64 * t;
     }
     if rem_rows > 0 && rem_cols_elems > 0 {
-        total += cost(MicroTile::new(rem_rows, rem_nr), kc, chip, opts);
+        total += cost(MicroTile::new(rem_rows, rem_nr));
     }
     total
 }

@@ -85,6 +85,23 @@ pub fn tune_multicore(
     allow_offline: bool,
     threads: usize,
 ) -> Schedule {
+    rank_multicore(m, n, k, chip, allow_offline, threads)
+        .into_iter()
+        .next()
+        .expect("non-empty search space")
+}
+
+/// Every pruned multicore candidate, best model score first (ties keep
+/// enumeration order): the ranking [`tune_multicore`] takes the head of
+/// and [`tune_multicore_topk`] shortlists from.
+fn rank_multicore(
+    m: usize,
+    n: usize,
+    k: usize,
+    chip: &ChipSpec,
+    allow_offline: bool,
+    threads: usize,
+) -> Vec<Schedule> {
     let mut space = SearchSpace::new(m, n, k, chip);
     if allow_offline {
         space = space.with_offline();
@@ -129,7 +146,7 @@ pub fn tune_multicore(
     let mut scored: Vec<(f64, Schedule)> =
         space.pruned_candidates().map(|sched| (score(&sched), sched)).collect();
     scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-    scored.into_iter().map(|(_, s)| s).next().expect("non-empty search space")
+    scored.into_iter().map(|(_, s)| s).collect()
 }
 
 /// The top-`k` multicore schedule candidates by model score, deduplicated
@@ -146,51 +163,12 @@ pub fn tune_multicore_topk(
     threads: usize,
     topk: usize,
 ) -> Vec<Schedule> {
-    // Re-run the candidate construction of tune_multicore, keeping the
-    // whole ranked list.
-    let best = tune_multicore(m, n, k, chip, allow_offline, threads);
-    let mut space = SearchSpace::new(m, n, k, chip);
-    if allow_offline {
-        space = space.with_offline();
-    }
-    space.block_candidates.retain(|&(_, _, kc)| kc == k);
-    let parallel: Vec<_> = space
-        .block_candidates
-        .iter()
-        .copied()
-        .filter(|&(mc, nc, _)| (m / mc) * (n / nc) >= threads)
-        .collect();
-    if !parallel.is_empty() {
-        space.block_candidates = parallel;
-    }
-    if space.block_candidates.is_empty() {
-        space.block_candidates.push((best.mc, best.nc, best.kc));
-        let sigma = chip.sigma_lane();
-        for &mc in space::divisors(m).iter().filter(|&&mc| mc <= 128) {
-            for &nc in
-                space::divisors(n).iter().filter(|&&nc| (nc % sigma == 0 && nc <= 512) || nc == n)
-            {
-                space.block_candidates.push((mc, nc, k));
-            }
-        }
-    }
-    let score = |sched: &Schedule| -> f64 {
-        let parts = schedule_cost(sched, chip);
-        let freq_hz = chip.freq_ghz * 1e9;
-        let compute_s = parts.compute / threads as f64 / freq_hz;
-        let pack_s = parts.packing / threads as f64 / freq_hz;
-        let bytes = cost::traffic_bytes(sched) * cost::no_packing_penalty(sched, chip);
-        let bw_s = bytes / (chip.numa.total_bw_gbs() * 1e9);
-        compute_s.max(bw_s) + 0.25 * compute_s.min(bw_s) + pack_s
-    };
-    let mut scored: Vec<(f64, Schedule)> =
-        space.pruned_candidates().map(|sched| (score(&sched), sched)).collect();
-    scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    let ranked = rank_multicore(m, n, k, chip, allow_offline, threads);
     // Diversity: at most two shortlist entries per block-area octave, so
     // the simulator sees genuinely different blockings, not six near-twins.
     let mut out: Vec<Schedule> = Vec::new();
     let mut per_bucket: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-    for (_, s) in &scored {
+    for s in &ranked {
         if out.iter().any(|o| (o.mc, o.nc, o.kc) == (s.mc, s.nc, s.kc)) {
             continue;
         }
@@ -207,7 +185,7 @@ pub fn tune_multicore_topk(
     }
     // Always include the largest parallel-feasible block (often what a
     // latency-sensitive pipeline wants even when the model disagrees).
-    if let Some((_, big)) = scored.iter().max_by_key(|(_, s)| s.mc * s.nc) {
+    if let Some(big) = ranked.iter().max_by_key(|s| s.mc * s.nc) {
         if !out.iter().any(|o| (o.mc, o.nc, o.kc) == (big.mc, big.nc, big.kc)) {
             out.push(big.clone());
         }

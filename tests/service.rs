@@ -244,6 +244,44 @@ fn provably_unmeetable_deadline_is_shed_before_queueing() {
 }
 
 #[test]
+fn a_cold_burst_of_plan_misses_leaves_the_shed_estimate_at_the_roofline_floor() {
+    // Every call of the burst is a new shape, so each one tunes a plan.
+    // That one-off cost must not become the estimate for later calls:
+    // with only plan misses on record the estimate stays at the roofline
+    // floor, and a repeat call whose budget is far above that floor but
+    // below any cold call's latency is admitted and completes.
+    let cfg = ServiceConfig {
+        shed: ShedPolicy { enabled: true, min_samples: 4, safety: 1.0 },
+        ..ServiceConfig::default()
+    };
+    let svc = GemmService::new(ChipSpec::graviton2(), cfg);
+    let tenant = TenantId::new("cold");
+    let burst = [(61usize, 52usize, 45usize), (53, 44, 39), (47, 36, 33), (59, 28, 27)];
+    let mut fastest_cold = Duration::MAX;
+    for (i, &(m, n, k)) in burst.iter().enumerate() {
+        let (a, b) = data(m, n, k, 20 + i as u32);
+        let mut c = vec![0.0f32; m * n];
+        let t0 = Instant::now();
+        svc.submit(&tenant, m, n, k, &a, &b, &mut c, &GemmOptions::new()).expect("cold call");
+        fastest_cold = fastest_cold.min(t0.elapsed());
+        assert!(max_rel_error(&c, &oracle(m, n, k, &a, &b)) < 1e-4, "{m}x{n}x{k}");
+    }
+    // Half the fastest cold call: an estimate built from the burst (a
+    // p95 at least that call's latency) would shed the repeat call.
+    let budget = fastest_cold / 2;
+    let (m, n, k) = burst[2];
+    let floor_ns = 2.0 * (m * n * k) as f64 / ChipSpec::graviton2().peak_gflops_core();
+    assert!(floor_ns < budget.as_nanos() as f64, "floor {floor_ns} ns vs budget {budget:?}");
+    let (a, b) = data(m, n, k, 22);
+    let mut c = vec![0.0f32; m * n];
+    let r = svc.submit(&tenant, m, n, k, &a, &b, &mut c, &GemmOptions::new().deadline(budget));
+    assert!(r.is_ok(), "repeat call with a {budget:?} budget: {r:?}");
+    assert!(max_rel_error(&c, &oracle(m, n, k, &a, &b)) < 1e-4);
+    assert_eq!(service_counter(&svc, "service_shed_total"), 0);
+    assert_eq!(service_counter(&svc, "service_admitted_total"), burst.len() as u64 + 1);
+}
+
+#[test]
 fn service_default_deadline_applies_when_the_call_names_none() {
     let cfg = ServiceConfig {
         default_deadline: Some(Duration::from_nanos(50)),
