@@ -16,10 +16,12 @@ echo "== tier-1: build =="
 cargo build --release
 
 echo "== tier-1: test =="
-# The workspace's default members are the root package, the core crate,
-# the tuner and the tiling crate, so this also runs their unit tests and
-# doctests (verify, runtime, breaker, DMT, the cost model, ...) against
-# the default build that ships.
+# The workspace's default members are the root package and every library
+# crate except `workloads` and `bench` (see Cargo.toml), so this also runs
+# their unit tests and doctests against the one build that ships: live
+# telemetry clocks, compiled-in fault probes. That includes the chaos
+# suite (tests/chaos.rs), the pack-count guards and the live-timing
+# report tests.
 cargo test -q
 
 if [[ "${1:-}" == "quick" ]]; then
@@ -34,36 +36,6 @@ echo "== scalar-fallback SIMD config =="
 cargo test -q -p autogemm --features force-scalar
 cargo test -q -p autogemm-repro --features autogemm/force-scalar --test simd_kernels
 
-echo "== telemetry config =="
-# Tier-1 runs with the telemetry feature off (timer API compiled to
-# no-ops); this config arms the clocks and session hooks and re-runs the
-# core suite plus the integration guards that assert live timings and
-# that the per-call recorder leaves the driver's output bit-identical.
-cargo test -q -p autogemm --features telemetry
-cargo test -q -p autogemm-repro --features telemetry --test telemetry --test pack_counts
-
-echo "== faultinject config =="
-# Arm the deterministic fault-injection probes and run the chaos suite:
-# every injection site × action × thread count must come back as a
-# structured GemmError or recover bit-identical to the oracle. The core
-# suite re-runs under the feature to prove the probes are behaviorally
-# inert while disarmed.
-cargo test -q -p autogemm --features faultinject
-cargo test -q -p autogemm --features faultinject,telemetry
-cargo test -q -p autogemm-repro --features faultinject --test chaos --test fallible_api --test supervisor
-
-echo "== output-integrity config =="
-# The always-compiled Freivalds verification layer. tests/verify.rs
-# proves the detection bound (every above-tolerance corruption caught
-# within the round budget, zero clean false positives) and verdict
-# determinism across thread counts; re-running it with the injection
-# probes compiled in proves the verifier itself is fault-plan-agnostic.
-# The injected-corruption story (KernelCompute + CorruptOutput across
-# block/gemv/unpacked routes, sampling cadence, quarantine, verified
-# re-execution) runs in the chaos suite above.
-cargo test -q -p autogemm-repro --test verify
-cargo test -q -p autogemm-repro --features faultinject --test verify
-
 echo "== supervision soak (smoke length) =="
 # Randomized watchdog-supervised calls under seeded fault plans: every
 # call structured-error-or-correct, zero pool-buffer leaks, and the
@@ -71,7 +43,7 @@ echo "== supervision soak (smoke length) =="
 # threaded call routes through the persistent worker pool, so this
 # doubles as the pool soak. The full run (2000 iters) is the default
 # when invoked without a count.
-cargo run --release -p autogemm-bench --features faultinject --bin native_gemm -- --soak 400
+cargo run --release -p autogemm-bench --bin native_gemm -- --soak 400
 
 echo "== panic policy (library code) =="
 # The fallible API contract: no unwrap/expect in autogemm library code —
@@ -115,7 +87,7 @@ echo "== gemmtrace bench smoke =="
 # door, re-parses every emitted report through the GemmReport
 # schema-version guard, and gates that metrics-off try_gemm_opts latency
 # stays within noise of metrics-on.
-cargo run --release -p autogemm-bench --features telemetry --bin gemmtrace -- --smoke
+cargo run --release -p autogemm-bench --bin gemmtrace -- --smoke
 
 echo "== bench artifact schema guard =="
 # Re-parse every committed BENCH_*.json through the versioned-schema

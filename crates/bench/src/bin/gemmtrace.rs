@@ -10,8 +10,8 @@
 //! the full versioned-JSON report: per-phase wall/cycle breakdown
 //! (pack-A, pack-B, kernel, drain), pack counts/bytes, per-thread block
 //! counts and busy fractions, the dispatched kernel-shape histogram,
-//! the measured-vs-model `cycle_ratio`, plus the schema-v4 `pool` and
-//! `dispatch` sections and the schema-v5 engine `metrics` snapshot.
+//! the measured-vs-model `cycle_ratio`, plus the `pool` and
+//! `dispatch` sections and the engine `metrics` snapshot.
 //!
 //! The ratio mixes host counter ticks with modelled-chip cycles, so its
 //! absolute value is host-specific; its *flatness across shapes* is the
@@ -19,9 +19,9 @@
 //! `effective_ghz` — §III-B's achieved-vs-predicted tracking).
 //!
 //! ```text
-//! cargo run --release -p autogemm-bench --features telemetry --bin gemmtrace [OUT.json]
-//! cargo run --release -p autogemm-bench --features telemetry --bin gemmtrace -- --smoke
-//! cargo run --release -p autogemm-bench --features telemetry --bin gemmtrace -- --timeline
+//! cargo run --release -p autogemm-bench --bin gemmtrace [OUT.json]
+//! cargo run --release -p autogemm-bench --bin gemmtrace -- --smoke
+//! cargo run --release -p autogemm-bench --bin gemmtrace -- --timeline
 //! ```
 //!
 //! `--smoke` (the CI mode) runs only the small cube shapes with one
@@ -32,11 +32,9 @@
 //! multi-threaded burst on a tracing engine and writes
 //! `BENCH_timeline.json`, a Chrome trace-event timeline (open it in
 //! Perfetto or `chrome://tracing`) with pack/kernel spans on every
-//! engaged worker track. Without the `telemetry` feature the binary
-//! still runs (and the smoke validation still holds) but all report
-//! timings are zero.
+//! engaged worker track.
 
-use autogemm::telemetry::{Json, ENABLED, SCHEMA_VERSION};
+use autogemm::telemetry::{Json, SCHEMA_VERSION};
 use autogemm::{AutoGemm, GemmOptions, GemmReport};
 use autogemm_arch::ChipSpec;
 use autogemm_bench::print_table;
@@ -173,10 +171,7 @@ fn main() {
     let reps = if smoke { 1 } else { 5 };
     let chip = ChipSpec::graviton2();
     let mut table = ProjectionTable::new(&chip, ModelOpts::default());
-    println!(
-        "gemmtrace: telemetry feature {} (schema v{SCHEMA_VERSION})",
-        if ENABLED { "ON — live clocks" } else { "OFF — zeroed timings" }
-    );
+    println!("gemmtrace: schema v{SCHEMA_VERSION}");
 
     let mut sweep = autogemm_workloads::gemmtrace_sweep();
     if smoke {
@@ -273,7 +268,7 @@ fn main() {
     );
 
     // Engine-lifetime metrics accumulated over the whole sweep — the
-    // registry view the schema-v5 `metrics` section snapshots.
+    // registry view the `metrics` section snapshots.
     let m = engine.metrics();
     println!(
         "engine metrics: {} calls, latency p50 {:.3}ms p99 {:.3}ms, \
@@ -296,12 +291,9 @@ fn main() {
     };
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"gemmtrace\",");
-    let _ = writeln!(
-        json,
-        "  \"command\": \"cargo run --release -p autogemm-bench --features telemetry --bin gemmtrace\","
-    );
+    let _ =
+        writeln!(json, "  \"command\": \"cargo run --release -p autogemm-bench --bin gemmtrace\",");
     let _ = writeln!(json, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(json, "  \"telemetry_enabled\": {ENABLED},");
     let _ = writeln!(json, "  \"threads\": {THREADS},");
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"model_chip\": \"{}\",", chip.id);

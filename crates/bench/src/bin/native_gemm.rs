@@ -35,7 +35,7 @@
 //! plan cache, and loosely cross-checks the panel-cache timings against
 //! the tracked `BENCH_native_gemm.json` trajectory.
 //!
-//! `--soak [ITERS]` (requires the `faultinject` feature) runs a
+//! `--soak [ITERS]` runs a
 //! randomized supervision soak: thousands of watchdog-supervised calls
 //! under seeded fault plans, asserting every call is structured-error-or
 //! -correct, the panel pool never leaks, and the circuit breaker is
@@ -351,12 +351,11 @@ fn smoke() {
     println!("native_gemm smoke passed.");
 }
 
-/// Randomized supervision soak (ISSUE 5): watchdog-supervised calls
+/// Randomized supervision soak: watchdog-supervised calls
 /// under seeded fault plans. Every call must be structured-error-or-
 /// correct, no pool buffer may leak past a call, and once the probes are
 /// disarmed a short clean tail must walk the circuit breaker back to
 /// all-Closed (no path stuck Open).
-#[cfg(feature = "faultinject")]
 fn soak(iters: usize) {
     use autogemm::faultinject::{arm, FaultPlan};
     use autogemm::supervisor::{CancelToken, GemmOptions, WatchdogConfig};
@@ -459,12 +458,6 @@ fn soak(iters: usize) {
         "native_gemm soak passed: {iters} iters ({ok} ok, {failed} faulted, {cancelled} \
          cancelled), pool high-water {high_water} blocks, breaker all-closed."
     );
-}
-
-#[cfg(not(feature = "faultinject"))]
-fn soak(_iters: usize) {
-    eprintln!("--soak needs the fault probes: rerun with --features faultinject");
-    std::process::exit(2);
 }
 
 fn main() {

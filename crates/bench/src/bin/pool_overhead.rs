@@ -141,14 +141,14 @@ fn measure(
     // Bit-identity rides along with every bench run.
     let mut c_pooled = vec![0.0f32; m * n];
     let mut c_scoped = vec![0.0f32; m * n];
-    try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_pooled, threads, &pool, &pooled_sup, None)
+    try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_pooled, threads, &pool, &pooled_sup, false)
         .expect("pooled bench call failed");
-    try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_scoped, threads, &pool, &scoped_sup, None)
+    try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_scoped, threads, &pool, &scoped_sup, false)
         .expect("scoped bench call failed");
     assert_eq!(c_pooled, c_scoped, "{label}: pooled diverged from scoped baseline");
 
     let run = |sup: &Supervision, threads: usize, c: &mut [f32]| {
-        try_gemm_with_plan_supervised(black_box(&plan), &a, &b, c, threads, &pool, sup, None)
+        try_gemm_with_plan_supervised(black_box(&plan), &a, &b, c, threads, &pool, sup, false)
             .expect("bench call failed");
     };
     let inline_sup = Supervision::none();

@@ -1,13 +1,16 @@
 //! Re-parse every committed `BENCH_*.json` artifact through the
-//! versioned-schema parser — the CI sweep that keeps old artifacts
-//! loadable as the schema evolves.
+//! versioned-schema parser — the CI sweep that keeps the committed
+//! artifacts in step with the schema the library reads.
 //!
 //! Every artifact must be valid JSON. On top of that, any object found
 //! anywhere inside one that carries a `schema_version` key is treated
 //! as an embedded [`autogemm::GemmReport`] and must survive
-//! [`GemmReport::from_json_value`] (the guard accepts every version
-//! back to `MIN_SCHEMA_VERSION`, so `BENCH_gemmtrace.json` regenerated
-//! under any schema still passes). A timeline artifact (one with a
+//! [`GemmReport::from_json_value`], which reads exactly
+//! [`autogemm::telemetry::SCHEMA_VERSION`] — an artifact written under
+//! an older schema must be regenerated. An embedded report of a
+//! non-degenerate call must also carry a non-zero `wall` time: the
+//! clocks are live in the one build, so a zero is a broken artifact.
+//! A timeline artifact (one with a
 //! top-level `traceEvents` array) is checked for well-formed Chrome
 //! trace events instead: every event needs `ph`/`pid`/`tid`, and every
 //! duration event (`ph: "X"`) needs numeric `ts`/`dur`.
@@ -33,9 +36,17 @@ fn check_reports(path: &str, v: &Json) -> usize {
             // an embedded GemmReport is distinguished by the mandatory
             // `phases` section (present in every schema version).
             if v.get("schema_version").is_some() && v.get("phases").is_some() {
-                GemmReport::from_json_value(v).unwrap_or_else(|e| {
+                let report = GemmReport::from_json_value(v).unwrap_or_else(|e| {
                     panic!("{path}: embedded report failed the schema guard: {e}")
                 });
+                let ran = report.m > 0 && report.n > 0 && report.k > 0;
+                if ran && report.wall.wall_ns == 0 {
+                    panic!(
+                        "{path}: embedded {}x{}x{} report has zero wall time — \
+                         regenerate the artifact",
+                        report.m, report.n, report.k
+                    );
+                }
                 check_integrity_consistency(path, v);
                 found += 1;
             }
@@ -53,14 +64,14 @@ fn check_reports(path: &str, v: &Json) -> usize {
     found
 }
 
-/// Schema-v7 cross-section rule: a report that claims verification
+/// Cross-section rule: a report that claims verification
 /// failures (`integrity.verify_failures_total > 0`) must also show the
 /// failures reaching the breaker — either accumulated faults on the
 /// `verify_integrity` health path or a recorded transition on it. An
 /// artifact violating this was produced by an engine that detected
 /// corruption but never fed the quarantine machinery, which is exactly
 /// the bug this guard exists to catch. Reports without an `integrity`
-/// section (schema ≤ v6, or verification off) are exempt.
+/// section (verification off) are exempt.
 fn check_integrity_consistency(path: &str, report: &Json) {
     let failures = report
         .get("integrity")
@@ -125,8 +136,8 @@ fn check_timeline(path: &str, events: &[Json]) -> usize {
 /// Explicit envelope checks for `BENCH_service.json` (the service_soak
 /// artifact): the overload sweep must carry its load matrix with the
 /// admission accounting, and its embedded report must actually have the
-/// schema-v6 `service` section (the generic report sweep would accept a
-/// report without one, since v1–v5 artifacts legitimately lack it).
+/// `service` section (the generic report sweep would accept a
+/// report without one, since only service-stamped reports carry it).
 fn check_service_envelope(path: &str, v: &Json) {
     if v.get("saturation_qps").and_then(Json::as_f64).is_none() {
         panic!("{path}: service_soak artifact missing numeric saturation_qps");
@@ -169,10 +180,9 @@ fn check_service_envelope(path: &str, v: &Json) {
     if service.get("queue_wait_ns").is_none() {
         panic!("{path}: service section missing queue_wait_ns histogram");
     }
-    // The per-tenant verification matrix (ISSUE 10). Optional so pre-v7
-    // service artifacts still parse, but when present it must be
-    // complete and internally consistent (clean soak traffic ⇒ zero
-    // failures, drained queues).
+    // The per-tenant verification matrix. Optional, but when present it
+    // must be complete and internally consistent (clean soak traffic ⇒
+    // zero failures, drained queues).
     if let Some(matrix) = v.get("verify_matrix").and_then(Json::as_arr) {
         assert!(!matrix.is_empty(), "{path}: empty verify_matrix");
         for (i, cell) in matrix.iter().enumerate() {

@@ -25,7 +25,7 @@
 //! with `VerifyPolicy::{Off, Sample{8}, Always}` quotas run the same
 //! burst through their per-tenant engines, recording how much
 //! verification each policy actually bought (engine-lifetime
-//! `verify_*_total` counters from the schema-v7 `integrity` section).
+//! `verify_*_total` counters from the `integrity` section).
 //!
 //! `--smoke` runs a shortened sweep as a CI guard and asserts the
 //! contract instead of writing the artifact: >0 rejections at 2x offered
@@ -217,7 +217,7 @@ struct VerifyCell {
 /// one service — verify never / one-in-eight / always — each push the
 /// same closed-loop burst through their own engine. Engines are
 /// per-tenant, so the engine-lifetime verify counters (read from the
-/// final traced call's schema-v7 `integrity` section) attribute
+/// final traced call's `integrity` section) attribute
 /// verification work to exactly one policy.
 fn run_verify_matrix(calls_per_tenant: u64) -> Vec<VerifyCell> {
     use autogemm::VerifyPolicy;
@@ -263,7 +263,7 @@ fn run_verify_matrix(calls_per_tenant: u64) -> Vec<VerifyCell> {
             let (_reply, report) = svc
                 .submit_traced(&tenant, m, n, k, &a, &b, &mut c, &GemmOptions::new())
                 .expect("traced verified call failed");
-            let integ = report.integrity.expect("schema-v7 report carries an integrity section");
+            let integ = report.integrity.expect("report carries an integrity section");
             assert_eq!(integ.policy, policy.name(), "quota policy must reach the engine");
             let snap = svc.metrics().snapshot();
             VerifyCell {
@@ -281,7 +281,7 @@ fn run_verify_matrix(calls_per_tenant: u64) -> Vec<VerifyCell> {
         .collect()
 }
 
-/// One traced call through a fresh service: the embedded schema-v6 report
+/// One traced call through a fresh service: the embedded report
 /// (with its `service` section) the schema guard validates.
 fn traced_report() -> String {
     let svc = service(None, false);

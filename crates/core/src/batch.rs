@@ -202,7 +202,7 @@ pub fn try_gemm_batch_supervised(
                         plan, batch.a[i], packed, c_item, 1, &pool, &item_sup,
                     ),
                     None => native::try_gemm_with_plan_supervised(
-                        plan, batch.a[i], batch.b[i], c_item, 1, &pool, &item_sup, None,
+                        plan, batch.a[i], batch.b[i], c_item, 1, &pool, &item_sup, false,
                     )
                     .map(|_| ()),
                 };

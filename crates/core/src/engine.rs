@@ -7,7 +7,7 @@
 //! in [`GemmOptions`]. The single-GEMM forms share one private call
 //! path: validate → breaker admission and supervision set-up → fast
 //! route or plan → driver → verify → breaker record. Tracing rides on
-//! that path as an optional recorder, and the resilient ladder's rungs
+//! that path as its `record` flag, and the resilient ladder's rungs
 //! as a [`ResilientMode`]; batches share the same set-up and breaker
 //! record.
 
@@ -24,7 +24,7 @@ use crate::supervisor::{
     ResilientReport, Supervision,
 };
 use crate::telemetry::metrics::{CallOutcome, Counter, MetricsRegistry, MetricsSnapshot};
-use crate::telemetry::{DispatchStats, HealthReport, IntegrityReport, Session, TraceBuf};
+use crate::telemetry::{DispatchStats, HealthReport, IntegrityReport, TraceBuf};
 use crate::verify::{self, VerifyPolicy};
 use autogemm_arch::ChipSpec;
 use autogemm_sim::Warmth;
@@ -145,7 +145,7 @@ impl AutoGemm {
 
     /// Lifetime counters of the engine's worker-pool runtime
     /// (submissions, wake latency, busy/park time, clamp events); also
-    /// stamped on every traced report's schema-v4 `pool` section.
+    /// stamped on every traced report's `pool` section.
     pub fn pool_stats(&self) -> PoolStats {
         self.runtime.stats()
     }
@@ -155,7 +155,7 @@ impl AutoGemm {
     /// plan-cache hit/miss/eviction counts, and the runtime's pool
     /// wake/busy/park histograms — everything accumulated since the
     /// engine (and its runtime) were created. The snapshot serializes to
-    /// the schema-v5 `metrics` report section and to Prometheus text
+    /// the `metrics` report section and to Prometheus text
     /// exposition via [`MetricsSnapshot::to_prometheus`].
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
@@ -390,16 +390,15 @@ impl AutoGemm {
         c: &mut [f32],
         opts: &GemmOptions,
     ) -> Result<(), GemmError> {
-        self.run_supervised(m, n, k, a, b, c, opts, ResilientMode::AsRequested, None).map(|_| ())
+        self.run_supervised(m, n, k, a, b, c, opts, ResilientMode::AsRequested, false).map(|_| ())
     }
 
     /// [`Self::try_gemm_opts`] with per-call telemetry: the same call
-    /// path with a recorder attached, returning the [`crate::GemmReport`]
-    /// — phase breakdown, pack stats, per-thread busy profiles, the
+    /// path with recording on, returning the [`crate::GemmReport`] —
+    /// phase breakdown, pack stats, per-thread busy profiles, the
     /// dispatched kernel-shape histogram, the route taken and any
     /// graceful degradation ([`crate::telemetry::FallbackStats`]). Output
-    /// `C` is bit-identical to the untraced call; without the
-    /// `telemetry` feature the report's timings and counters are zero.
+    /// `C` is bit-identical to the untraced call.
     /// The report's `health` section holds the post-call breaker
     /// snapshot plus every transition this call performed, and its
     /// `metrics` section the post-call registry view.
@@ -414,9 +413,8 @@ impl AutoGemm {
         c: &mut [f32],
         opts: &GemmOptions,
     ) -> Result<crate::GemmReport, GemmError> {
-        let sess = Arc::new(Session::new());
         let report =
-            self.run_supervised(m, n, k, a, b, c, opts, ResilientMode::AsRequested, Some(&sess))?;
+            self.run_supervised(m, n, k, a, b, c, opts, ResilientMode::AsRequested, true)?;
         // Degenerate shapes run nothing: report the shape with an
         // otherwise-empty profile.
         let mut report = report.unwrap_or(crate::GemmReport { m, n, k, ..Default::default() });
@@ -450,7 +448,7 @@ impl AutoGemm {
     ) -> Result<ResilientReport, GemmError> {
         let start = std::time::Instant::now();
         let err =
-            match self.run_supervised(m, n, k, a, b, c, opts, ResilientMode::AsRequested, None) {
+            match self.run_supervised(m, n, k, a, b, c, opts, ResilientMode::AsRequested, false) {
                 Ok(_) => {
                     return Ok(ResilientReport { attempts: 1, mode: ResilientMode::AsRequested })
                 }
@@ -468,7 +466,7 @@ impl AutoGemm {
             let mode = ResilientMode::VerifiedReexecution;
             self.metrics.add(Counter::VerifyReexecutions, 1);
             return self
-                .run_supervised(m, n, k, a, b, c, &rung_opts, mode, None)
+                .run_supervised(m, n, k, a, b, c, &rung_opts, mode, false)
                 .map(|_| ResilientReport { attempts: 2, mode });
         }
         if !is_retryable(&err) {
@@ -477,7 +475,7 @@ impl AutoGemm {
         let rung_opts = Self::deduct_deadline(opts, start)?;
         self.metrics.add(Counter::RetryAttempts, 1);
         let mode = ResilientMode::SingleThread;
-        match self.run_supervised(m, n, k, a, b, c, &rung_opts, mode, None) {
+        match self.run_supervised(m, n, k, a, b, c, &rung_opts, mode, false) {
             Ok(_) => return Ok(ResilientReport { attempts: 2, mode }),
             Err(e) if !is_retryable(&e) => return Err(e),
             Err(_) => {}
@@ -485,7 +483,7 @@ impl AutoGemm {
         let rung_opts = Self::deduct_deadline(opts, start)?;
         self.metrics.add(Counter::RetryAttempts, 1);
         let mode = ResilientMode::ScalarTransient;
-        self.run_supervised(m, n, k, a, b, c, &rung_opts, mode, None)
+        self.run_supervised(m, n, k, a, b, c, &rung_opts, mode, false)
             .map(|_| ResilientReport { attempts: 3, mode })
     }
 
@@ -573,7 +571,7 @@ impl AutoGemm {
     /// selection: a ThreadedDriver quarantine changes the plan
     /// (single-thread `k_c`), not just the worker count.
     ///
-    /// With a recorder (`rec`) the driver returns the call's report and
+    /// With `record` the driver returns the call's report and
     /// this path stamps its `health`, `pool`, `integrity` and `dispatch`
     /// sections; degenerate shapes run nothing and return `Ok(None)`.
     #[allow(clippy::too_many_arguments)]
@@ -587,7 +585,7 @@ impl AutoGemm {
         c: &mut [f32],
         opts: &GemmOptions,
         rung: ResilientMode,
-        rec: Option<&Arc<Session>>,
+        record: bool,
     ) -> Result<Option<crate::GemmReport>, GemmError> {
         let t0 = self.metrics.call_begin();
         let mut plan_miss = false;
@@ -608,7 +606,7 @@ impl AutoGemm {
             let (mut result, route, routing, cache_hit) = match gemv::fast_route(m, n, k) {
                 Some(route) => {
                     let run =
-                        gemv::try_fast_supervised(route, m, n, k, a, b, c, threads, &sup, rec);
+                        gemv::try_fast_supervised(route, m, n, k, a, b, c, threads, &sup, record);
                     let unpacked = OperandRouting { pack_a: false, pack_b: false };
                     (run, route.name(), unpacked, false)
                 }
@@ -618,7 +616,7 @@ impl AutoGemm {
                     plan_miss = !hit;
                     let pool = &self.panel_pool;
                     let run = native::try_gemm_with_plan_supervised(
-                        &plan, a, b, c, threads, pool, &sup, rec,
+                        &plan, a, b, c, threads, pool, &sup, record,
                     );
                     (run, "block", plan.routing, hit)
                 }
@@ -760,7 +758,7 @@ impl AutoGemm {
         self.breaker.record(&sup.observed, reroute, adm.probe, neutral)
     }
 
-    /// The schema-v7 `integrity` report section: this call's resolved
+    /// The `integrity` report section: this call's resolved
     /// policy plus the engine-lifetime verification counters and timing.
     fn integrity_section(&self, opts: &GemmOptions, verified: bool) -> IntegrityReport {
         let policy = self.resolve_verify(opts);

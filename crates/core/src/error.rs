@@ -76,7 +76,8 @@ pub enum GemmError {
     WorkerPanicked { thread: usize, detail: String },
     /// Panel-buffer allocation failed in the named phase (pool and
     /// unpooled fallback both unavailable — in practice only reachable
-    /// through the `faultinject` feature, since Rust aborts on true OOM).
+    /// through an armed [`crate::faultinject`] plan, since Rust aborts on
+    /// true OOM).
     AllocFailed { phase: &'static str },
     /// A prepacked operand was built for a different plan.
     PlanMismatch {

@@ -1,13 +1,13 @@
 //! Seeded, deterministic fault injection for the native backend.
 //!
-//! Behind the `faultinject` cargo feature (a no-op when off, like
-//! `telemetry`): probes compiled into the hot paths consult a globally
-//! armed [`FaultPlan`] and, at the chosen call, either *degrade* (force
-//! the graceful-degradation path), *fail* (surface a structured
+//! Probes in the native backend consult a globally armed [`FaultPlan`]
+//! and, at the chosen call, either *degrade* (force the
+//! graceful-degradation path), *fail* (surface a structured
 //! [`GemmError`](crate::error::GemmError)) or *panic* (exercise the
-//! worker-panic containment). With the feature off every probe is an
-//! `#[inline(always)]` constant `Ok`, so the release hot loops are
-//! untouched.
+//! worker-panic containment). The probes sit at phase, runner and block
+//! boundaries, never in the micro-tile loops, and with no plan armed a
+//! probe is one relaxed load of a global flag — so the build that ships
+//! is the build the chaos suite (`tests/chaos.rs`) tests.
 //!
 //! Injection sites:
 //!
@@ -57,7 +57,9 @@
 //! dropped instead of observing (or clobbering) a foreign plan. Tests
 //! need no external lock of their own for *arming*; a suite-level lock
 //! is still useful when a test wants to assert global side effects (the
-//! chaos suite keeps one to scope its panic-hook silencer).
+//! chaos suite keeps one to scope its panic-hook silencer). Every test
+//! that arms a plan lives in `tests/chaos.rs`, its own process, so no
+//! other test binary ever meets an armed probe.
 //!
 //! Note `FaultPlan::seeded` deliberately draws only from the three
 //! original sites — never `WorkerHeartbeat`, `PoolSubmit` or
@@ -66,6 +68,9 @@
 //! corrupt output; stalls, pool-submission faults and output corruption
 //! are exercised by dedicated watchdog/pool/integrity tests and the
 //! soak driver.
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// A place in the native backend where a fault can be injected.
 ///
@@ -94,7 +99,6 @@ pub enum FaultSite {
 }
 
 impl FaultSite {
-    #[cfg_attr(not(feature = "faultinject"), allow(dead_code))]
     pub(crate) fn index(self) -> usize {
         match self {
             FaultSite::PackAlloc => 0,
@@ -182,7 +186,6 @@ pub enum Trigger {
 }
 
 impl Trigger {
-    #[cfg_attr(not(feature = "faultinject"), allow(dead_code))]
     fn matches(self, call: u64) -> bool {
         match self {
             Trigger::Nth(n) => call == n.max(1),
@@ -279,124 +282,105 @@ pub enum Probe {
     Corrupt { elements: usize },
 }
 
-#[cfg(feature = "faultinject")]
-mod armed {
-    use super::{FaultAction, FaultPlan, FaultSite, Probe};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex};
+struct ArmedState {
+    plan: FaultPlan,
+    calls: [AtomicU64; 6],
+    fired: AtomicU64,
+}
 
-    pub(super) struct ArmedState {
-        plan: FaultPlan,
-        calls: [AtomicU64; 6],
-        fired: AtomicU64,
-    }
+static ANY_ARMED: AtomicBool = AtomicBool::new(false);
+static STATE: Mutex<Option<Arc<ArmedState>>> = Mutex::new(None);
+/// Serializes armed plans across threads: held (via the `ArmGuard`) from
+/// `arm` until the guard drops, so concurrently-running tests queue up
+/// instead of observing each other's plans.
+static ARM_SERIAL: Mutex<()> = Mutex::new(());
 
-    static ANY_ARMED: AtomicBool = AtomicBool::new(false);
-    static STATE: Mutex<Option<Arc<ArmedState>>> = Mutex::new(None);
-    /// Serializes armed plans across threads: held (via the `ArmGuard`)
-    /// from `arm` until the guard drops, so concurrently-running tests
-    /// queue up instead of observing each other's plans.
-    static ARM_SERIAL: Mutex<()> = Mutex::new(());
+/// Disarms the global plan on drop; reports how many faults fired.
+///
+/// Holds the arming serialization lock for its whole lifetime (see the
+/// module-docs concurrency rule), so at most one plan is ever visible to
+/// the probes and a second `arm` blocks rather than clobbering it.
+/// Consequence: never call `arm` twice on the same thread while a guard
+/// is alive — that self-deadlocks by design.
+pub struct ArmGuard {
+    state: Arc<ArmedState>,
+    _serial: std::sync::MutexGuard<'static, ()>,
+}
 
-    /// Disarms the global plan on drop; reports how many faults fired.
-    ///
-    /// Holds the arming serialization lock for its whole lifetime (see
-    /// the module-docs concurrency rule), so at most one plan is ever
-    /// visible to the probes and a second `arm` blocks rather than
-    /// clobbering it. Consequence: never call `arm` twice on the same
-    /// thread while a guard is alive — that self-deadlocks by design.
-    pub struct ArmGuard {
-        state: Arc<ArmedState>,
-        _serial: std::sync::MutexGuard<'static, ()>,
-    }
-
-    impl ArmGuard {
-        /// How many injections have actually triggered so far.
-        pub fn fired(&self) -> u64 {
-            self.state.fired.load(Ordering::Relaxed)
-        }
-    }
-
-    impl Drop for ArmGuard {
-        fn drop(&mut self) {
-            let mut slot = STATE.lock().unwrap_or_else(|e| e.into_inner());
-            ANY_ARMED.store(false, Ordering::SeqCst);
-            *slot = None;
-            // `_serial` is released after this, once the plan is gone.
-        }
-    }
-
-    /// Arm `plan` globally. The returned guard disarms on drop. Arming
-    /// is serialized: if another guard is alive (on any thread), this
-    /// call blocks until it drops — concurrent `#[test]`s can therefore
-    /// arm freely without observing each other's plans.
-    pub fn arm(plan: FaultPlan) -> ArmGuard {
-        let serial = ARM_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let state = Arc::new(ArmedState {
-            plan,
-            calls: std::array::from_fn(|_| AtomicU64::new(0)),
-            fired: AtomicU64::new(0),
-        });
-        let mut slot = STATE.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert!(slot.is_none(), "serialization lock held but a plan is armed");
-        *slot = Some(Arc::clone(&state));
-        ANY_ARMED.store(true, Ordering::SeqCst);
-        drop(slot);
-        ArmGuard { state, _serial: serial }
-    }
-
-    #[inline]
-    pub(crate) fn probe(site: FaultSite) -> Probe {
-        if !ANY_ARMED.load(Ordering::Relaxed) {
-            return Probe::Ok;
-        }
-        probe_armed(site)
-    }
-
-    #[cold]
-    fn probe_armed(site: FaultSite) -> Probe {
-        let state = {
-            let slot = STATE.lock().unwrap_or_else(|e| e.into_inner());
-            match slot.as_ref() {
-                Some(s) => Arc::clone(s),
-                None => return Probe::Ok,
-            }
-        };
-        let call = state.calls[site.index()].fetch_add(1, Ordering::SeqCst) + 1;
-        for spec in &state.plan.specs {
-            if spec.site == site && spec.trigger.matches(call) {
-                state.fired.fetch_add(1, Ordering::SeqCst);
-                match spec.action {
-                    FaultAction::Degrade => return Probe::Degrade,
-                    FaultAction::Fail => return Probe::Fail,
-                    FaultAction::Panic => {
-                        panic!("injected fault at {site:?} (call {call})")
-                    }
-                    FaultAction::Stall(ms) => return Probe::Stall(ms),
-                    FaultAction::CorruptOutput { elements } => return Probe::Corrupt { elements },
-                }
-            }
-        }
-        Probe::Ok
+impl ArmGuard {
+    /// How many injections have actually triggered so far.
+    pub fn fired(&self) -> u64 {
+        self.state.fired.load(Ordering::Relaxed)
     }
 }
 
-#[cfg(feature = "faultinject")]
-pub use armed::{arm, ArmGuard};
+impl Drop for ArmGuard {
+    fn drop(&mut self) {
+        let mut slot = STATE.lock().unwrap_or_else(|e| e.into_inner());
+        ANY_ARMED.store(false, Ordering::SeqCst);
+        *slot = None;
+        // `_serial` is released after this, once the plan is gone.
+    }
+}
 
-/// Consult the armed plan at `site`. With the `faultinject` feature off
-/// this is a constant `Probe::Ok` the optimizer erases.
+/// Arm `plan` globally. The returned guard disarms on drop. Arming is
+/// serialized: if another guard is alive (on any thread), this call
+/// blocks until it drops — concurrent `#[test]`s can therefore arm
+/// freely without observing each other's plans.
+pub fn arm(plan: FaultPlan) -> ArmGuard {
+    let serial = ARM_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let state = Arc::new(ArmedState {
+        plan,
+        calls: std::array::from_fn(|_| AtomicU64::new(0)),
+        fired: AtomicU64::new(0),
+    });
+    let mut slot = STATE.lock().unwrap_or_else(|e| e.into_inner());
+    debug_assert!(slot.is_none(), "serialization lock held but a plan is armed");
+    *slot = Some(Arc::clone(&state));
+    ANY_ARMED.store(true, Ordering::SeqCst);
+    drop(slot);
+    ArmGuard { state, _serial: serial }
+}
+
+/// Whether any plan is armed: the one relaxed load a disarmed probe
+/// costs.
+#[inline(always)]
+pub(crate) fn armed() -> bool {
+    ANY_ARMED.load(Ordering::Relaxed)
+}
+
+/// Consult the armed plan at `site`.
 #[inline(always)]
 pub(crate) fn probe(site: FaultSite) -> Probe {
-    #[cfg(feature = "faultinject")]
-    {
-        armed::probe(site)
+    if !armed() {
+        return Probe::Ok;
     }
-    #[cfg(not(feature = "faultinject"))]
-    {
-        let _ = site;
-        Probe::Ok
+    probe_armed(site)
+}
+
+#[cold]
+fn probe_armed(site: FaultSite) -> Probe {
+    let state = {
+        let slot = STATE.lock().unwrap_or_else(|e| e.into_inner());
+        match slot.as_ref() {
+            Some(s) => Arc::clone(s),
+            None => return Probe::Ok,
+        }
+    };
+    let call = state.calls[site.index()].fetch_add(1, Ordering::SeqCst) + 1;
+    for spec in &state.plan.specs {
+        if spec.site == site && spec.trigger.matches(call) {
+            state.fired.fetch_add(1, Ordering::SeqCst);
+            match spec.action {
+                FaultAction::Degrade => return Probe::Degrade,
+                FaultAction::Fail => return Probe::Fail,
+                FaultAction::Panic => panic!("injected fault at {site:?} (call {call})"),
+                FaultAction::Stall(ms) => return Probe::Stall(ms),
+                FaultAction::CorruptOutput { elements } => return Probe::Corrupt { elements },
+            }
+        }
     }
+    Probe::Ok
 }
 
 #[cfg(test)]
@@ -468,41 +452,5 @@ mod tests {
             FaultAction::CorruptOutput { elements: 3 }.to_string(),
             "corrupt-output(3 elements)"
         );
-    }
-
-    /// The satellite fix for ISSUE 5: two threads arming concurrently
-    /// serialize — neither ever observes (or clobbers) the other's plan.
-    #[cfg(feature = "faultinject")]
-    #[test]
-    fn concurrent_arming_serializes_instead_of_clobbering() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-
-        let live = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for i in 0..4u64 {
-            let live = Arc::clone(&live);
-            let peak = Arc::clone(&peak);
-            handles.push(std::thread::spawn(move || {
-                let plan = FaultPlan::single(
-                    FaultSite::PackAlloc,
-                    FaultAction::Degrade,
-                    Trigger::Nth(1 + i),
-                );
-                let guard = arm(plan);
-                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                live.fetch_sub(1, Ordering::SeqCst);
-                drop(guard);
-            }));
-        }
-        for h in handles {
-            h.join().expect("arming thread panicked");
-        }
-        assert_eq!(peak.load(Ordering::SeqCst), 1, "two plans were armed at once");
-        // Everything disarmed afterwards.
-        assert_eq!(probe(FaultSite::PackAlloc), Probe::Ok);
     }
 }

@@ -43,9 +43,7 @@ use crate::native::{self, micro_kernel_ref, CTile, RunConfig};
 use crate::runtime::Exec;
 use crate::supervisor::{BreakerPath, RunMonitor, Supervision};
 use crate::telemetry::clock::Stamp;
-use crate::telemetry::report::GemmReport;
-use crate::telemetry::session::{self, Session};
-use std::sync::Arc;
+use crate::telemetry::report::{GemmReport, TileCount};
 
 /// Largest `k` the small-`k` route takes over from the block driver: at
 /// or below this the whole K extent fits the kernel's accumulator pass
@@ -113,7 +111,6 @@ fn row_chunk<const NRV: usize, const NR: usize>(
     n: usize,
     c: CTile,
 ) {
-    session::record_tile(1, NR);
     if reference {
         micro_kernel_ref::<1, NR>(k, a_row, k, b, n, c, false, 1, NR);
     } else {
@@ -139,40 +136,19 @@ fn row_gemv_range(
 ) {
     let mut j = j0;
     while j1 - j >= 4 {
-        let rem = j1 - j;
         // SAFETY: this worker owns columns [j0, j1) of the row.
         let c = unsafe { c_row.offset(0, j) };
         let bj = &b[j..];
-        let taken = match rem {
-            r if r >= 28 => {
-                row_chunk::<7, 28>(reference, k, a_row, bj, n, c);
-                28
-            }
-            r if r >= 24 => {
-                row_chunk::<6, 24>(reference, k, a_row, bj, n, c);
-                24
-            }
-            r if r >= 20 => {
-                row_chunk::<5, 20>(reference, k, a_row, bj, n, c);
-                20
-            }
-            r if r >= 16 => {
-                row_chunk::<4, 16>(reference, k, a_row, bj, n, c);
-                16
-            }
-            r if r >= 12 => {
-                row_chunk::<3, 12>(reference, k, a_row, bj, n, c);
-                12
-            }
-            r if r >= 8 => {
-                row_chunk::<2, 8>(reference, k, a_row, bj, n, c);
-                8
-            }
-            _ => {
-                row_chunk::<1, 4>(reference, k, a_row, bj, n, c);
-                4
-            }
-        };
+        let taken = row_chunk_width(j1 - j);
+        match taken {
+            28 => row_chunk::<7, 28>(reference, k, a_row, bj, n, c),
+            24 => row_chunk::<6, 24>(reference, k, a_row, bj, n, c),
+            20 => row_chunk::<5, 20>(reference, k, a_row, bj, n, c),
+            16 => row_chunk::<4, 16>(reference, k, a_row, bj, n, c),
+            12 => row_chunk::<3, 12>(reference, k, a_row, bj, n, c),
+            8 => row_chunk::<2, 8>(reference, k, a_row, bj, n, c),
+            _ => row_chunk::<1, 4>(reference, k, a_row, bj, n, c),
+        }
         j += taken;
     }
     let rem = j1 - j;
@@ -183,7 +159,6 @@ fn row_gemv_range(
         // the same fused ascending-k chain per stored cell as the wide
         // chunks, without the libm `fmaf` a scalar loop would pay. The
         // call builds that panel once ([`shared_lane_pad`]).
-        session::record_tile(1, 4);
         // SAFETY: this worker owns columns [j0, j1) of the row.
         let c = unsafe { c_row.offset(0, j) };
         if reference {
@@ -192,6 +167,12 @@ fn row_gemv_range(
             micro_kernel_simd::<1, 1>(k, a_row, k, pad, 4, c, false, 1, rem);
         }
     }
+}
+
+/// Width of the next row-route chunk with `rem ≥ σ_lane` columns left:
+/// the widest menu `n_r` (a lane multiple, at most 28) that fits.
+fn row_chunk_width(rem: usize) -> usize {
+    (rem / 4 * 4).min(28)
 }
 
 /// Rows per `(m_r, 4)` tile on the column route — the widest menu tile
@@ -215,7 +196,6 @@ fn pad_lane_tail(k: usize, b: &[f32], n: usize, j: usize, w: usize) -> Vec<f32> 
 /// One `(MR, 4)` tile of the column route: `MR` real rows of A against
 /// the lane-padded column, storing lane 0 only.
 fn col_tile<const MR: usize>(reference: bool, k: usize, a: &[f32], b_pad: &[f32], c: CTile) {
-    session::record_tile(MR, 4);
     if reference {
         micro_kernel_ref::<MR, 4>(k, a, k, b_pad, 4, c, false, MR, 1);
     } else {
@@ -248,28 +228,27 @@ fn col_gemv_rows(
 ) {
     let mut i = i0;
     while i < i1 {
-        let rem = i1 - i;
         let a_sl = &a[i * k..];
         // SAFETY: this worker owns rows [i0, i1) of the column.
         let c = unsafe { c_root.offset(i, 0) };
-        i += match rem {
-            r if r >= COL_MR => {
-                col_tile::<COL_MR>(reference, k, a_sl, b_pad, c);
-                COL_MR
-            }
-            r if r >= 4 => {
-                col_tile::<4>(reference, k, a_sl, b_pad, c);
-                4
-            }
-            r if r >= 2 => {
-                col_tile::<2>(reference, k, a_sl, b_pad, c);
-                2
-            }
-            _ => {
-                col_tile::<1>(reference, k, a_sl, b_pad, c);
-                1
-            }
-        };
+        let rows = col_tile_rows(i1 - i);
+        match rows {
+            COL_MR => col_tile::<COL_MR>(reference, k, a_sl, b_pad, c),
+            4 => col_tile::<4>(reference, k, a_sl, b_pad, c),
+            2 => col_tile::<2>(reference, k, a_sl, b_pad, c),
+            _ => col_tile::<1>(reference, k, a_sl, b_pad, c),
+        }
+        i += rows;
+    }
+}
+
+/// Height of the next column-route tile with `rem ≥ 1` rows left.
+fn col_tile_rows(rem: usize) -> usize {
+    match rem {
+        r if r >= COL_MR => COL_MR,
+        r if r >= 4 => 4,
+        r if r >= 2 => 2,
+        _ => 1,
     }
 }
 
@@ -298,6 +277,51 @@ fn unit_count(route: FastRoute, m: usize, n: usize) -> usize {
     }
 }
 
+/// The `C` range unit `u` owns: columns `[lo, hi)` of the single row on
+/// the row route, rows `[lo, hi)` on the others.
+fn unit_span(route: FastRoute, u: usize, m: usize, n: usize) -> (usize, usize) {
+    let (chunk, len) = match route {
+        FastRoute::RowGemv => (COL_CHUNK, n),
+        FastRoute::ColGemv => (ROW_CHUNK, m),
+        FastRoute::SmallK => (SMALLK_ROWS, m),
+    };
+    (u * chunk, ((u + 1) * chunk).min(len))
+}
+
+/// The kernel-shape histogram of a completed fast-route run: the tiles
+/// every unit dispatches, following the same chunking steps as
+/// [`row_gemv_range`] and [`col_gemv_rows`].
+fn fast_tiles(route: FastRoute, m: usize, n: usize) -> Vec<TileCount> {
+    let mut tiles = Vec::new();
+    let row = |tiles: &mut Vec<(usize, usize, u64)>, j0: usize, j1: usize, rows: u64| {
+        let mut j = j0;
+        while j1 - j >= 4 {
+            let w = row_chunk_width(j1 - j);
+            tiles.push((1, w, rows));
+            j += w;
+        }
+        if j < j1 {
+            tiles.push((1, 4, rows));
+        }
+    };
+    for u in 0..unit_count(route, m, n) {
+        let (lo, hi) = unit_span(route, u, m, n);
+        match route {
+            FastRoute::RowGemv => row(&mut tiles, lo, hi, 1),
+            FastRoute::SmallK => row(&mut tiles, 0, n, (hi - lo) as u64),
+            FastRoute::ColGemv => {
+                let mut i = lo;
+                while i < hi {
+                    let rows = col_tile_rows(hi - i);
+                    tiles.push((rows, 4, 1));
+                    i += rows;
+                }
+            }
+        }
+    }
+    TileCount::histogram(tiles)
+}
+
 /// Execute one claimed unit. Units partition `C` (column ranges of the
 /// single row, or disjoint row ranges), so the [`CTile`] ownership
 /// contract holds per unit.
@@ -314,22 +338,11 @@ fn run_unit(
     pad: &[f32],
     c_root: CTile,
 ) {
+    let (lo, hi) = unit_span(route, u, m, n);
     match route {
-        FastRoute::RowGemv => {
-            let j0 = u * COL_CHUNK;
-            let j1 = (j0 + COL_CHUNK).min(n);
-            row_gemv_range(reference, k, &a[..k], b, n, c_root, j0, j1, pad);
-        }
-        FastRoute::ColGemv => {
-            let i0 = u * ROW_CHUNK;
-            let i1 = (i0 + ROW_CHUNK).min(m);
-            col_gemv_rows(reference, k, a, pad, c_root, i0, i1);
-        }
-        FastRoute::SmallK => {
-            let i0 = u * SMALLK_ROWS;
-            let i1 = (i0 + SMALLK_ROWS).min(m);
-            smallk_rows(reference, n, k, a, b, pad, c_root, i0, i1);
-        }
+        FastRoute::RowGemv => row_gemv_range(reference, k, &a[..k], b, n, c_root, lo, hi, pad),
+        FastRoute::ColGemv => col_gemv_rows(reference, k, a, pad, c_root, lo, hi),
+        FastRoute::SmallK => smallk_rows(reference, n, k, a, b, pad, c_root, lo, hi),
     }
     // Chaos hook: `FaultSite::KernelCompute` fires after the unit's
     // stores land, perturbing cells inside the unit's owned region of
@@ -337,30 +350,14 @@ fn run_unit(
     // driver's hook in [`crate::native`]).
     if let faultinject::Probe::Corrupt { elements } = faultinject::probe(FaultSite::KernelCompute) {
         let salt = 0x4745_4D56_0000_0000 | u as u64;
-        match route {
-            FastRoute::RowGemv => {
-                let j0 = u * COL_CHUNK;
-                let j1 = (j0 + COL_CHUNK).min(n);
-                // SAFETY: cols [j0, j1) of the single row are owned by
-                // this unit.
-                let region = unsafe { c_root.offset(0, j0) };
-                crate::native::corrupt_c_region(&region, 1, j1 - j0, elements, salt);
-            }
-            FastRoute::ColGemv => {
-                let i0 = u * ROW_CHUNK;
-                let i1 = (i0 + ROW_CHUNK).min(m);
-                // SAFETY: rows [i0, i1) are owned by this unit.
-                let region = unsafe { c_root.offset(i0, 0) };
-                crate::native::corrupt_c_region(&region, i1 - i0, 1, elements, salt);
-            }
-            FastRoute::SmallK => {
-                let i0 = u * SMALLK_ROWS;
-                let i1 = (i0 + SMALLK_ROWS).min(m);
-                // SAFETY: rows [i0, i1) are owned by this unit.
-                let region = unsafe { c_root.offset(i0, 0) };
-                crate::native::corrupt_c_region(&region, i1 - i0, n, elements, salt);
-            }
-        }
+        let (origin, rows, cols) = match route {
+            FastRoute::RowGemv => ((0, lo), 1, hi - lo),
+            FastRoute::ColGemv => ((lo, 0), hi - lo, 1),
+            FastRoute::SmallK => ((lo, 0), hi - lo, n),
+        };
+        // SAFETY: the region is the `C` range this unit owns.
+        let region = unsafe { c_root.offset(origin.0, origin.1) };
+        crate::native::corrupt_c_region(&region, rows, cols, elements, salt);
     }
 }
 
@@ -390,12 +387,11 @@ fn smallk_rows(
 /// ([`native::try_drain`]). The caller (the engine front door) has
 /// already validated the operands and handled zero-sized dimensions.
 ///
-/// `rec` is the optional per-call recorder, as for
-/// [`native::try_gemm_with_plan_supervised`]: with a [`Session`] the call
-/// returns its [`GemmReport`], otherwise `Ok(None)`. The fast routes have
-/// no cache blocking, so the report's `mc/nc/kc` echo the problem shape,
-/// and no packing, so the pack phase times and counters stay zero. The
-/// engine stamps `dispatch` and `health` after the call.
+/// With `record`, as for [`native::try_gemm_with_plan_supervised`], the
+/// call returns its [`GemmReport`], otherwise `Ok(None)`. The fast routes
+/// have no cache blocking, so the report's `mc/nc/kc` echo the problem
+/// shape, and no packing, so the pack phase times and counters stay
+/// zero. The engine stamps `dispatch` and `health` after the call.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_fast_supervised(
     route: FastRoute,
@@ -407,29 +403,32 @@ pub(crate) fn try_fast_supervised(
     c: &mut [f32],
     threads: usize,
     sup: &Supervision,
-    rec: Option<&Arc<Session>>,
+    record: bool,
 ) -> Result<Option<GemmReport>, GemmError> {
     let cfg = RunConfig::probe(sup, threads)?;
     let exec = Exec::new(sup, cfg.pool_inline);
-    let t0 = rec.is_some().then(Stamp::now);
+    let t0 = record.then(Stamp::now);
     // SAFETY: units partition C's cells; each is claimed by one worker.
     let c_root = unsafe { CTile::new(c.as_mut_ptr(), n, c.len()) };
     let monitor = RunMonitor::new(sup, threads.max(1));
     let watchdog = exec.runtime().watch(&monitor);
     monitor.begin_phase();
     let pad = shared_lane_pad(route, n, k, b);
-    let result = native::try_drain(unit_count(route, m, n), threads, &exec, &monitor, rec, |u| {
-        run_unit(route, u, cfg.reference, m, n, k, a, b, &pad, c_root)
-    });
+    let result =
+        native::try_drain(unit_count(route, m, n), threads, &exec, &monitor, record, |u| {
+            run_unit(route, u, cfg.reference, m, n, k, a, b, &pad, c_root)
+        });
     monitor.finish();
     drop(watchdog);
     if matches!(result, Err(GemmError::WorkerPanicked { .. }) | Err(GemmError::Stalled { .. })) {
         sup.observe_fault(BreakerPath::ThreadedDriver);
     }
     let section = result?;
-    let (Some(sess), Some(section), Some(t0)) = (rec, section, t0) else { return Ok(None) };
+    let (Some(section), Some(t0)) = (section, t0) else { return Ok(None) };
     let shape = GemmReport { m, n, k, mc: m, nc: n, kc: k, ..GemmReport::default() };
-    Ok(Some(section.into_report(shape, t0, sess, cfg.fallbacks)))
+    let mut report = section.into_report(shape, t0, cfg.fallbacks);
+    report.tiles = fast_tiles(route, m, n);
+    Ok(Some(report))
 }
 
 #[cfg(test)]
@@ -499,7 +498,7 @@ mod tests {
                     &mut c,
                     threads,
                     &Supervision::none(),
-                    None,
+                    false,
                 )
                 .expect("fast route runs");
                 assert_eq!(c, naive(m, n, k, &a, &b), "({m},{n},{k}) t{threads} {route:?}");
@@ -509,15 +508,14 @@ mod tests {
 
     #[test]
     fn traced_fast_route_is_bit_identical_and_structured() {
-        // One driver, recorder off vs on: the recorder only observes.
+        // One driver, recording off vs on: recording only observes.
         let (m, n, k) = (1usize, 200usize, 48usize);
         let (mut a, mut b) = (vec![0.0f32; m * k], vec![0.0f32; k * n]);
         fill(&mut a, 3);
         fill(&mut b, 11);
-        let sess = Arc::new(Session::new());
         let mut outs = Vec::new();
         let mut reports = Vec::new();
-        for rec in [None, Some(&sess)] {
+        for rec in [false, true] {
             let mut c = vec![0.0f32; m * n];
             let sup = Supervision::none();
             let r = try_fast_supervised(FastRoute::RowGemv, m, n, k, &a, &b, &mut c, 2, &sup, rec)
@@ -532,5 +530,9 @@ mod tests {
         assert_eq!((report.mc, report.nc, report.kc), (m, n, k), "no cache blocking");
         assert_eq!(report.packs.a_packs + report.packs.b_packs, 0, "no packing");
         assert!(report.threads >= 1);
+        // 200 columns: seven 28-wide chunks, then a 4-column lane tail.
+        let tiles: Vec<_> = report.tiles.iter().map(|t| (t.mr, t.nr, t.count)).collect();
+        assert_eq!(tiles, vec![(1, 4, 1), (1, 28, 7)]);
+        assert!(report.wall.wall_ns > 0 && report.phases.kernel.wall_ns > 0, "live clocks");
     }
 }

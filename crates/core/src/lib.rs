@@ -36,7 +36,7 @@
 //!   plans, shared by both backends;
 //! * [`packing`] — operand packing (`none` / `offline` / `online`) with the
 //!   generated kernels' padding contract plus the panel buffer pool
-//!   (pack-call accounting lives in the telemetry session);
+//!   and a per-thread tally of packed panels;
 //! * [`simd`] — the explicit SIMD lane layer: a 4-lane `f32` vector
 //!   over NEON (aarch64), SSE2/FMA (x86_64, FMA runtime-detected) or a
 //!   portable array fallback, plus the cached backend probe;
@@ -56,13 +56,13 @@
 //!   per-engine) pool of long-lived workers parked between submissions —
 //!   no per-call thread spawn on the threaded hot path — plus the shared
 //!   watchdog-hub monitor thread serving per-run heartbeat
-//!   registrations; pool counters surface in the schema-v4 `pool`
+//!   registrations; pool counters surface in the `pool`
 //!   report section and [`AutoGemm::pool_stats`];
 //! * [`simexec`] — the simulated backend: executes the generated virtual-ISA
 //!   kernels block-by-block on the pipeline model, memoizing per-block
 //!   cycle counts, and composes multi-core makespans;
-//! * [`telemetry`] — the per-GEMM observability layer: scoped wall/cycle
-//!   timers behind the `telemetry` feature, per-phase and per-thread
+//! * [`telemetry`] — the per-GEMM observability layer: wall/cycle
+//!   stamps read only by recording calls, per-phase and per-thread
 //!   profiles from recording driver calls, the dispatched kernel-shape
 //!   histogram, and versioned-JSON [`telemetry::GemmReport`]s joined
 //!   against the perfmodel projection (the measured-vs-model feedback
@@ -76,12 +76,12 @@
 //!   surface: [`GemmError`], the panic policy, the untouched-`C`
 //!   guarantee and worker-panic containment;
 //! * [`faultinject`] — the seeded deterministic fault-injection harness
-//!   (behind the `faultinject` feature, a no-op otherwise) that drives
-//!   the chaos test suite;
+//!   (one relaxed load per probe while disarmed) that drives the chaos
+//!   test suite;
 //! * [`supervisor`] — the execution-supervision layer: deadlines and
 //!   cooperative cancellation ([`CancelToken`] / [`GemmOptions`]), the
 //!   opt-in stuck-worker watchdog, the per-engine backend-quarantine
-//!   circuit breaker surfaced in the schema-v2 `health` report section,
+//!   circuit breaker surfaced in the `health` report section,
 //!   and the bounded retry-with-degradation ladder behind
 //!   [`AutoGemm::try_gemm_resilient`];
 //! * [`verify`] — the always-compiled output-integrity layer:

@@ -39,14 +39,16 @@
 //! historical per-block path ([`gemm_with_plan_repack`]), so results are
 //! bit-identical.
 //!
-//! ## One driver, optional recorder
+//! ## One driver, optional recording
 //!
 //! [`try_gemm_with_plan_supervised`] is the one block driver every
 //! entry point reaches. Tracing is not a second copy of it: the caller
-//! passes an optional [`Session`] recorder, and the same body then also
-//! times its phases, profiles each worker and tallies packs and tiles
-//! into a [`GemmReport`]. Without one it reads no telemetry clock, takes
-//! no profile lock and allocates no profile. The work-unit drain every
+//! passes `record = true`, and the same body then also times its phases,
+//! profiles each worker, sums each pack runner's panel tally and derives
+//! the kernel-shape histogram from the plan into a [`GemmReport`].
+//! Without it the driver reads no telemetry clock, takes no profile lock
+//! and allocates no profile; the per-tile path is the same either way.
+//! The work-unit drain every
 //! kernel section shares (cancellation, heartbeats, panic containment,
 //! per-worker profiles) lives once, in `try_drain`, used by this driver
 //! and the GEMV/small-`k` fast routes alike.
@@ -56,21 +58,20 @@ use crate::faultinject::{self, FaultSite, Probe};
 use crate::kernels::Operand;
 use crate::offline::PackedB;
 use crate::packing::{
-    a_panel_len, b_panel_len, pack_a, pack_a_into, pack_b, pack_b_into, PackedBlock, PanelPool,
+    a_panel_len, b_panel_len, pack_a, pack_a_into, pack_b, pack_b_into, thread_pack_counts,
+    PackedBlock, PanelPool,
 };
 use crate::plan::ExecutionPlan;
 use crate::runtime::Exec;
 use crate::supervisor::{BreakerPath, RunMonitor, Supervision};
 use crate::telemetry::clock::Stamp;
 use crate::telemetry::report::{
-    FallbackStats, GemmReport, PackStats, PhaseProfile, PhaseTimes, ThreadProfile,
+    FallbackStats, GemmReport, PackStats, PhaseProfile, PhaseTimes, ThreadProfile, TileCount,
 };
-use crate::telemetry::session::{self, Session};
 use autogemm_tiling::TilePlacement;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Shared poison flag for one parallel section. The first panicking
 /// worker records its index and payload here; survivors poll
@@ -121,19 +122,15 @@ fn contain<R>(f: impl FnOnce() -> R) -> Result<R, GemmError> {
 }
 
 /// Consult the fault-injection plan at `site` from the caller thread,
-/// containing an injected panic as a worker-0 panic. Compiles to
-/// `Ok(Probe::Ok)` without the `faultinject` feature.
+/// containing an injected panic as a worker-0 panic. With no plan armed
+/// this is one relaxed load: the `catch_unwind` is only entered when a
+/// plan could fire.
 #[inline(always)]
 fn probe_contained(site: FaultSite) -> Result<Probe, GemmError> {
-    #[cfg(feature = "faultinject")]
-    {
-        contain(|| faultinject::probe(site))
+    if !faultinject::armed() {
+        return Ok(Probe::Ok);
     }
-    #[cfg(not(feature = "faultinject"))]
-    {
-        let _ = site;
-        Ok(Probe::Ok)
-    }
+    contain(|| faultinject::probe(site))
 }
 
 /// Setup-phase degradation decisions for one run, made (and contained)
@@ -439,39 +436,26 @@ fn micro_kernel_dyn(
     eff_cols: usize,
 ) {
     if mr > DYN_MAX_MR || nr > DYN_MAX_NR {
-        for r0 in (0..mr).step_by(DYN_MAX_MR) {
-            let sub_mr = (mr - r0).min(DYN_MAX_MR);
-            let sub_er = eff_rows.saturating_sub(r0).min(sub_mr);
-            for c0 in (0..nr).step_by(DYN_MAX_NR) {
-                let sub_nr = (nr - c0).min(DYN_MAX_NR);
-                let sub_ec = eff_cols.saturating_sub(c0).min(sub_nr);
-                if sub_er == 0 || sub_ec == 0 {
-                    continue;
-                }
-                // SAFETY: the sub-tile stays inside this placement's
-                // effective region, owned by the calling thread.
-                let sub_c = unsafe { c.offset(r0, c0) };
-                micro_kernel_dyn(
-                    sub_mr,
-                    sub_nr,
-                    kc,
-                    &a[r0 * lda..],
-                    lda,
-                    &b[c0..],
-                    ldb,
-                    sub_c,
-                    accumulate,
-                    sub_er,
-                    sub_ec,
-                );
-            }
-        }
+        dyn_chunks(mr, nr, eff_rows, eff_cols, |r0, c0, sub_mr, sub_nr, sub_er, sub_ec| {
+            // SAFETY: the sub-tile stays inside this placement's
+            // effective region, owned by the calling thread.
+            let sub_c = unsafe { c.offset(r0, c0) };
+            micro_kernel_dyn(
+                sub_mr,
+                sub_nr,
+                kc,
+                &a[r0 * lda..],
+                lda,
+                &b[c0..],
+                ldb,
+                sub_c,
+                accumulate,
+                sub_er,
+                sub_ec,
+            );
+        });
         return;
     }
-    // Telemetry: count the leaf shape actually executed — oversized
-    // requests above contribute one record per chunked sub-dispatch, so
-    // histograms never under-count dispatched tiles.
-    session::record_tile(mr, nr);
     let mut acc = [[0.0f32; DYN_MAX_NR]; DYN_MAX_MR];
     if accumulate {
         for (i, row) in acc.iter_mut().enumerate().take(eff_rows) {
@@ -493,6 +477,46 @@ fn micro_kernel_dyn(
         for (j, v) in row.iter().enumerate().take(eff_cols) {
             c.set(i, j, *v);
         }
+    }
+}
+
+/// Split an oversized `mr × nr` request into the independent
+/// `DYN_MAX_MR × DYN_MAX_NR` sub-tiles [`micro_kernel_dyn`] computes,
+/// calling `f(r0, c0, sub_mr, sub_nr, sub_eff_rows, sub_eff_cols)` for
+/// each one that overlaps the `eff_rows × eff_cols` region.
+fn dyn_chunks(
+    mr: usize,
+    nr: usize,
+    eff_rows: usize,
+    eff_cols: usize,
+    mut f: impl FnMut(usize, usize, usize, usize, usize, usize),
+) {
+    for r0 in (0..mr).step_by(DYN_MAX_MR) {
+        let sub_mr = (mr - r0).min(DYN_MAX_MR);
+        let sub_er = eff_rows.saturating_sub(r0).min(sub_mr);
+        for c0 in (0..nr).step_by(DYN_MAX_NR) {
+            let sub_nr = (nr - c0).min(DYN_MAX_NR);
+            let sub_ec = eff_cols.saturating_sub(c0).min(sub_nr);
+            if sub_er > 0 && sub_ec > 0 {
+                f(r0, c0, sub_mr, sub_nr, sub_er, sub_ec);
+            }
+        }
+    }
+}
+
+/// The register-tile shapes [`micro_kernel_dyn`] executes for one
+/// `mr × nr` request: the request itself, or its chunks when oversized.
+fn dyn_leaves(
+    mr: usize,
+    nr: usize,
+    eff_rows: usize,
+    eff_cols: usize,
+    emit: &mut dyn FnMut(usize, usize),
+) {
+    if mr > DYN_MAX_MR || nr > DYN_MAX_NR {
+        dyn_chunks(mr, nr, eff_rows, eff_cols, |_, _, sub_mr, sub_nr, _, _| emit(sub_mr, sub_nr));
+    } else {
+        emit(mr, nr);
     }
 }
 
@@ -559,7 +583,6 @@ fn exec_tile<const MR: usize, const NRV: usize, const NR: usize>(
     eff_rows: usize,
     eff_cols: usize,
 ) {
-    session::record_tile(MR, NR);
     if reference {
         micro_kernel_ref::<MR, NR>(kc, a, lda, b, ldb, c, accumulate, eff_rows, eff_cols);
     } else {
@@ -777,7 +800,6 @@ pub(crate) fn run_placement_operands(
     // validated plan are disjoint.
     let c = unsafe { c_block.offset(p.row, p.col) };
     if is_menu_tile(p.tile.mr, p.tile.nr) {
-        session::record_tile(p.tile.mr, p.tile.nr);
         micro_kernel_edge(
             kc,
             a_sl,
@@ -794,6 +816,49 @@ pub(crate) fn run_placement_operands(
         let ec = p.eff_cols.min(b.avail().saturating_sub(p.col));
         micro_kernel_dyn(er, ec, kc, a_sl, a.ld(), b_sl, b.ld(), c, accumulate, er, ec);
     }
+}
+
+/// The register-tile shapes one placement dispatches against operands
+/// with `a_avail` rows and `b_avail` columns readable from the block
+/// origin (`usize::MAX` for packed panels), resolved exactly as
+/// [`run_placement_operands`] routes it.
+fn placement_leaves(
+    p: &TilePlacement,
+    a_avail: usize,
+    b_avail: usize,
+    emit: &mut dyn FnMut(usize, usize),
+) {
+    let full_tile_safe = p.row + p.tile.mr <= a_avail && p.col + p.tile.nr <= b_avail;
+    if is_menu_tile(p.tile.mr, p.tile.nr) {
+        emit(p.tile.mr, p.tile.nr);
+    } else if full_tile_safe {
+        dyn_leaves(p.tile.mr, p.tile.nr, p.eff_rows, p.eff_cols, emit);
+    } else {
+        let er = p.eff_rows.min(a_avail.saturating_sub(p.row));
+        let ec = p.eff_cols.min(b_avail.saturating_sub(p.col));
+        dyn_leaves(er, ec, er, ec, emit);
+    }
+}
+
+/// The kernel-shape histogram of a completed block-driver run: every
+/// placement of the block plan once per `(block, k-slice)`, against the
+/// operand extents the run's routing gave each block.
+fn block_tiles(plan: &ExecutionPlan, a_packed: bool, b_packed: bool) -> Vec<TileCount> {
+    let s = &plan.schedule;
+    let (tm, tn, tk) = plan.grid();
+    let mut dispatches = Vec::new();
+    for bi in 0..tm {
+        let a_avail = if a_packed { usize::MAX } else { s.m - bi * s.mc };
+        for bj in 0..tn {
+            let b_avail = if b_packed { usize::MAX } else { s.n - bj * s.nc };
+            for p in &plan.block_plan.placements {
+                placement_leaves(p, a_avail, b_avail, &mut |mr, nr| {
+                    dispatches.push((mr, nr, tk as u64))
+                });
+            }
+        }
+    }
+    TileCount::histogram(dispatches)
 }
 
 /// The A-operand source for the cached block driver: packed per-`(bi,
@@ -936,7 +1001,7 @@ pub fn try_gemm_with_plan_pooled(
     threads: usize,
     pool: &PanelPool,
 ) -> Result<(), GemmError> {
-    try_gemm_with_plan_supervised(plan, a, b, c, threads, pool, &Supervision::none(), None)
+    try_gemm_with_plan_supervised(plan, a, b, c, threads, pool, &Supervision::none(), false)
         .map(|_| ())
 }
 
@@ -947,19 +1012,18 @@ pub fn try_gemm_with_plan_pooled(
 /// (one predictable branch per checkpoint, no clock reads) and behavior
 /// is identical to the unsupervised call.
 ///
-/// `rec` is the optional per-call recorder. With `None` the driver takes
-/// no lock, allocates no profile and reads no telemetry clock, and
-/// returns `Ok(None)`. With a [`Session`] it returns the call's
-/// [`GemmReport`]: the phase breakdown (pack-A, pack-B, kernel, drain),
-/// pack counts/bytes, per-thread busy profiles from the work queue, the
-/// kernel-shape histogram actually dispatched and any degradations taken
-/// ([`GemmReport::fallbacks`]). Degenerate shapes report the shape with
-/// no thread profiles. Recording never changes the numeric path: the
-/// same panels are packed and accumulated in the same order, so `C` is
-/// bit-identical either way. Without the `telemetry` feature the
-/// report's timings and counters are zero but its structure is filled
-/// in. The engine stamps the `health`, `dispatch` and `integrity`
-/// sections after the call.
+/// With `record == false` the driver takes no lock, allocates no profile
+/// and reads no telemetry clock, and returns `Ok(None)`. With `record`
+/// it returns the call's [`GemmReport`]: the phase breakdown (pack-A,
+/// pack-B, kernel, drain), the pack counts/bytes the pack runners
+/// measured, per-thread busy profiles from the work queue, the
+/// kernel-shape histogram of the plan under the run's operand routing
+/// and any degradations taken ([`GemmReport::fallbacks`]). Degenerate
+/// shapes report the shape with no thread profiles. Recording never
+/// changes the numeric path: the same panels are packed and accumulated
+/// in the same order, so `C` is bit-identical either way. The engine
+/// stamps the `health`, `dispatch` and `integrity` sections after the
+/// call.
 ///
 /// On [`GemmError::Cancelled`]/[`GemmError::Stalled`] every panel buffer
 /// has been released back to its pool and the plan/pool/engine are
@@ -974,7 +1038,7 @@ pub fn try_gemm_with_plan_supervised(
     threads: usize,
     pool: &PanelPool,
     sup: &Supervision,
-    rec: Option<&Arc<Session>>,
+    record: bool,
 ) -> Result<Option<GemmReport>, GemmError> {
     let s = &plan.schedule;
     let (m, n, k) = (s.m, s.n, s.k);
@@ -984,15 +1048,14 @@ pub fn try_gemm_with_plan_supervised(
         // `k == 0` writes the empty sum; with `m` or `n` zero `C` is
         // empty and the fill is a no-op.
         c.fill(0.0);
-        return Ok(rec.map(|_| shape()));
+        return Ok(record.then(shape));
     }
     let (tm, tn, tk) = plan.grid();
     let routing = plan.routing;
     let mut cfg = RunConfig::probe(sup, threads)?;
     let exec = Exec::new(sup, cfg.pool_inline);
     let transient = PanelPool::new();
-    let traced = rec.is_some();
-    let t0 = traced.then(Stamp::now);
+    let t0 = record.then(Stamp::now);
 
     let monitor = RunMonitor::new(sup, threads.max(1));
     let watchdog = exec.runtime().watch(&monitor);
@@ -1006,11 +1069,15 @@ pub fn try_gemm_with_plan_supervised(
     // checkpoint (so a cancelled call reports the same `phase` it would
     // with packing on) — it just packs nothing.
     let result = (|| {
-        let pa0 = traced.then(Stamp::now);
+        let pa0 = record.then(Stamp::now);
         monitor.begin_phase();
         let a_pool = cfg.pack_pool(pool, &transient, "pack A", sup)?;
+        let mut packs = PackStats::default();
         let a_panels = if routing.pack_a {
-            Some(try_pack_a_panels_supervised(plan, a, threads, a_pool, &exec, &monitor, rec)?)
+            let (panels, a_packs) =
+                try_pack_a_panels_supervised(plan, a, threads, a_pool, &exec, &monitor, record)?;
+            packs += a_packs;
+            Some(panels)
         } else {
             // Poll before resolving: `outcome` reports a cancellation
             // only once `should_stop` has latched it (the packed path
@@ -1025,7 +1092,7 @@ pub fn try_gemm_with_plan_supervised(
                 a_pool.release_blocks(panels);
             }
         };
-        let pb0 = traced.then(Stamp::now);
+        let pb0 = record.then(Stamp::now);
         let b_pool = match cfg.pack_pool(pool, &transient, "pack B", sup) {
             Ok(p) => p,
             Err(e) => {
@@ -1043,16 +1110,19 @@ pub fn try_gemm_with_plan_supervised(
                 &exec,
                 &monitor,
                 "pack B",
-                rec,
+                record,
                 |idx, p| {
                     let (kb, bj) = (idx / tn, idx % tn);
                     pack_b_into(p, b, n, kb * s.kc, bj * s.nc, s.kc, s.nc, plan.sigma_lane);
                 },
             );
-            if let Err(e) = packed {
-                release_a(a_panels);
-                b_pool.release_blocks(panels);
-                return Err(e);
+            match packed {
+                Ok(b_packs) => packs += b_packs,
+                Err(e) => {
+                    release_a(a_panels);
+                    b_pool.release_blocks(panels);
+                    return Err(e);
+                }
             }
             Some(panels)
         } else {
@@ -1084,7 +1154,7 @@ pub fn try_gemm_with_plan_supervised(
             cfg.reference,
             &exec,
             &monitor,
-            rec,
+            record,
         );
 
         // Buffers go back even when the run was poisoned or cancelled: a
@@ -1094,23 +1164,26 @@ pub fn try_gemm_with_plan_supervised(
         if let Some(BPanels::Owned { panels, .. }) = owned_b {
             b_pool.release_blocks(panels);
         }
-        Ok((run?, pack_a_t, pack_b_t))
+        Ok((run?, packs, pack_a_t, pack_b_t))
     })();
     monitor.finish();
     drop(watchdog);
     if matches!(result, Err(GemmError::WorkerPanicked { .. }) | Err(GemmError::Stalled { .. })) {
         sup.observe_fault(BreakerPath::ThreadedDriver);
     }
-    let (section, pack_a_t, pack_b_t) = result?;
-    let (Some(sess), Some(section), Some(t0)) = (rec, section, t0) else { return Ok(None) };
+    let (section, packs, pack_a_t, pack_b_t) = result?;
+    let (Some(section), Some(t0)) = (section, t0) else { return Ok(None) };
     let pack_a = pack_a_t.unwrap_or_default();
     let pack_b = pack_b_t.unwrap_or_default();
     let phases = PhaseProfile { pack_a, pack_b, ..PhaseProfile::default() };
-    Ok(Some(section.into_report(GemmReport { phases, ..shape() }, t0, sess, cfg.fallbacks)))
+    let mut report =
+        section.into_report(GemmReport { phases, packs, ..shape() }, t0, cfg.fallbacks);
+    report.tiles = block_tiles(plan, routing.pack_a, routing.pack_b);
+    Ok(Some(report))
 }
 
-/// What a recorded kernel section measured ([`try_drain`] with a
-/// recorder): the engaged workers' profiles sorted by slot, the
+/// What a recorded kernel section measured ([`try_drain`] with
+/// `record`): the engaged workers' profiles sorted by slot, the
 /// wall/cycle span of the whole section (the `kernel` phase) and the
 /// summed per-thread drain.
 pub(crate) struct SectionProfile {
@@ -1120,43 +1193,23 @@ pub(crate) struct SectionProfile {
 }
 
 impl SectionProfile {
-    /// Complete `report` (whose shape fields the caller filled) with this
-    /// section, the call's wall time since `t0`, the session's pack and
-    /// tile tallies, and the degradations the run took.
+    /// Complete `report` (whose shape and pack fields the caller filled)
+    /// with this section, the call's wall time since `t0`, and
+    /// the degradations the run took.
     pub(crate) fn into_report(
         self,
         report: GemmReport,
         t0: Stamp,
-        sess: &Session,
         fallbacks: FallbackStats,
     ) -> GemmReport {
-        let wall = t0.elapsed();
-        let stats = sess.take();
         GemmReport {
             threads: self.threads.len(),
-            wall,
+            wall: t0.elapsed(),
             phases: PhaseProfile { kernel: self.kernel, drain: self.drain, ..report.phases },
-            packs: PackStats {
-                a_packs: stats.a_packs,
-                b_packs: stats.b_packs,
-                a_bytes: stats.a_bytes,
-                b_bytes: stats.b_bytes,
-            },
-            tiles: stats.tile_counts(),
             thread_profiles: self.threads,
             fallbacks,
             ..report
         }
-    }
-}
-
-/// Run `f` with `rec`'s pack/tile tally installed on this thread, or
-/// bare when the call is not recording.
-#[inline]
-fn with_recorder<R>(rec: Option<&Arc<Session>>, f: impl FnOnce() -> R) -> R {
-    match rec {
-        Some(sess) => session::with_session(sess, f),
-        None => f(),
     }
 }
 
@@ -1173,26 +1226,25 @@ fn with_recorder<R>(rec: Option<&Arc<Session>>, f: impl FnOnce() -> R) -> R {
 /// "kernel"`. Units write whole, so on any of these errors `C` holds a
 /// mix of original and fully computed units (see [`crate::error`]).
 ///
-/// With a recorder each runner also accumulates its unit count and busy
+/// With `record` each runner also accumulates its unit count and busy
 /// time and stamps its finish, so the idle tail can be charged per
-/// thread; without one no clock is read and nothing is collected.
+/// thread; without it no clock is read and nothing is collected.
 pub(crate) fn try_drain<F>(
     units: usize,
     threads: usize,
     exec: &Exec,
     monitor: &RunMonitor,
-    rec: Option<&Arc<Session>>,
+    record: bool,
     run: F,
 ) -> Result<Option<SectionProfile>, GemmError>
 where
     F: Fn(usize) + Sync,
 {
     let threads = threads.max(1).min(units.max(1));
-    let traced = rec.is_some();
-    let section0 = traced.then(Stamp::now);
+    let section0 = record.then(Stamp::now);
     let cursor = AtomicUsize::new(0);
     let poison = Poison::new();
-    let collected = traced.then(|| Mutex::new(Vec::with_capacity(threads)));
+    let collected = record.then(|| Mutex::new(Vec::with_capacity(threads)));
     // Slot-agnostic body: a single-threaded section runs slot 0 inline
     // on the caller; a slot never reached by a pool worker (the pool was
     // busy and slot 0 drained the cursor first) simply contributes no
@@ -1200,25 +1252,23 @@ where
     let body = |t: usize| {
         let mut prof = ThreadProfile { thread: t, ..ThreadProfile::default() };
         let run = catch_unwind(AssertUnwindSafe(|| {
-            with_recorder(rec, || {
-                faultinject::probe(FaultSite::WorkerStartup);
-                loop {
-                    if poison.is_poisoned() || monitor.should_stop() {
-                        break;
-                    }
-                    let u = cursor.fetch_add(1, Ordering::Relaxed);
-                    if u >= units || !heartbeat(monitor, t) {
-                        break;
-                    }
-                    let u0 = traced.then(Stamp::now);
-                    run(u);
-                    if let Some(u0) = u0 {
-                        prof.busy += u0.elapsed();
-                        prof.blocks += 1;
-                    }
-                    monitor.note_done();
+            faultinject::probe(FaultSite::WorkerStartup);
+            loop {
+                if poison.is_poisoned() || monitor.should_stop() {
+                    break;
                 }
-            })
+                let u = cursor.fetch_add(1, Ordering::Relaxed);
+                if u >= units || !heartbeat(monitor, t) {
+                    break;
+                }
+                let u0 = record.then(Stamp::now);
+                run(u);
+                if let Some(u0) = u0 {
+                    prof.busy += u0.elapsed();
+                    prof.blocks += 1;
+                }
+                monitor.note_done();
+            }
         }));
         if let Err(payload) = run {
             poison.record(t, payload);
@@ -1249,7 +1299,7 @@ where
 
 /// Pack all A panels of a plan (indexed `[bi * tk + kb]`) from `pool`
 /// buffers, in parallel when the problem is large enough to pay for it,
-/// tallying the packs into `rec` when the call records.
+/// returning the packs the runners measured when `record` is set.
 /// On error (including cancellation) the acquired buffers are returned
 /// to `pool` first. The caller must have called `monitor.begin_phase()`.
 pub(crate) fn try_pack_a_panels_supervised(
@@ -1259,18 +1309,25 @@ pub(crate) fn try_pack_a_panels_supervised(
     pool: &PanelPool,
     exec: &Exec,
     monitor: &RunMonitor,
-    rec: Option<&Arc<Session>>,
-) -> Result<Vec<PackedBlock>, GemmError> {
+    record: bool,
+) -> Result<(Vec<PackedBlock>, PackStats), GemmError> {
     let s = &plan.schedule;
     let (tm, _, tk) = plan.grid();
     let mut panels = pool.acquire_blocks(tm * tk, a_panel_len(s.mc, s.kc, plan.sigma_lane));
-    let packed =
-        try_pack_panels_parallel(&mut panels, threads, exec, monitor, "pack A", rec, |idx, p| {
+    let packed = try_pack_panels_parallel(
+        &mut panels,
+        threads,
+        exec,
+        monitor,
+        "pack A",
+        record,
+        |idx, p| {
             let (bi, kb) = (idx / tk, idx % tk);
             pack_a_into(p, a, s.k, bi * s.mc, kb * s.kc, s.mc, s.kc, plan.sigma_lane);
-        });
+        },
+    );
     match packed {
-        Ok(()) => Ok(panels),
+        Ok(packs) => Ok((panels, packs)),
         Err(e) => {
             pool.release_blocks(panels);
             Err(e)
@@ -1289,17 +1346,20 @@ pub(crate) fn try_pack_a_panels_supervised(
 /// [`GemmError::WorkerPanicked`] (`C` is untouched — nothing has run
 /// yet). Supervision (deadline/cancel/watchdog heartbeats) is checked at
 /// the same slot boundaries; an interrupted phase reports
-/// [`GemmError::Cancelled`]/[`GemmError::Stalled`] with `phase`. With a
-/// recorder, each runner tallies its packs into the call's session.
+/// [`GemmError::Cancelled`]/[`GemmError::Stalled`] with `phase`. With
+/// `record`, each runner adds the change in its thread's pack tally
+/// ([`thread_pack_counts`]) to the phase total it returns; otherwise the
+/// total is zero.
+#[allow(clippy::too_many_arguments)]
 fn try_pack_panels_parallel<F>(
     panels: &mut [PackedBlock],
     threads: usize,
     exec: &Exec,
     monitor: &RunMonitor,
     phase: &'static str,
-    rec: Option<&Arc<Session>>,
+    record: bool,
     pack: F,
-) -> Result<(), GemmError>
+) -> Result<PackStats, GemmError>
 where
     F: Fn(usize, &mut PackedBlock) + Sync,
 {
@@ -1323,32 +1383,37 @@ where
     let slots = &slots;
     let cursor = AtomicUsize::new(0);
     let poison = Poison::new();
+    let packs = Mutex::new(PackStats::default());
     let body = |t: usize| {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            with_recorder(rec, || loop {
-                if poison.is_poisoned() || monitor.should_stop() {
-                    break;
-                }
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= total {
-                    break;
-                }
-                // SAFETY: the cursor hands each index to exactly one
-                // runner, so this `&mut` is exclusive; the borrow ends
-                // before `run_section` returns (join-before-return).
-                let p = unsafe { &mut *slots.ptr.add(idx) };
-                pack(idx, p);
-                monitor.beat(t);
-                monitor.note_done();
-            })
+        let before = record.then(thread_pack_counts);
+        let run = catch_unwind(AssertUnwindSafe(|| loop {
+            if poison.is_poisoned() || monitor.should_stop() {
+                break;
+            }
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            if idx >= total {
+                break;
+            }
+            // SAFETY: the cursor hands each index to exactly one
+            // runner, so this `&mut` is exclusive; the borrow ends
+            // before `run_section` returns (join-before-return).
+            let p = unsafe { &mut *slots.ptr.add(idx) };
+            pack(idx, p);
+            monitor.beat(t);
+            monitor.note_done();
         }));
         if let Err(payload) = run {
             poison.record(t, payload);
         }
+        // One lock per runner lifetime — never on the panel path.
+        if let Some(before) = before {
+            *packs.lock() += thread_pack_counts().since(before);
+        }
     };
     exec.run_section_traced(threads, phase, &body);
     poison.into_result()?;
-    monitor.outcome(phase, total)
+    monitor.outcome(phase, total)?;
+    Ok(packs.into_inner())
 }
 
 /// Drain the `σ_order`-sorted block list through [`try_drain`]'s shared
@@ -1366,7 +1431,7 @@ pub(crate) fn try_run_blocks_cached(
     reference: bool,
     exec: &Exec,
     monitor: &RunMonitor,
-    rec: Option<&Arc<Session>>,
+    record: bool,
 ) -> Result<Option<SectionProfile>, GemmError> {
     let s = &plan.schedule;
     let (tm, tn, tk) = plan.grid();
@@ -1375,7 +1440,7 @@ pub(crate) fn try_run_blocks_cached(
     // cursor and the blocks partition C; CTile accesses stay within a
     // block's cells, and K is never split across threads (§V-C).
     let c_root = unsafe { CTile::new(c.as_mut_ptr(), s.n, c.len()) };
-    try_drain(blocks.len(), threads, exec, monitor, rec, |i| {
+    try_drain(blocks.len(), threads, exec, monitor, record, |i| {
         let (bi, bj) = blocks[i];
         run_block_cached(plan, a_src, b_src, c_root, bi, bj, tk, reference);
     })
@@ -1729,7 +1794,7 @@ mod tests {
         }
     }
 
-    /// Run the supervised driver with a recorder attached.
+    /// Run the supervised driver with recording on.
     fn traced(
         plan: &ExecutionPlan,
         a: &[f32],
@@ -1738,26 +1803,16 @@ mod tests {
         threads: usize,
     ) -> GemmReport {
         let pool = crate::packing::PanelPool::new();
-        let sess = Arc::new(Session::new());
-        try_gemm_with_plan_supervised(
-            plan,
-            a,
-            b,
-            c,
-            threads,
-            &pool,
-            &Supervision::none(),
-            Some(&sess),
-        )
-        .expect("traced run")
-        .expect("a recording run returns its report")
+        try_gemm_with_plan_supervised(plan, a, b, c, threads, &pool, &Supervision::none(), true)
+            .expect("traced run")
+            .expect("a recording run returns its report")
     }
 
     #[test]
     fn traced_driver_bit_identical_to_untraced() {
-        // The recorder must be a pure observer: identical pack and
+        // Recording must be a pure observer: identical pack and
         // accumulation order, so outputs match gemm_with_plan bit-for-bit
-        // with telemetry on or off.
+        // with recording on or off.
         let chip = ChipSpec::graviton2();
         for (m, n, k, threads) in [(26, 36, 64, 1), (64, 196, 64, 3), (13, 20, 17, 2)] {
             let sched = tune(m, n, k, &chip);
@@ -1776,7 +1831,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn traced_report_counts_packs_and_tiles_exactly() {
         let chip = ChipSpec::graviton2();
@@ -1789,7 +1843,7 @@ mod tests {
         let report = traced(&plan, &a, &b, &mut c, 3);
 
         // Panel-cache invariant: each A panel packed once (tm·tk), each B
-        // panel once (tk·tn) — the per-call session sees exactly those.
+        // panel once (tk·tn) — the pack runners' measured tallies say so.
         assert_eq!(report.packs.a_packs, (tm * tk) as u64);
         assert_eq!(report.packs.b_packs, (tk * tn) as u64);
         assert!(report.packs.a_bytes > 0 && report.packs.b_bytes > 0);
@@ -1802,7 +1856,7 @@ mod tests {
             assert!(t.mr >= 1 && t.nr >= 1 && t.count > 0);
         }
 
-        // Phases: with the feature on, the clock is live.
+        // Phases: the clock is live.
         assert!(report.wall.wall_ns > 0, "wall clock must tick");
         assert!(report.phases.kernel.wall_ns > 0, "kernel section must tick");
         assert!(report.wall.wall_ns >= report.phases.kernel.wall_ns);
@@ -1811,27 +1865,20 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
-    fn dyn_kernel_records_chunked_subdispatches() {
-        // Satellite: the oversized-tile recursive chunking path must
-        // record one histogram entry per *leaf* sub-dispatch, not one for
-        // the oversized request (and not zero). An 8×112 request chunks
-        // into four 8×28 leaves.
-        let (mr, nr, kc) = (8usize, 112usize, 9usize);
-        let lda = kc + 8;
-        let a: Vec<f32> = (0..mr * lda).map(|i| ((i * 13 + 5) % 23) as f32 - 11.0).collect();
-        let ldb = nr + 4;
-        let b: Vec<f32> = (0..(kc + 2) * ldb).map(|i| ((i * 7 + 2) % 19) as f32 - 9.0).collect();
-        let mut c = vec![0.0f32; mr * nr];
-        let tile = unsafe { CTile::new(c.as_mut_ptr(), nr, c.len()) };
-        let sess = Arc::new(Session::new());
-        session::with_session(&sess, || {
-            micro_kernel_dyn(mr, nr, kc, &a, lda, &b, ldb, tile, false, 7, 101);
-        });
-        let tiles = sess.take().tile_counts();
-        assert_eq!(tiles.len(), 1, "all leaves share one shape bucket: {tiles:?}");
-        assert_eq!((tiles[0].mr, tiles[0].nr, tiles[0].count), (8, 28, 4));
+    fn dyn_leaves_count_each_chunked_subdispatch() {
+        // The histogram counts the leaf shapes the dynamic kernel
+        // executes: an 8×112 request chunks into four 8×28 leaves, and a
+        // chunk wholly outside the effective region is never run.
+        let mut leaves = Vec::new();
+        dyn_leaves(8, 112, 7, 101, &mut |mr, nr| leaves.push((mr, nr)));
+        assert_eq!(leaves, vec![(8, 28); 4]);
+        leaves.clear();
+        dyn_leaves(16, 56, 9, 20, &mut |mr, nr| leaves.push((mr, nr)));
+        assert_eq!(leaves, vec![(8, 28), (8, 28)], "only the chunks the region touches");
+        leaves.clear();
+        dyn_leaves(6, 24, 6, 24, &mut |mr, nr| leaves.push((mr, nr)));
+        assert_eq!(leaves, vec![(6, 24)], "in-range requests run whole");
     }
 
     #[test]

@@ -111,8 +111,8 @@ pub fn try_gemm_prepacked_supervised(
     let watchdog = exec.runtime().watch(&monitor);
     let result = (|| {
         monitor.begin_phase();
-        let a_panels = crate::native::try_pack_a_panels_supervised(
-            plan, a, threads, pool, &exec, &monitor, None,
+        let (a_panels, _) = crate::native::try_pack_a_panels_supervised(
+            plan, a, threads, pool, &exec, &monitor, false,
         )?;
         monitor.begin_phase();
         let b_panels = crate::native::BPanels::Prepacked(packed_b);
@@ -125,7 +125,7 @@ pub fn try_gemm_prepacked_supervised(
             false,
             &exec,
             &monitor,
-            None,
+            false,
         );
         pool.release_blocks(a_panels);
         run.map(|_| ())

@@ -13,7 +13,9 @@
 //! stay line-aligned whenever the leading dimension is a multiple of 16
 //! elements.
 
+use crate::telemetry::report::PackStats;
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::sync::atomic::Ordering;
 
 /// Alignment (bytes) of every panel buffer: one cache line, a multiple
@@ -142,15 +144,37 @@ impl PackedBlock {
     }
 }
 
-// Pack-call accounting lives in the per-call telemetry session
-// ([`crate::telemetry::session::record_pack_a`] / `record_pack_b`): the
-// panel-cache driver must pack each A panel `(bi, kb)` and each B panel
-// `(kb, bj)` exactly once per GEMM — `tm·tk` + `tk·tn` packs, not the
-// `tm·tn·tk` of a per-block repacking loop — and that invariant is
-// pinned per call by a recording driver call's [`crate::GemmReport`]
-// (`packs.a_packs` / `packs.b_packs`), race-free across concurrent
-// GEMMs. (The process-global `counters` shims that predated the session
-// API have been removed.)
+thread_local! {
+    /// Panels packed by this thread since it started: one bump per
+    /// [`pack_a_into`]/[`pack_b_into`] call, never per element.
+    static PACKS: Cell<PackStats> = const {
+        Cell::new(PackStats { a_packs: 0, b_packs: 0, a_bytes: 0, b_bytes: 0 })
+    };
+}
+
+/// The calling thread's running pack tally. A recording driver reads it
+/// before and after each runner's share of a pack phase and reports the
+/// difference ([`PackStats::since`]), so the counts are measured — a
+/// panel packed twice shows up twice — and stay exact under concurrent
+/// GEMMs on other threads.
+pub fn thread_pack_counts() -> PackStats {
+    PACKS.with(Cell::get)
+}
+
+#[inline]
+fn count_pack(operand_a: bool, bytes: u64) {
+    PACKS.with(|c| {
+        let mut s = c.get();
+        if operand_a {
+            s.a_packs += 1;
+            s.a_bytes += bytes;
+        } else {
+            s.b_packs += 1;
+            s.b_bytes += bytes;
+        }
+        c.set(s);
+    });
+}
 
 /// Pack an `rows × cols` block of `src` (leading dimension `src_ld`,
 /// starting at `(row0, col0)`) into a fresh buffer with `pad_cols` extra
@@ -238,7 +262,7 @@ pub fn pack_a_into(
     kc: usize,
     sigma_lane: usize,
 ) {
-    crate::telemetry::session::record_pack_a(pack_traffic_bytes(mc, kc));
+    count_pack(true, pack_traffic_bytes(mc, kc));
     pack_block_into(dst, a, lda, row0, col0, mc, kc, 2 * sigma_lane, 0);
 }
 
@@ -276,7 +300,7 @@ pub fn pack_b_into(
     nc: usize,
     sigma_lane: usize,
 ) {
-    crate::telemetry::session::record_pack_b(pack_traffic_bytes(kc, nc));
+    count_pack(false, pack_traffic_bytes(kc, nc));
     pack_block_into(dst, b, ldb, row0, col0, kc, nc, sigma_lane, 2);
 }
 
@@ -515,23 +539,17 @@ mod tests {
         }
     }
 
-    /// Exact per-call pack accounting via the telemetry session — the
-    /// successor of the old process-global counter check, which could
-    /// race with concurrent GEMMs from sibling tests. A session is local
-    /// to this call, so the assertion is exact regardless of what other
-    /// tests run.
-    #[cfg(feature = "telemetry")]
+    /// Each packed panel bumps the calling thread's tally exactly once,
+    /// with its traffic; other threads' packs never land in it.
     #[test]
-    fn session_counts_packs_and_bytes_per_call() {
-        use crate::telemetry::session;
+    fn thread_tally_counts_packs_and_bytes() {
         let src = vec![1.0f32; 64];
-        let s = std::sync::Arc::new(session::Session::new());
-        session::with_session(&s, || {
-            let _ = pack_a(&src, 8, 0, 0, 4, 4, 4);
-            let _ = pack_a(&src, 8, 0, 0, 4, 4, 4);
-            let _ = pack_b(&src, 8, 0, 0, 4, 4, 4);
-        });
-        let stats = s.take();
+        let before = thread_pack_counts();
+        let _ = pack_a(&src, 8, 0, 0, 4, 4, 4);
+        let _ = pack_a(&src, 8, 0, 0, 4, 4, 4);
+        let _ = pack_b(&src, 8, 0, 0, 4, 4, 4);
+        std::thread::spawn(move || drop(pack_b(&src, 8, 0, 0, 4, 4, 4))).join().unwrap();
+        let stats = thread_pack_counts().since(before);
         assert_eq!(stats.a_packs, 2);
         assert_eq!(stats.b_packs, 1);
         assert_eq!(stats.a_bytes, 2 * pack_traffic_bytes(4, 4));

@@ -230,7 +230,7 @@ struct PoolShared {
     threads_clamped: AtomicU64,
     workers_alive: AtomicUsize,
     /// Runtime-lifetime wake/busy/park *distributions* (the `PoolStats`
-    /// totals above stay for the schema-v4 report section; the registry
+    /// totals above stay for the `pool` report section; the registry
     /// adds percentiles on top).
     metrics: Arc<MetricsRegistry>,
 }
@@ -787,7 +787,7 @@ impl Runtime {
 
     /// This runtime's metrics registry: wake/busy/park latency
     /// *distributions* over the runtime's lifetime (the [`PoolStats`]
-    /// totals stay for the schema-v4 report section; the registry adds
+    /// totals stay for the `pool` report section; the registry adds
     /// percentiles). Engines merge it into
     /// [`AutoGemm::metrics`](crate::AutoGemm::metrics).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {

@@ -46,7 +46,7 @@
 //! *structured, immediate* rejections the caller can retry against. The
 //! shedding ratio, queue-wait histogram and in-flight gauge are exported
 //! through the service's own [`MetricsRegistry`]
-//! (`service_*_total` counters, `queue_wait_ns`) and the schema-v6
+//! (`service_*_total` counters, `queue_wait_ns`) and the
 //! `service` report section ([`ServiceReport`], stamped onto traced
 //! reports by [`GemmService::submit_traced`]).
 //!
@@ -347,7 +347,7 @@ impl GemmService {
     }
 
     /// [`Self::submit`] through the traced engine path. The returned
-    /// [`GemmReport`] carries the schema-v6 `service` section
+    /// [`GemmReport`] carries the `service` section
     /// ([`ServiceReport`]) reflecting the registry *after* this call.
     #[allow(clippy::too_many_arguments)]
     pub fn submit_traced(
@@ -368,7 +368,7 @@ impl GemmService {
         Ok((reply, report))
     }
 
-    /// Current service counters and queue state as the schema-v6 report
+    /// Current service counters and queue state as the report
     /// section.
     pub fn report_section(&self) -> ServiceReport {
         let snap = self.metrics.snapshot();

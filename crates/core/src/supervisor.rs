@@ -29,7 +29,7 @@
 //!   drains). After a cooldown the breaker
 //!   goes HalfOpen and lets probe calls through; clean probes restore
 //!   the fast path. Every transition is visible in
-//!   [`GemmReport::health`](crate::telemetry::GemmReport) (schema v2).
+//!   [`GemmReport::health`](crate::telemetry::GemmReport).
 //! * **Retry** — [`AutoGemm::try_gemm_resilient`](crate::AutoGemm::try_gemm_resilient)
 //!   adds one bounded retry-with-degradation ladder
 //!   (threaded → single-thread → scalar + transient) for retryable

@@ -1,6 +1,5 @@
 //! Time sources for telemetry: a monotonic nanosecond clock plus the
-//! host's hardware cycle counter, both compiled to zero-returning no-ops
-//! unless the `telemetry` feature is on.
+//! host's hardware cycle counter.
 //!
 //! The "cycle" unit is the host counter's native tick: `rdtsc` on x86_64
 //! (TSC ticks, constant-rate on every machine this targets) and
@@ -9,69 +8,48 @@
 //! host-specific; reports compare them against modelled cycles as a
 //! *ratio whose flatness across shapes* is the signal (see
 //! [`crate::telemetry::report::ModelJoin`]).
+//!
+//! Only recording calls read these clocks: every stamp in the drivers
+//! sits behind the call's `record` flag, so an unrecorded call reads none.
 
 use crate::telemetry::report::PhaseTimes;
+use std::sync::OnceLock;
+use std::time::Instant;
 
-/// Whether the `telemetry` feature was compiled in (stamps are real).
-pub const ENABLED: bool = cfg!(feature = "telemetry");
+static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use std::sync::OnceLock;
-    use std::time::Instant;
-
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-    /// Monotonic nanoseconds since the first telemetry stamp of the
-    /// process.
-    #[inline]
-    pub fn wall_ns() -> u64 {
-        EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[inline]
-    pub fn cycles() -> u64 {
-        // SAFETY: `rdtsc` is unprivileged and has no memory effects.
-        unsafe { core::arch::x86_64::_rdtsc() }
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    #[inline]
-    pub fn cycles() -> u64 {
-        let v: u64;
-        // SAFETY: CNTVCT_EL0 is readable from EL0; no memory effects.
-        unsafe { core::arch::asm!("mrs {v}, cntvct_el0", v = out(reg) v, options(nomem, nostack)) };
-        v
-    }
-
-    /// No hardware counter on this target: fall back to the monotonic
-    /// clock so ratios stay finite (documented as ns, not ticks).
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    #[inline]
-    pub fn cycles() -> u64 {
-        wall_ns()
-    }
+/// Monotonic nanoseconds since the first telemetry stamp of the process.
+#[inline]
+pub fn wall_ns() -> u64 {
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod imp {
-    #[inline(always)]
-    pub fn wall_ns() -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub fn cycles() -> u64 {
-        0
-    }
+#[cfg(target_arch = "x86_64")]
+#[inline]
+pub fn cycles() -> u64 {
+    // SAFETY: `rdtsc` is unprivileged and has no memory effects.
+    unsafe { core::arch::x86_64::_rdtsc() }
 }
 
-pub use imp::{cycles, wall_ns};
+#[cfg(target_arch = "aarch64")]
+#[inline]
+pub fn cycles() -> u64 {
+    let v: u64;
+    // SAFETY: CNTVCT_EL0 is readable from EL0; no memory effects.
+    unsafe { core::arch::asm!("mrs {v}, cntvct_el0", v = out(reg) v, options(nomem, nostack)) };
+    v
+}
+
+/// No hardware counter on this target: fall back to the monotonic clock
+/// so ratios stay finite (documented as ns, not ticks).
+#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[inline]
+pub fn cycles() -> u64 {
+    wall_ns()
+}
 
 /// A paired (wall-ns, cycle) reading — the unit of every scoped
-/// measurement. With the `telemetry` feature off both reads are constant
-/// zero and the whole API folds away.
+/// measurement.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stamp {
     pub ns: u64,
@@ -79,23 +57,19 @@ pub struct Stamp {
 }
 
 impl Stamp {
-    #[inline(always)]
+    #[inline]
     pub fn now() -> Self {
         Stamp { ns: wall_ns(), cycles: cycles() }
     }
 
     /// Both deltas from `self` to now.
-    #[inline(always)]
+    #[inline]
     pub fn elapsed(self) -> PhaseTimes {
-        let end = Stamp::now();
-        PhaseTimes {
-            wall_ns: end.ns.saturating_sub(self.ns),
-            cycles: end.cycles.saturating_sub(self.cycles),
-        }
+        self.delta_to(Stamp::now())
     }
 
     /// Both deltas from `self` to a later stamp.
-    #[inline(always)]
+    #[inline]
     pub fn delta_to(self, end: Stamp) -> PhaseTimes {
         PhaseTimes {
             wall_ns: end.ns.saturating_sub(self.ns),
@@ -104,67 +78,17 @@ impl Stamp {
     }
 }
 
-/// RAII scoped timer: accumulates the scope's duration into a
-/// [`PhaseTimes`] cell on drop. Zero-cost when the feature is off (the
-/// stamps are constant zeros and the add folds away).
-///
-/// ```
-/// use std::cell::Cell;
-/// use autogemm::telemetry::{PhaseTimes, ScopedTimer};
-/// let acc = Cell::new(PhaseTimes::default());
-/// {
-///     let _t = ScopedTimer::new(&acc);
-///     // ... measured work ...
-/// }
-/// let measured = acc.get(); // zero unless built with `telemetry`
-/// # let _ = measured;
-/// ```
-pub struct ScopedTimer<'a> {
-    start: Stamp,
-    acc: &'a std::cell::Cell<PhaseTimes>,
-}
-
-impl<'a> ScopedTimer<'a> {
-    #[inline(always)]
-    pub fn new(acc: &'a std::cell::Cell<PhaseTimes>) -> Self {
-        ScopedTimer { start: Stamp::now(), acc }
-    }
-}
-
-impl Drop for ScopedTimer<'_> {
-    #[inline(always)]
-    fn drop(&mut self) {
-        self.acc.set(self.acc.get() + self.start.elapsed());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
 
     #[test]
-    fn stamps_are_monotonic_or_zero() {
+    fn stamps_are_monotonic() {
         let a = Stamp::now();
+        std::thread::sleep(std::time::Duration::from_millis(1));
         let b = Stamp::now();
-        if ENABLED {
-            assert!(b.ns >= a.ns);
-            assert!(b.cycles >= a.cycles);
-        } else {
-            assert_eq!(a, Stamp::default());
-            assert_eq!(b, Stamp::default());
-        }
-    }
-
-    #[test]
-    fn scoped_timer_accumulates() {
-        let acc = Cell::new(PhaseTimes::default());
-        for _ in 0..2 {
-            let _t = ScopedTimer::new(&acc);
-            std::hint::black_box(0u64);
-        }
-        if !ENABLED {
-            assert_eq!(acc.get(), PhaseTimes::default(), "feature off: timers are no-ops");
-        }
+        assert!(b.ns > a.ns, "the wall clock must tick across a sleep");
+        assert!(b.cycles >= a.cycles);
+        assert!(a.elapsed().wall_ns >= a.delta_to(b).wall_ns);
     }
 }

@@ -555,7 +555,7 @@ impl MetricsRegistry {
 
 /// An immutable, merged view of a [`MetricsRegistry`] — what
 /// [`AutoGemm::metrics`](crate::AutoGemm::metrics) returns, the
-/// schema-v5 report section, and the input of both exporters.
+/// report section, and the input of both exporters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Whether the registry was recording at snapshot time.
@@ -611,7 +611,7 @@ impl MetricsSnapshot {
         self.counters[c.index()]
     }
 
-    /// Serialize to the schema-v5 `metrics` report section.
+    /// Serialize to the `metrics` report section.
     pub fn to_json_value(&self) -> Json {
         let mut fields: Vec<(String, Json)> = vec![("enabled".into(), Json::Bool(self.enabled))];
         for c in Counter::ALL {

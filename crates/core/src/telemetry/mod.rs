@@ -5,17 +5,17 @@
 //! DMT (Algorithm 1) and the tuner's Eqn-13 pruning — runs on *projected*
 //! cycle counts. This module closes the loop: every traced GEMM
 //! (the engine's [`crate::AutoGemm::try_gemm_traced_opts`], or
-//! [`crate::native::try_gemm_with_plan_supervised`] with a recorder) produces a
-//! [`GemmReport`] holding
+//! [`crate::native::try_gemm_with_plan_supervised`] with `record` set)
+//! produces a [`GemmReport`] holding
 //!
 //! * per-phase wall/cycle times (pack-A, pack-B, kernel, drain);
-//! * per-call pack counts and traffic bytes, accumulated race-free in
-//!   the call's own session (the long-removed process-global
-//!   `packing::counters` predecessor required one-GEMM-at-a-time
-//!   discipline);
+//! * per-call pack counts and traffic bytes, measured race-free as the
+//!   change in each pack runner's thread-local tally
+//!   ([`crate::packing::thread_pack_counts`]);
 //! * per-thread block counts, busy time and drain (idle-at-the-end) time
 //!   from the work-queue driver;
-//! * the kernel-shape histogram actually dispatched — including the
+//! * the kernel-shape histogram of the completed run, derived once per
+//!   call from the plan and the operand routing — including the
 //!   sub-tiles the dynamic fallback kernel chunks oversized (SVE-wide)
 //!   requests into;
 //! * optionally, a join against the `autogemm-perfmodel` projection for
@@ -23,20 +23,17 @@
 //!   yielding the measured-vs-model cycle ratio every later perf PR is
 //!   expected to cite.
 //!
-//! ## Overhead budget and the `telemetry` feature
+//! ## Overhead budget
 //!
-//! All time sources live behind the `telemetry` cargo feature. With the
-//! feature **off** (the default), [`clock`] stamps return zero and the
-//! recording hooks in the packing/dispatch paths compile to empty
-//! `#[inline(always)]` functions — the hot paths are bit-for-bit the
-//! untraced code, and recording calls still run correctly but report
-//! zeroed timings/counters. With the feature **on**, a call without a
-//! recorder reads no telemetry clock (recording hooks check a
-//! thread-local session handle that only a recording call installs); a
-//! recording call adds one stamp pair per phase, one per claimed block,
-//! and one histogram bump per dispatched micro-tile — all far below the
-//! work they measure (a block is `O(m_c·n_c·k)` FLOPs, a tile
-//! `O(m_r·n_r·k_c)`).
+//! There is one build, and its clocks are live. An unrecorded call reads
+//! no telemetry clock and takes no profile lock: every [`clock`] stamp in
+//! the drivers sits behind the call's `record` flag. The only always-on
+//! accounting is one thread-local bump per packed panel (`O(m_c·k_c)`
+//! copied elements); the micro-tile path carries no hook at all. A
+//! recording call adds one stamp pair per phase and per claimed block,
+//! one lock per pack runner and per kernel runner, and one walk over the
+//! plan's placements for the tile histogram — all far below the work
+//! they measure (a block is `O(m_c·n_c·k)` FLOPs).
 //!
 //! ## Report schema
 //!
@@ -49,16 +46,15 @@
 
 //! ## Engine-lifetime observability
 //!
-//! Two sibling layers are **not** behind the `telemetry` feature — they
-//! are always compiled and toggled/attached at runtime, because a
-//! release-build service must still be able to read them:
+//! Two sibling layers live for the engine's lifetime rather than one
+//! call's, toggled or attached at runtime:
 //!
 //! * [`metrics`] — the engine/runtime [`MetricsRegistry`]: monotonic
 //!   counters (calls, errors, breaker transitions, retry rungs,
 //!   plan-cache hits/misses/evictions), an in-flight gauge, and sharded
 //!   log-bucket histograms (call latency, achieved GFLOP-s, pool
 //!   wake/busy/park) merged on read into a [`MetricsSnapshot`] with
-//!   p50/p95/p99, a schema-v5 JSON section, and a Prometheus
+//!   p50/p95/p99, a JSON section, and a Prometheus
 //!   text-exposition dump;
 //! * [`tracebuf`] — the bounded per-worker span ring ([`TraceBuf`])
 //!   behind `AutoGemm::with_tracing`, exported as Chrome trace-event
@@ -69,18 +65,15 @@ pub mod clock;
 pub mod json;
 pub mod metrics;
 pub mod report;
-pub mod session;
 pub mod tracebuf;
 
-pub use clock::{ScopedTimer, Stamp, ENABLED};
+pub use clock::Stamp;
 pub use json::{Json, JsonError};
 pub use metrics::{
     Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, HIST_BUCKETS,
 };
 pub use report::{
     DispatchStats, FallbackStats, GemmReport, HealthReport, IntegrityReport, ModelJoin, PackStats,
-    PathHealth, PhaseProfile, PhaseTimes, ServiceReport, ThreadProfile, TileCount,
-    MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    PathHealth, PhaseProfile, PhaseTimes, ServiceReport, ThreadProfile, TileCount, SCHEMA_VERSION,
 };
-pub use session::Session;
 pub use tracebuf::{TraceBuf, TraceSpan};

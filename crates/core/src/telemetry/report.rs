@@ -7,29 +7,12 @@ use autogemm_kernelgen::MicroTile;
 use autogemm_perfmodel::ProjectionTable;
 
 /// Version of the serialized [`GemmReport`] schema. Bump on any breaking
-/// field change; [`GemmReport::from_json`] rejects versions it cannot
-/// read. v2 added the `health` section (circuit-breaker state and
-/// transitions) and `fallbacks.breaker_reroutes`; v3 added the
-/// `dispatch` section (input-aware route, packing elision and
-/// plan-cache counters); v4 added the `pool` section (worker-pool
-/// runtime counters) and `fallbacks.inline_drains`; v5 added the
-/// `metrics` section (the engine-lifetime [`MetricsSnapshot`] at report
-/// time); v6 added the `service` section (admission-control counters and
-/// the queue-wait histogram of the owning
-/// [`GemmService`](crate::service::GemmService)); v7 added the
-/// `integrity` section (the output-verification policy and counters of
-/// [`crate::verify`]). Older reports are still accepted: v1 parses with
-/// an empty health section, v1/v2 with a default dispatch section,
-/// v1–v3 with a default pool section, v1–v4 with no metrics snapshot,
-/// v1–v5 with no service section, v1–v6 with no integrity section.
+/// field change; [`GemmReport::from_json`] reads exactly this version.
 pub const SCHEMA_VERSION: u64 = 7;
-
-/// Oldest serialized schema version [`GemmReport::from_json`] accepts.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
 
 /// A (wall-ns, cycle-tick) duration pair. "Cycles" are host counter
 /// ticks — see [`crate::telemetry::clock`] for the per-arch source and
-/// caveats; both fields are zero when the `telemetry` feature is off.
+/// caveats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     pub wall_ns: u64,
@@ -63,8 +46,8 @@ pub struct PhaseProfile {
     pub drain: PhaseTimes,
 }
 
-/// Per-call pack counts and traffic, accumulated in the call's own
-/// telemetry session (race-free across concurrent GEMMs).
+/// Pack counts and traffic: one call's in a report, or a thread's
+/// running tally ([`crate::packing::thread_pack_counts`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PackStats {
     pub a_packs: u64,
@@ -73,6 +56,27 @@ pub struct PackStats {
     /// [`crate::packing::pack_traffic_bytes`] counts them).
     pub a_bytes: u64,
     pub b_bytes: u64,
+}
+
+impl PackStats {
+    /// The packs counted between an earlier tally `before` and this one.
+    pub fn since(self, before: PackStats) -> PackStats {
+        PackStats {
+            a_packs: self.a_packs - before.a_packs,
+            b_packs: self.b_packs - before.b_packs,
+            a_bytes: self.a_bytes - before.a_bytes,
+            b_bytes: self.b_bytes - before.b_bytes,
+        }
+    }
+}
+
+impl std::ops::AddAssign for PackStats {
+    fn add_assign(&mut self, rhs: PackStats) {
+        self.a_packs += rhs.a_packs;
+        self.b_packs += rhs.b_packs;
+        self.a_bytes += rhs.a_bytes;
+        self.b_bytes += rhs.b_bytes;
+    }
 }
 
 /// One worker's slice of the work-queue drain.
@@ -99,9 +103,8 @@ impl ThreadProfile {
 }
 
 /// Graceful degradations taken during one run (see `crate::error` for
-/// the degradation policy). Unlike the timing counters these are live
-/// regardless of the `telemetry` feature — a recording driver reports its
-/// own setup decisions, no clock or session hook involved.
+/// the degradation policy) — a recording driver reports its own setup
+/// decisions, no clock involved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FallbackStats {
     /// Pack phases that bypassed the caller's panel pool (degraded to
@@ -113,11 +116,10 @@ pub struct FallbackStats {
     pub scalar_kernels: u64,
     /// Degradations imposed by the engine's circuit breaker (quarantined
     /// paths rerouted before the run started), counted per rerouted
-    /// path. Schema v2.
+    /// path.
     pub breaker_reroutes: u64,
     /// Threaded sections drained inline on the calling thread instead of
     /// the worker pool (a degraded or quarantined pool-submit path).
-    /// Schema v4.
     pub inline_drains: u64,
 }
 
@@ -148,9 +150,9 @@ pub struct PathHealth {
     pub trips: u64,
 }
 
-/// The `health` section of a schema-v2 report: the engine's
-/// circuit-breaker snapshot plus the transitions this call performed.
-/// Empty (no paths, no transitions) when parsed from a v1 report.
+/// The `health` section of a report: the engine's circuit-breaker
+/// snapshot plus the transitions this call performed. Empty (no paths,
+/// no transitions) on plan-level reports, which have no engine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HealthReport {
     pub paths: Vec<PathHealth>,
@@ -171,11 +173,10 @@ impl HealthReport {
     }
 }
 
-/// The `dispatch` section of a schema-v3 report: which input-aware
-/// route the engine took and what the plan cache / packing-elision
-/// heuristic decided for this call. Defaults (`"block"` route, both
-/// operands packed, no cache hit) describe exactly what every pre-v3
-/// report did, so older reports parse into honest values.
+/// The `dispatch` section of a report: which input-aware route the
+/// engine took and what the plan cache / packing-elision heuristic
+/// decided for this call. Defaults (`"block"` route, both operands
+/// packed, no cache hit) describe a plan-level driver call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatchStats {
     /// Route name: `"block"` (the cache-blocked driver),
@@ -212,11 +213,25 @@ impl Default for DispatchStats {
 pub struct TileCount {
     pub mr: usize,
     pub nr: usize,
-    /// Micro-kernel dispatches with this register-tile shape, counted at
-    /// the dispatch site — the dynamic fallback records each chunked
-    /// sub-tile it actually executes, so oversized (SVE-wide) placements
-    /// contribute one bucket entry per sub-dispatch.
+    /// Micro-kernel dispatches with this register-tile shape, derived
+    /// from the plan and route the call ran — oversized (SVE-wide)
+    /// placements count once per 8×28 chunk the dynamic fallback kernel
+    /// splits them into.
     pub count: u64,
+}
+
+impl TileCount {
+    /// Fold `(m_r, n_r, count)` dispatches into histogram buckets sorted
+    /// by shape.
+    pub(crate) fn histogram(
+        dispatches: impl IntoIterator<Item = (usize, usize, u64)>,
+    ) -> Vec<TileCount> {
+        let mut buckets = std::collections::BTreeMap::new();
+        for (mr, nr, count) in dispatches {
+            *buckets.entry((mr, nr)).or_insert(0u64) += count;
+        }
+        buckets.into_iter().map(|((mr, nr), count)| TileCount { mr, nr, count }).collect()
+    }
 }
 
 /// The measured-vs-perfmodel join ([`GemmReport::join_model`]).
@@ -235,13 +250,13 @@ pub struct ModelJoin {
     pub projected_kernel_cycles: f64,
     /// Σ of worker busy cycle ticks.
     pub measured_kernel_cycles: u64,
-    /// measured / projected; 0 when either side is unavailable (e.g. the
-    /// `telemetry` feature is off).
+    /// measured / projected; 0 when either side is unavailable (e.g. no
+    /// worker recorded a busy tick).
     pub cycle_ratio: f64,
 }
 
 /// Admission-control view of the [`GemmService`](crate::service::GemmService)
-/// that owns the traced engine: the schema-v6 `service` report section.
+/// that owns the traced engine: the `service` report section.
 /// Counts are service-lifetime; `queued`/`in_flight` are the live values
 /// at report time (a drained service reports both as zero).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -273,7 +288,7 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
-    /// Serialize to the schema-v6 `service` report section.
+    /// Serialize to the `service` report section.
     pub fn to_json_value(&self) -> Json {
         Json::Obj(vec![
             ("queue_depth".into(), Json::Num(self.queue_depth as f64)),
@@ -313,7 +328,7 @@ impl ServiceReport {
     }
 }
 
-/// Output-integrity view of the traced call: the schema-v7 `integrity`
+/// Output-integrity view of the traced call: the `integrity`
 /// report section. The counters are engine-lifetime totals from the
 /// [`MetricsRegistry`](crate::telemetry::MetricsRegistry) at report
 /// time; `policy`/`sample_rate`/`verified` describe this call.
@@ -341,7 +356,7 @@ pub struct IntegrityReport {
 }
 
 impl IntegrityReport {
-    /// Serialize to the schema-v7 `integrity` report section.
+    /// Serialize to the `integrity` report section.
     pub fn to_json_value(&self) -> Json {
         Json::Obj(vec![
             ("policy".into(), Json::Str(self.policy.clone())),
@@ -397,25 +412,21 @@ pub struct GemmReport {
     pub tiles: Vec<TileCount>,
     /// Degradation paths taken during the run.
     pub fallbacks: FallbackStats,
-    /// Circuit-breaker snapshot and this call's transitions (schema v2;
-    /// empty when parsed from a v1 report).
+    /// Circuit-breaker snapshot and this call's transitions.
     pub health: HealthReport,
-    /// Input-aware dispatch decisions (schema v3; defaults — block
-    /// route, both operands packed — when parsed from older reports).
+    /// Input-aware dispatch decisions.
     pub dispatch: DispatchStats,
-    /// Worker-pool runtime counters at report time (schema v4; all-zero
-    /// defaults when parsed from older reports).
+    /// Worker-pool runtime counters at report time.
     pub pool: PoolStats,
     /// The owning engine's lifetime metrics snapshot at report time
-    /// (schema v5; `None` when parsed from older reports or produced by
-    /// the engine-less plan-level drivers).
+    /// (`None` from the engine-less plan-level drivers).
     pub metrics: Option<MetricsSnapshot>,
-    /// Admission-control snapshot of the owning service (schema v6;
-    /// `None` when parsed from older reports or when the engine is not
-    /// fronted by a [`GemmService`](crate::service::GemmService)).
+    /// Admission-control snapshot of the owning service (`None` when the
+    /// engine is not fronted by a
+    /// [`GemmService`](crate::service::GemmService)).
     pub service: Option<ServiceReport>,
-    /// Output-integrity snapshot (schema v7; `None` when parsed from
-    /// older reports or produced by the engine-less plan-level drivers).
+    /// Output-integrity snapshot (`None` from the engine-less
+    /// plan-level drivers).
     pub integrity: Option<IntegrityReport>,
     pub model: Option<ModelJoin>,
 }
@@ -653,12 +664,11 @@ impl GemmReport {
         let version = field("schema_version")?
             .as_u64()
             .ok_or_else(|| JsonError { pos: 0, msg: "schema_version must be an integer".into() })?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
+        if version != SCHEMA_VERSION {
             return Err(JsonError {
                 pos: 0,
                 msg: format!(
-                    "unsupported schema_version {version} \
-                     (this build reads {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+                    "unsupported schema_version {version} (this build reads {SCHEMA_VERSION})"
                 ),
             });
         }
@@ -739,28 +749,24 @@ impl GemmReport {
             });
         }
 
-        // Added within schema v1: reports serialized before the
-        // degradation counters existed simply have none, so a missing
-        // object parses as all-zero instead of failing.
+        // A missing degradation-counter object or counter reads as "no
+        // degradation taken".
         let fallbacks = match v.get("fallbacks") {
             None | Some(Json::Null) => FallbackStats::default(),
             Some(fb) => FallbackStats {
                 pool_packs: fb.get("pool_packs").and_then(Json::as_u64).unwrap_or(0),
                 scalar_kernels: fb.get("scalar_kernels").and_then(Json::as_u64).unwrap_or(0),
-                // Schema v2; absent in v1 reports.
                 breaker_reroutes: fb.get("breaker_reroutes").and_then(Json::as_u64).unwrap_or(0),
-                // Schema v4; absent in v1–v3 reports.
                 inline_drains: fb.get("inline_drains").and_then(Json::as_u64).unwrap_or(0),
             },
         };
 
-        // Schema v2. A v1 report has no `health` section; it parses as
-        // empty so downstream joins see "no breaker data" rather than an
-        // error. Within the section, unknown/missing numeric fields
-        // default to zero the same way `fallbacks` always has.
-        let health = match v.get("health") {
-            None | Some(Json::Null) => HealthReport::default(),
-            Some(h) => HealthReport {
+        // Every report carries the `health`, `dispatch` and `pool`
+        // sections (plan-level reports with their defaults); within them
+        // a missing numeric field reads as zero.
+        let health = {
+            let h = field("health")?;
+            HealthReport {
                 paths: h
                     .get("paths")
                     .and_then(Json::as_arr)
@@ -796,79 +802,57 @@ impl GemmReport {
                     .and_then(Json::as_arr)
                     .map(|ts| ts.iter().filter_map(|t| t.as_str().map(str::to_string)).collect())
                     .unwrap_or_default(),
-            },
+            }
         };
-
-        // Schema v3. Pre-v3 reports have no `dispatch` section; the
-        // defaults (block route, both operands packed) are what those
-        // builds actually did, so the parse is lenient *and* honest.
-        let dispatch = match v.get("dispatch") {
-            None | Some(Json::Null) => DispatchStats::default(),
-            Some(d) => {
-                let defaults = DispatchStats::default();
-                DispatchStats {
-                    route: d
-                        .get("route")
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .unwrap_or(defaults.route),
-                    packed_a: d.get("packed_a").and_then(Json::as_bool).unwrap_or(true),
-                    packed_b: d.get("packed_b").and_then(Json::as_bool).unwrap_or(true),
-                    plan_cache_hit: d
-                        .get("plan_cache_hit")
-                        .and_then(Json::as_bool)
-                        .unwrap_or(false),
-                    plan_cache_hits: d.get("plan_cache_hits").and_then(Json::as_u64).unwrap_or(0),
-                    plan_cache_misses: d
-                        .get("plan_cache_misses")
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0),
-                }
+        let dispatch = {
+            let d = field("dispatch")?;
+            let defaults = DispatchStats::default();
+            DispatchStats {
+                route: d
+                    .get("route")
+                    .and_then(Json::as_str)
+                    .map(str::to_string)
+                    .unwrap_or(defaults.route),
+                packed_a: d.get("packed_a").and_then(Json::as_bool).unwrap_or(true),
+                packed_b: d.get("packed_b").and_then(Json::as_bool).unwrap_or(true),
+                plan_cache_hit: d.get("plan_cache_hit").and_then(Json::as_bool).unwrap_or(false),
+                plan_cache_hits: d.get("plan_cache_hits").and_then(Json::as_u64).unwrap_or(0),
+                plan_cache_misses: d.get("plan_cache_misses").and_then(Json::as_u64).unwrap_or(0),
+            }
+        };
+        let pool = {
+            let p = field("pool")?;
+            let num = |key: &str| p.get(key).and_then(Json::as_u64).unwrap_or(0);
+            PoolStats {
+                workers: num("workers"),
+                alive_workers: num("alive_workers"),
+                submissions: num("submissions"),
+                jobs_completed: num("jobs_completed"),
+                wake_count: num("wake_count"),
+                hot_claims: num("hot_claims"),
+                woken_claims: num("woken_claims"),
+                wake_ns_total: num("wake_ns_total"),
+                busy_ns_total: num("busy_ns_total"),
+                spin_ns_total: num("spin_ns_total"),
+                park_ns_total: num("park_ns_total"),
+                threads_clamped: num("threads_clamped"),
             }
         };
 
-        // Schema v4. Pre-v4 reports have no `pool` section: no pool
-        // existed, so all-zero counters are the honest default. The
-        // `hot_claims`/`woken_claims`/`spin_ns_total` split was added
-        // inside v7 without a bump: it only adds fields, older v7 reports
-        // read it as zero and older readers skip it.
-        let pool = match v.get("pool") {
-            None | Some(Json::Null) => PoolStats::default(),
-            Some(p) => {
-                let num = |key: &str| p.get(key).and_then(Json::as_u64).unwrap_or(0);
-                PoolStats {
-                    workers: num("workers"),
-                    alive_workers: num("alive_workers"),
-                    submissions: num("submissions"),
-                    jobs_completed: num("jobs_completed"),
-                    wake_count: num("wake_count"),
-                    hot_claims: num("hot_claims"),
-                    woken_claims: num("woken_claims"),
-                    wake_ns_total: num("wake_ns_total"),
-                    busy_ns_total: num("busy_ns_total"),
-                    spin_ns_total: num("spin_ns_total"),
-                    park_ns_total: num("park_ns_total"),
-                    threads_clamped: num("threads_clamped"),
-                }
-            }
-        };
-
-        // Schema v5. Pre-v5 reports carried no engine-lifetime metrics;
-        // `None` says "no snapshot" rather than inventing zeros.
+        // The engine-lifetime sections are optional: a plan-level report
+        // has no metrics snapshot, only a service stamps `service`, and
+        // `integrity` belongs to engine calls. `None` says "absent"
+        // rather than inventing zeros.
         let metrics = match v.get("metrics") {
             None | Some(Json::Null) => None,
             Some(m) => Some(MetricsSnapshot::from_json_value(m)),
         };
 
-        // Schema v6. Pre-v6 reports predate the service layer entirely;
-        // `None` says "no admission control" rather than inventing zeros.
         let service = match v.get("service") {
             None | Some(Json::Null) => None,
             Some(s) => Some(ServiceReport::from_json_value(s)),
         };
 
-        // Schema v7. Pre-v7 reports predate the verification layer;
-        // `None` says "no integrity data" rather than inventing zeros.
         let integrity = match v.get("integrity") {
             None | Some(Json::Null) => None,
             Some(i) => Some(IntegrityReport::from_json_value(i)),
@@ -1030,13 +1014,6 @@ mod tests {
         }
     }
 
-    /// The exact serialization of an all-zero `pool` section, as the v3
-    /// and older fixtures need to strip it.
-    const DEFAULT_POOL_JSON: &str = "\"pool\":{\"workers\":0,\"alive_workers\":0,\
-         \"submissions\":0,\"jobs_completed\":0,\"wake_count\":0,\"hot_claims\":0,\
-         \"woken_claims\":0,\"wake_ns_total\":0,\"busy_ns_total\":0,\"spin_ns_total\":0,\
-         \"park_ns_total\":0,\"threads_clamped\":0},";
-
     #[test]
     fn json_round_trip_is_lossless() {
         let r = sample_report();
@@ -1054,23 +1031,35 @@ mod tests {
 
     #[test]
     fn schema_version_guard_rejects_other_versions() {
-        let text = sample_report()
-            .to_json()
-            .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":999");
-        let err = GemmReport::from_json(&text).unwrap_err();
-        assert!(err.msg.contains("unsupported schema_version 999"), "{err}");
+        // Older and newer versions alike: one build reads one schema.
+        for version in [1, 6, SCHEMA_VERSION + 1, 999] {
+            let text = sample_report().to_json().replace(
+                &format!("\"schema_version\":{SCHEMA_VERSION}"),
+                &format!("\"schema_version\":{version}"),
+            );
+            let err = GemmReport::from_json(&text).unwrap_err();
+            assert!(err.msg.contains(&format!("unsupported schema_version {version}")), "{err}");
+        }
     }
 
     #[test]
     fn missing_fields_are_rejected() {
         let text = sample_report().to_json().replace("\"packs\"", "\"packs_renamed\"");
         assert!(GemmReport::from_json(&text).is_err());
+        // The always-written sections are required too.
+        for section in ["health", "dispatch", "pool"] {
+            let text = sample_report()
+                .to_json()
+                .replace(&format!("\"{section}\":"), &format!("\"{section}_renamed\":"));
+            let err = GemmReport::from_json(&text).unwrap_err();
+            assert!(err.msg.contains(&format!("missing field '{section}'")), "{err}");
+        }
     }
 
     #[test]
     fn missing_fallbacks_parse_as_zero() {
-        // Reports serialized before the degradation counters existed
-        // have no `fallbacks` object and must keep parsing.
+        // A report without the degradation-counter object reads as one
+        // that took no degradation.
         let text = sample_report().to_json().replace(
             "\"fallbacks\":{\"pool_packs\":1,\"scalar_kernels\":0,\"breaker_reroutes\":2,\
              \"inline_drains\":0},",
@@ -1083,179 +1072,6 @@ mod tests {
         let mut want = sample_report();
         want.fallbacks = FallbackStats::default();
         assert_eq!(back, want);
-    }
-
-    #[test]
-    fn v1_report_parses_with_empty_health() {
-        // A schema-v1 report: version 1, no `health` section, and a
-        // fallbacks object without `breaker_reroutes`.
-        let mut r = sample_report();
-        r.health = HealthReport::default();
-        r.fallbacks.breaker_reroutes = 0;
-        r.pool = PoolStats::default();
-        let text = r
-            .to_json()
-            .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":1")
-            .replace(",\"breaker_reroutes\":0,\"inline_drains\":0", "")
-            .replace("\"health\":{\"paths\":[],\"transitions\":[]},", "")
-            .replace(DEFAULT_POOL_JSON, "");
-        assert!(!text.contains("health"), "v1 fixture must not carry a health section");
-        let back = GemmReport::from_json(&text).expect("v1 report must parse leniently");
-        assert_eq!(back.health, HealthReport::default());
-        assert!(back.health.all_closed(), "empty health section counts as all-closed");
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn v2_report_parses_with_default_dispatch() {
-        // A schema-v2 report: version 2, no `dispatch` section. It must
-        // parse with the pre-v3 behaviour spelled out: block route,
-        // both operands packed, no plan-cache data.
-        let mut r = sample_report();
-        r.dispatch = DispatchStats::default();
-        r.pool = PoolStats::default();
-        let text = r
-            .to_json()
-            .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":2")
-            .replace(
-                "\"dispatch\":{\"route\":\"block\",\"packed_a\":true,\"packed_b\":true,\
-                 \"plan_cache_hit\":false,\"plan_cache_hits\":0,\"plan_cache_misses\":0},",
-                "",
-            )
-            .replace(DEFAULT_POOL_JSON, "");
-        // Note: "simd_dispatch" in the health section also contains the
-        // substring, so check for the key specifically.
-        assert!(!text.contains("\"dispatch\""), "v2 fixture must not carry a dispatch section");
-        let back = GemmReport::from_json(&text).expect("v2 report must parse leniently");
-        assert_eq!(back.dispatch, DispatchStats::default());
-        assert!(back.dispatch.packed_a && back.dispatch.packed_b);
-        assert_eq!(back.dispatch.route, "block");
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn v3_report_parses_with_default_pool() {
-        // A schema-v3 report: version 3, no `pool` section and no
-        // `fallbacks.inline_drains` counter — no worker pool existed, so
-        // all-zero counters are the honest parse.
-        let mut r = sample_report();
-        r.pool = PoolStats::default();
-        let text = r
-            .to_json()
-            .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":3")
-            .replace(",\"inline_drains\":0", "")
-            .replace(DEFAULT_POOL_JSON, "");
-        // "pool_packs"/"pool_alloc" also contain the substring, so check
-        // for the section key specifically.
-        assert!(!text.contains("\"pool\":"), "v3 fixture must not carry a pool section");
-        assert!(!text.contains("inline_drains"), "v3 fixture must not carry inline_drains");
-        let back = GemmReport::from_json(&text).expect("v3 report must parse leniently");
-        assert_eq!(back.pool, PoolStats::default());
-        assert_eq!(back.fallbacks.inline_drains, 0);
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn v4_report_parses_with_default_metrics() {
-        // A schema-v4 report: version 4, no `metrics` section — no
-        // engine-lifetime registry existed, so `None` is the honest
-        // parse (not invented zeros).
-        let r = sample_report();
-        let text = r
-            .to_json()
-            .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":4")
-            .replace("\"metrics\":null,", "");
-        assert!(!text.contains("\"metrics\""), "v4 fixture must not carry a metrics section");
-        let back = GemmReport::from_json(&text).expect("v4 report must parse leniently");
-        assert_eq!(back.metrics, None);
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn v5_report_parses_with_no_service_section() {
-        // A schema-v5 report: version 5, no `service` section — no
-        // admission layer existed, so `None` is the honest parse.
-        let r = sample_report();
-        let text = r
-            .to_json()
-            .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":5")
-            .replace("\"service\":null,", "");
-        assert!(!text.contains("\"service\""), "v5 fixture must not carry a service section");
-        let back = GemmReport::from_json(&text).expect("v5 report must parse leniently");
-        assert_eq!(back.service, None);
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn v6_report_parses_with_no_integrity_section() {
-        // A schema-v6 report: version 6, no `integrity` section — no
-        // verification layer existed, so `None` is the honest parse.
-        let r = sample_report();
-        let text = r
-            .to_json()
-            .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":6")
-            .replace("\"integrity\":null,", "");
-        assert!(!text.contains("\"integrity\""), "v6 fixture must not carry an integrity section");
-        let back = GemmReport::from_json(&text).expect("v6 report must parse leniently");
-        assert_eq!(back.integrity, None);
-        assert_eq!(back, r);
-    }
-
-    /// Every historical version fixture (v1–v6, built by stripping the
-    /// sections that version lacked) survives a parse → serialize →
-    /// parse round trip under the current schema.
-    #[test]
-    fn v1_through_v6_fixtures_round_trip_through_current_schema() {
-        let full = sample_report().to_json();
-        let strip_integrity = full.replace("\"integrity\":null,", "");
-        let strip_service = strip_integrity.replace("\"service\":null,", "");
-        let strip_metrics = strip_service.replace("\"metrics\":null,", "");
-        let strip_pool = strip_metrics
-            .replace(DEFAULT_POOL_JSON, "")
-            .replace(
-                "\"pool\":{\"workers\":3,\"alive_workers\":3,\"submissions\":42,\
-                 \"jobs_completed\":42,\"wake_count\":120,\"hot_claims\":90,\
-                 \"woken_claims\":30,\"wake_ns_total\":84000,\"busy_ns_total\":9000000,\
-                 \"spin_ns_total\":600000,\"park_ns_total\":2000000,\"threads_clamped\":1},",
-                "",
-            )
-            .replace(",\"inline_drains\":0", "");
-        let strip_dispatch = strip_pool.replace(
-            "\"dispatch\":{\"route\":\"block\",\"packed_a\":false,\"packed_b\":true,\
-             \"plan_cache_hit\":true,\"plan_cache_hits\":7,\"plan_cache_misses\":3},",
-            "",
-        );
-        let strip_health = strip_dispatch
-            .replace(",\"breaker_reroutes\":2", "")
-            .replace(&regex_free_health(&full), "");
-        let fixtures: [(u64, &str); 6] = [
-            (1, &strip_health),
-            (2, &strip_dispatch),
-            (3, &strip_pool),
-            (4, &strip_metrics),
-            (5, &strip_service),
-            (6, &strip_integrity),
-        ];
-        for (version, fixture) in fixtures {
-            let text = fixture.replace(
-                &format!("\"schema_version\":{SCHEMA_VERSION}"),
-                &format!("\"schema_version\":{version}"),
-            );
-            let once = GemmReport::from_json(&text)
-                .unwrap_or_else(|e| panic!("v{version} fixture must parse: {e}"));
-            let twice = GemmReport::from_json(&once.to_json())
-                .unwrap_or_else(|e| panic!("v{version} reserialization must parse: {e}"));
-            assert_eq!(once, twice, "v{version} fixture did not round-trip");
-        }
-    }
-
-    /// The serialized `health` section of [`sample_report`], extracted
-    /// from the full serialization so the v1 fixture can strip it
-    /// without hand-maintaining the string.
-    fn regex_free_health(full: &str) -> String {
-        let start = full.find("\"health\":").expect("health section present");
-        let end = full[start..].find(",\"dispatch\"").expect("dispatch follows health") + start + 1;
-        full[start..end].to_string()
     }
 
     #[test]

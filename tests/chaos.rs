@@ -1,12 +1,14 @@
-//! Chaos suite: seeded deterministic fault injection (the `faultinject`
-//! feature) swept across injection sites, actions and thread counts.
+//! Chaos suite: seeded deterministic fault injection
+//! ([`autogemm::faultinject`]) swept across injection sites, actions and
+//! thread counts.
 //!
-//! The acceptance bar (ISSUE 4): every injection either comes back as a
-//! structured [`GemmError`] or the run recovers with a result matching
-//! the scalar oracle — no abort, no deadlock, no partial-tile garbage.
-//! Only one `FaultPlan` can be armed at a time, so every test serializes
-//! through [`chaos_lock`].
-#![cfg(feature = "faultinject")]
+//! The acceptance bar: every injection either comes back as a structured
+//! [`GemmError`] or the run recovers with a result matching the scalar
+//! oracle — no abort, no deadlock, no partial-tile garbage. Only one
+//! `FaultPlan` can be armed at a time, so every test serializes through
+//! [`chaos_lock`]. This is the only test binary that arms a plan: the
+//! plan is process-global, so an unlocked test running beside an armed
+//! one in the same process would meet its faults.
 
 use autogemm::faultinject::{arm, FaultAction, FaultPlan, FaultSite, Trigger};
 use autogemm::supervisor::{
@@ -1162,4 +1164,117 @@ fn tenant_verify_policy_is_injected_and_caller_policy_wins() {
     drop(guard);
     assert_eq!(svc.queued(), 0);
     assert_eq!(svc.in_flight(), 0);
+}
+
+/// GEMV and small-`k` shapes under every site × action: a structured
+/// error or an exact result.
+#[test]
+fn fast_paths_fault_structured_or_exact() {
+    let _g = chaos_lock();
+    let shapes = [(1usize, 40usize, 24usize), (40, 1, 24), (24, 20, 6)];
+    let actions = [FaultAction::Degrade, FaultAction::Fail, FaultAction::Panic];
+    for (m, n, k) in shapes {
+        let (a, b) = data(m, n, k, 17);
+        let want = oracle(m, n, k, &a, &b);
+        for site in FaultSite::ALL {
+            for action in actions {
+                for threads in [1usize, 3] {
+                    let engine = engine_unbroken();
+                    let guard = arm(FaultPlan::single(site, action, Trigger::Nth(1)));
+                    let mut c = vec![0.0f32; m * n];
+                    let opts = GemmOptions::new().threads(threads);
+                    let result = engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &opts);
+                    drop(guard);
+                    let ctx = format!("{m}x{n}x{k} t{threads} {site:?}/{action:?}");
+                    match result {
+                        Ok(()) => assert_eq!(c, want, "{ctx}: recovered run must be exact"),
+                        Err(e) => {
+                            assert!(!matches!(e, GemmError::PlanMismatch { .. }), "{ctx}: {e}")
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// An elided-pack run still honours the pack-phase fault probes: the
+/// pool acquisition fires even when the copy is skipped.
+#[test]
+fn elided_pack_run_still_faults_at_pack_alloc() {
+    let _g = chaos_lock();
+    let (m, n, k) = (64usize, 49usize, 64usize);
+    let (a, b) = data(m, n, k, 19);
+    let want = oracle(m, n, k, &a, &b);
+    for action in [FaultAction::Degrade, FaultAction::Fail] {
+        let engine = engine_unbroken();
+        let guard = arm(FaultPlan::single(FaultSite::PackAlloc, action, Trigger::Nth(1)));
+        let mut c = vec![0.0f32; m * n];
+        let result = engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new());
+        drop(guard);
+        match (action, result) {
+            (FaultAction::Degrade, Ok(())) => assert_eq!(c, want),
+            (FaultAction::Fail, Err(GemmError::AllocFailed { .. })) => {}
+            (_, other) => panic!("PackAlloc/{action:?}: unexpected {other:?}"),
+        }
+    }
+}
+
+/// Cancellation on the fast path reports a structured `Cancelled` with
+/// the unit-level progress counters.
+#[test]
+fn cancelled_fast_path_reports_progress() {
+    let _g = chaos_lock();
+    let engine = engine_unbroken();
+    let (m, n, k) = (1usize, 64usize, 32usize);
+    let (a, b) = data(m, n, k, 23);
+    let token = CancelToken::new();
+    token.cancel();
+    let mut c = vec![0.0f32; m * n];
+    let opts = GemmOptions::new().threads(2).cancel(token);
+    match engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &opts) {
+        Err(GemmError::Cancelled { blocks_done, blocks_total, .. }) => {
+            assert!(blocks_total > 0);
+            assert!(blocks_done <= blocks_total);
+        }
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+}
+
+/// Two threads arming concurrently serialize: neither ever observes (or
+/// clobbers) the other's plan, and nothing stays armed afterwards.
+#[test]
+fn concurrent_arming_serializes_instead_of_clobbering() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let _g = chaos_lock();
+    let live = Arc::new(AtomicUsize::new(0));
+    let peak = Arc::new(AtomicUsize::new(0));
+    let mut handles = Vec::new();
+    for i in 0..4u64 {
+        let live = Arc::clone(&live);
+        let peak = Arc::clone(&peak);
+        handles.push(std::thread::spawn(move || {
+            let plan =
+                FaultPlan::single(FaultSite::PackAlloc, FaultAction::Degrade, Trigger::Nth(1 + i));
+            let guard = arm(plan);
+            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(5));
+            live.fetch_sub(1, Ordering::SeqCst);
+            drop(guard);
+        }));
+    }
+    for h in handles {
+        h.join().expect("arming thread panicked");
+    }
+    assert_eq!(peak.load(Ordering::SeqCst), 1, "two plans were armed at once");
+    // Everything disarmed afterwards: a traced call takes no degradation.
+    let (m, n, k) = SHAPE;
+    let (a, b) = data(m, n, k, 29);
+    let mut c = vec![0.0f32; m * n];
+    let engine = AutoGemm::new(ChipSpec::graviton2());
+    let report = engine.try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new()).unwrap();
+    assert!(!report.fallbacks.any(), "a plan stayed armed: {:?}", report.fallbacks);
 }

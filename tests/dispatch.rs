@@ -207,137 +207,3 @@ proptest! {
         prop_assert_eq!(&c_block, &naive(m, n, k, &a, &b));
     }
 }
-
-/// Chaos coverage for the new paths: every injection either surfaces a
-/// structured error or the run recovers bit-identically. Mirrors the
-/// acceptance bar of `tests/chaos.rs` (which owns the block-driver
-/// sweep); this file covers the GEMV/small-k units and elided-pack runs.
-#[cfg(feature = "faultinject")]
-mod chaos {
-    use super::*;
-    use autogemm::faultinject::{arm, FaultAction, FaultPlan, FaultSite, Trigger};
-    use autogemm::supervisor::{BreakerConfig, CancelToken, GemmOptions};
-    use autogemm::GemmError;
-    use std::sync::{Mutex, MutexGuard, Once, OnceLock};
-
-    /// Serializes fault-plan arming (one global plan at a time) and
-    /// silences the intentional "injected fault" panics.
-    fn chaos_lock() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        static HOOK: Once = Once::new();
-        HOOK.call_once(|| {
-            let previous = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let injected = info
-                    .payload()
-                    .downcast_ref::<String>()
-                    .map(|s| s.contains("injected fault"))
-                    .unwrap_or(false);
-                if !injected {
-                    previous(info);
-                }
-            }));
-        });
-        LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn engine_unbroken() -> AutoGemm {
-        AutoGemm::new(ChipSpec::graviton2()).with_breaker_config(BreakerConfig {
-            fail_threshold: u32::MAX,
-            open_cooldown: 1,
-            close_after: 1,
-        })
-    }
-
-    /// GEMV shapes under every site × action: structured error or exact.
-    #[test]
-    fn fast_paths_fault_structured_or_exact() {
-        let _g = chaos_lock();
-        let shapes = [(1usize, 40usize, 24usize), (40, 1, 24), (24, 20, 6)];
-        let actions = [FaultAction::Degrade, FaultAction::Fail, FaultAction::Panic];
-        for (m, n, k) in shapes {
-            let (a, b) = data(m, n, k, 17);
-            let want = naive(m, n, k, &a, &b);
-            for site in FaultSite::ALL {
-                for action in actions {
-                    for threads in [1usize, 3] {
-                        let engine = engine_unbroken();
-                        let guard = arm(FaultPlan::single(site, action, Trigger::Nth(1)));
-                        let mut c = vec![0.0f32; m * n];
-                        let result = engine.try_gemm_opts(
-                            m,
-                            n,
-                            k,
-                            &a,
-                            &b,
-                            &mut c,
-                            &GemmOptions::new().threads(threads),
-                        );
-                        drop(guard);
-                        match result {
-                            Ok(()) => assert_eq!(
-                                c, want,
-                                "{m}x{n}x{k} t{threads} {site:?}/{action:?}: recovered run must be exact"
-                            ),
-                            Err(e) => assert!(
-                                !matches!(e, GemmError::PlanMismatch { .. }),
-                                "{m}x{n}x{k} t{threads} {site:?}/{action:?}: unexpected {e}"
-                            ),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// An elided-pack run still honours the pack-phase fault probes: the
-    /// pool acquisition fires even when the copy is skipped.
-    #[test]
-    fn elided_pack_run_still_faults_at_pack_alloc() {
-        let _g = chaos_lock();
-        let (m, n, k) = (64usize, 49usize, 64usize);
-        let (a, b) = data(m, n, k, 19);
-        let want = naive(m, n, k, &a, &b);
-        for action in [FaultAction::Degrade, FaultAction::Fail] {
-            let engine = engine_unbroken();
-            let guard = arm(FaultPlan::single(FaultSite::PackAlloc, action, Trigger::Nth(1)));
-            let mut c = vec![0.0f32; m * n];
-            let result = engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new());
-            drop(guard);
-            match (action, result) {
-                (FaultAction::Degrade, Ok(())) => assert_eq!(c, want),
-                (FaultAction::Fail, Err(GemmError::AllocFailed { .. })) => {}
-                (_, other) => panic!("PackAlloc/{action:?}: unexpected {other:?}"),
-            }
-        }
-    }
-
-    /// Cancellation on the fast path reports a structured `Cancelled`
-    /// with the unit-level progress counters.
-    #[test]
-    fn cancelled_fast_path_reports_progress() {
-        let _g = chaos_lock();
-        let engine = engine_unbroken();
-        let (m, n, k) = (1usize, 64usize, 32usize);
-        let (a, b) = data(m, n, k, 23);
-        let token = CancelToken::new();
-        token.cancel();
-        let mut c = vec![0.0f32; m * n];
-        let result = engine.try_gemm_opts(
-            m,
-            n,
-            k,
-            &a,
-            &b,
-            &mut c,
-            &GemmOptions::new().threads(2).cancel(token),
-        );
-        match result {
-            Err(GemmError::Cancelled { blocks_done, blocks_total, .. }) => {
-                assert!(blocks_total > 0);
-                assert!(blocks_done <= blocks_total);
-            }
-            other => panic!("expected Cancelled, got {other:?}"),
-        }
-    }
-}

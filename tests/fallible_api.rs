@@ -1,8 +1,8 @@
 //! The fallible (`try_*`) API surface: structured errors instead of
 //! panics, degenerate-shape early returns, the untouched-`C` guarantee,
 //! and a seeded differential sweep against the naive oracle — all with
-//! the `faultinject` feature off, so this suite also pins down that the
-//! `Result` plumbing is bit-identical to the classic panicking path.
+//! no fault plan armed, so this suite also pins down that the `Result`
+//! plumbing is bit-identical to the classic panicking path.
 
 use autogemm::error::Operand;
 use autogemm::{AutoGemm, GemmBatch, GemmError, GemmOptions, PackedB, PanelPool};
@@ -234,7 +234,7 @@ fn zero_dim_transpose_paths() {
 }
 
 // ---------------------------------------------------------------------------
-// try_* matches the classic path bit-for-bit (feature off)
+// try_* matches the classic path bit-for-bit (no fault plan armed)
 // ---------------------------------------------------------------------------
 
 #[test]

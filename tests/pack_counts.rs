@@ -3,22 +3,16 @@
 //! The cached driver packs each A panel `(bi, kb)` and each B panel
 //! `(kb, bj)` exactly once per GEMM — `tm·tk` + `tk·tn` packs — while the
 //! historical per-block path packs `2·tm·tn·tk` times. These tests pin
-//! both counts through the session-stats API: the supervised driver's
-//! per-call `GemmReport` when a recorder is attached (`packs.a_packs` /
-//! `packs.b_packs`) and, for paths that take no recorder, an explicitly
-//! installed telemetry session scope. Both are race-free across concurrent GEMMs, so unlike
-//! the removed process-global `packing::counters` the tests below can be
-//! independent `#[test]`s.
-//!
-//! The counters only tick with the `telemetry` feature armed (ci.sh runs
-//! this file under the telemetry config); without it the whole file
-//! compiles to nothing.
-#![cfg(feature = "telemetry")]
-
-use std::sync::Arc;
+//! both counts as measured by the per-thread pack tally
+//! ([`thread_pack_counts`]): through the supervised driver's per-call
+//! `GemmReport` when it records (`packs.a_packs` / `packs.b_packs`, the
+//! sum of every pack runner's tally change) and, for paths that do not
+//! record, as the change in the calling thread's own tally. Both are
+//! race-free across concurrent GEMMs on other threads, so the tests below
+//! can be independent `#[test]`s.
 
 use autogemm::native::{gemm_with_plan_repack, try_gemm_with_plan_supervised};
-use autogemm::telemetry::{session, Session};
+use autogemm::packing::thread_pack_counts;
 use autogemm::{ExecutionPlan, GemmBatch, GemmOptions, PackedB, PanelPool, Supervision};
 use autogemm_arch::ChipSpec;
 use autogemm_tuner::tune;
@@ -35,28 +29,27 @@ fn data(m: usize, n: usize, k: usize) -> (Vec<f32>, Vec<f32>) {
 }
 
 /// Count packs done by `f` on the calling thread (single-threaded paths
-/// that take no recorder: offline prepack, the repack baseline).
+/// that do not record: offline prepack, the repack baseline).
 fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
-    let sess = Arc::new(Session::new());
-    let out = session::with_session(&sess, f);
-    let stats = sess.take();
+    let before = thread_pack_counts();
+    let out = f();
+    let stats = thread_pack_counts().since(before);
     (out, stats.a_packs, stats.b_packs)
 }
 
 #[test]
 fn cached_driver_packs_each_panel_once() {
     // (tm + tn)·tk packs per GEMM, at any thread count — read from the
-    // recorded driver's own report, which merges every worker's tally.
+    // recorded driver's own report, which sums every pack runner's tally.
     for (m, n, k, threads) in [(64, 196, 64, 1), (64, 196, 64, 4), (52, 72, 32, 3), (8, 8, 8, 16)] {
         let plan = plan_for(m, n, k);
         let (tm, tn, tk) = plan.grid();
         let (a, b) = data(m, n, k);
         let mut c = vec![0.0f32; m * n];
         let pool = PanelPool::new();
-        let sess = Arc::new(Session::new());
         let sup = Supervision::none();
         let report =
-            try_gemm_with_plan_supervised(&plan, &a, &b, &mut c, threads, &pool, &sup, Some(&sess))
+            try_gemm_with_plan_supervised(&plan, &a, &b, &mut c, threads, &pool, &sup, true)
                 .unwrap()
                 .unwrap();
         assert_eq!(
@@ -77,7 +70,7 @@ fn repack_baseline_packs_per_block() {
     // The historical repack path really does O(tm·tn·tk) packs of each
     // operand (kept as the benchmark baseline; this documents the
     // contrast the panel cache eliminates). Single-threaded so every
-    // pack lands on the calling thread's session scope.
+    // pack lands in the calling thread's tally.
     let (m, n, k) = (64, 196, 64);
     let plan = plan_for(m, n, k);
     let (tm, tn, tk) = plan.grid();
@@ -116,7 +109,7 @@ fn batch_with_shared_b_packs_it_once() {
     // the calling thread. A single-threaded batch drains every item on
     // the caller too (the pool runtime hands nothing off at threads=1),
     // so each item's A panels are packed exactly once — items·tm·tk in
-    // this thread's session scope — and the shared B never re-packs.
+    // this thread's tally — and the shared B never re-packs.
     let (m, n, k, items) = (8usize, 12usize, 16usize, 5usize);
     let plan = plan_for(m, n, k);
     let (tm, tn, tk) = plan.grid();

@@ -49,14 +49,14 @@ proptest! {
         let pool = PanelPool::new();
         let mut c_pooled = vec![0.0f32; m * n];
         try_gemm_with_plan_supervised(
-            &plan, &a, &b, &mut c_pooled, threads, &pool, &Supervision::none(), None,
+            &plan, &a, &b, &mut c_pooled, threads, &pool, &Supervision::none(), false,
         ).unwrap();
 
         let pool = PanelPool::new();
         let mut c_scoped = vec![0.0f32; m * n];
         try_gemm_with_plan_supervised(
             &plan, &a, &b, &mut c_scoped, threads, &pool,
-            &Supervision::none().with_spawn_baseline(), None,
+            &Supervision::none().with_spawn_baseline(), false,
         ).unwrap();
 
         prop_assert_eq!(&c_pooled, &c_scoped, "pool vs scoped diverged");
@@ -192,7 +192,7 @@ fn oversubscribed_thread_requests_clamp_and_record() {
     assert!(16 > rt.capacity(), "test premise: the host cannot grant 16 workers");
 }
 
-/// Traced reports carry the pool section (schema v4) and it survives a
+/// Traced reports carry the pool section and it survives a
 /// JSON round trip.
 #[test]
 fn traced_report_carries_pool_stats() {
@@ -208,7 +208,7 @@ fn traced_report_carries_pool_stats() {
     assert_eq!(report.pool.workers as usize + 1, engine.runtime().capacity());
 
     let text = report.to_json();
-    assert!(text.contains("\"pool\":"), "v4 report must serialize the pool section");
+    assert!(text.contains("\"pool\":"), "the report must serialize the pool section");
     let back = autogemm::GemmReport::from_json(&text).unwrap();
     assert_eq!(back.pool, report.pool);
 }

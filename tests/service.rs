@@ -1,8 +1,8 @@
 //! Integration tests for the admission-controlled service layer
 //! (`autogemm::service`): bounded-queue rejection, per-tenant quotas,
 //! deadline shedding, in-queue expiry, close semantics, error wrapping,
-//! and the schema-v6 `service` report section. The chaos suite
-//! (`faultinject` feature) covers the same layer under injected faults.
+//! and the `service` report section. The chaos suite
+//! (`tests/chaos.rs`) covers the same layer under injected faults.
 
 use autogemm::supervisor::GemmOptions;
 use autogemm::{

@@ -1,7 +1,7 @@
 //! Supervisor integration tests that need no fault injection: deadline
 //! and cancellation semantics on clean runs, engine reusability after a
 //! supervised stop, the resilient ladder's happy path, and the health
-//! report of a healthy engine. The chaos suite (`faultinject` feature)
+//! report of a healthy engine. The chaos suite (`tests/chaos.rs`)
 //! covers the faulting halves of the same contracts.
 
 use autogemm::supervisor::{CancelToken, GemmOptions, WatchdogConfig};

@@ -1,22 +1,17 @@
 //! Integration guards for the per-GEMM telemetry layer:
 //!
-//! * the per-call recorder is a pure observer — the supervised
-//!   panel-cache driver's `C` output is bit-identical with the recorder
-//!   on and off, on random shapes and thread counts (ci.sh runs this
-//!   file with the `telemetry` feature both off and on, so the property
-//!   pins both builds);
+//! * recording is a pure observer — the supervised panel-cache driver's
+//!   `C` output is bit-identical with recording on and off, on random
+//!   shapes and thread counts;
 //! * reports survive a JSON round trip through the public API and the
-//!   schema-version guard rejects foreign versions;
-//! * with the feature off, every timing and counter in a traced report
-//!   is zero (the clock and session hooks compile to no-ops); with it
-//!   on, the phase clocks tick and the model join is populated.
-
-use std::sync::Arc;
+//!   schema-version guard rejects every other version;
+//! * the phase clocks tick, the model join is populated, and the pack
+//!   counts and kernel-shape histograms match the values the per-tile
+//!   recording hooks they replaced reported for the same calls.
 
 use autogemm::native::try_gemm_with_plan_supervised;
 use autogemm::telemetry::metrics::{bucket_index, HIST_BOUNDS};
-use autogemm::telemetry::Session;
-use autogemm::telemetry::{Counter, HealthReport, Histogram, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
+use autogemm::telemetry::{Counter, Histogram, SCHEMA_VERSION};
 use autogemm::{AutoGemm, ExecutionPlan, GemmOptions, GemmReport, PanelPool, Supervision};
 use autogemm_arch::ChipSpec;
 use autogemm_perfmodel::{ModelOpts, ProjectionTable};
@@ -45,32 +40,22 @@ fn traced_pair(
     let (pool, sup) = (PanelPool::new(), Supervision::none());
     let mut c_plain = vec![0.0f32; m * n];
     let none =
-        try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_plain, threads, &pool, &sup, None)
+        try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_plain, threads, &pool, &sup, false)
             .unwrap();
     assert!(none.is_none(), "an unrecorded run returns no report");
-    let sess = Arc::new(Session::new());
     let mut c_traced = vec![0.0f32; m * n];
-    let report = try_gemm_with_plan_supervised(
-        &plan,
-        &a,
-        &b,
-        &mut c_traced,
-        threads,
-        &pool,
-        &sup,
-        Some(&sess),
-    )
-    .unwrap()
-    .expect("a recorded run returns its report");
+    let report =
+        try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_traced, threads, &pool, &sup, true)
+            .unwrap()
+            .expect("a recorded run returns its report");
     (c_plain, c_traced, report)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The recorder must never perturb numerics: same packs, same
-    /// accumulation order, bit-identical C with it on or off — whether
-    /// the feature is on (hooks live) or off (hooks are no-ops).
+    /// Recording must never perturb numerics: same packs, same
+    /// accumulation order, bit-identical C with it on or off.
     #[test]
     fn traced_output_bit_identical_to_untraced(
         m in 1usize..48,
@@ -271,7 +256,7 @@ fn schema_version_guard_rejects_foreign_reports() {
     assert!(err.to_string().contains("unsupported schema_version"), "{err}");
 }
 
-/// Schema v2: engine reports carry the circuit-breaker health section
+/// Engine reports carry the circuit-breaker health section
 /// (every dispatch path, closed on a healthy engine) and survive
 /// the JSON round trip with it populated.
 #[test]
@@ -293,41 +278,8 @@ fn engine_reports_carry_a_health_section_that_round_trips() {
     assert_eq!(back, report);
 }
 
-/// Forward compatibility: a schema-v1 report (no `health` section) must
-/// still parse, coming back with the default (empty, all-closed) health.
 #[test]
-fn v1_reports_without_health_parse_leniently() {
-    assert_eq!(MIN_SCHEMA_VERSION, 1);
-    // Plan-level traced reports carry default health, so the serialized
-    // section is the literal empty object — strip it and drop to v1.
-    let (_, _, report) = traced_pair(16, 24, 16, 2, 17);
-    assert_eq!(report.health, HealthReport::default());
-    let v1 = report
-        .to_json()
-        .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":1")
-        .replace("\"health\":{\"paths\":[],\"transitions\":[]},", "");
-    assert!(!v1.contains("health"), "v1 fixture must not carry a health section");
-    let back = GemmReport::from_json(&v1).expect("v1 reports must stay readable");
-    assert_eq!(back.health, HealthReport::default());
-    assert!(back.health.all_closed());
-}
-
-#[cfg(not(feature = "telemetry"))]
-#[test]
-fn feature_off_reports_are_structurally_filled_but_zeroed() {
-    let (_, _, report) = traced_pair(26, 36, 24, 2, 11);
-    assert_eq!((report.m, report.n, report.k), (26, 36, 24));
-    assert!(report.threads >= 1, "structure still filled in");
-    assert_eq!(report.wall, Default::default(), "no clock without the feature");
-    assert_eq!(report.phases, Default::default());
-    assert_eq!(report.packs, Default::default());
-    assert!(report.tiles.is_empty(), "no histogram without the feature");
-    assert_eq!(report.gflops(), 0.0);
-}
-
-#[cfg(feature = "telemetry")]
-#[test]
-fn feature_on_reports_carry_live_timings_and_model_join() {
+fn reports_carry_live_timings_and_model_join() {
     let (_, _, mut report) = traced_pair(64, 96, 64, 2, 11);
     assert!(report.wall.wall_ns > 0);
     assert!(report.phases.kernel.wall_ns > 0);
@@ -344,5 +296,86 @@ fn feature_on_reports_carry_live_timings_and_model_join() {
     // clock falls back to wall time there) but must be monotone here.
     if mj.measured_kernel_cycles > 0 {
         assert!(mj.cycle_ratio > 0.0);
+    }
+}
+
+/// The engine front door's report for a block-route call: live clocks,
+/// one pack per panel the routing packs, and a histogram.
+#[test]
+fn engine_traced_report_is_live_in_the_default_build() {
+    let engine = AutoGemm::new(ChipSpec::graviton2());
+    let (m, n, k) = (64, 96, 64);
+    let (a, b) = (data(m * k, 5), data(k * n, 6));
+    let mut c = vec![0.0f32; m * n];
+    let report = engine
+        .try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+        .unwrap();
+    assert!(report.wall.wall_ns > 0 && report.phases.kernel.wall_ns > 0);
+    assert!(report.wall.wall_ns >= report.phases.kernel.wall_ns);
+    let (tm, tn, tk) = (m.div_ceil(report.mc), n.div_ceil(report.nc), k.div_ceil(report.kc));
+    let want_a = if report.dispatch.packed_a { tm * tk } else { 0 };
+    let want_b = if report.dispatch.packed_b { tk * tn } else { 0 };
+    assert_eq!((report.packs.a_packs, report.packs.b_packs), (want_a as u64, want_b as u64));
+    assert!(!report.tiles.is_empty());
+}
+
+/// `packs` (count, count, bytes, bytes) and the `tiles` histogram as
+/// `mr x nr : count` buckets, for comparison against recorded values.
+fn packs_and_tiles(r: &GemmReport) -> ([u64; 4], String) {
+    let p = r.packs;
+    let tiles: Vec<String> =
+        r.tiles.iter().map(|t| format!("{}x{}:{}", t.mr, t.nr, t.count)).collect();
+    ([p.a_packs, p.b_packs, p.a_bytes, p.b_bytes], tiles.join(";"))
+}
+
+/// One recorded call: `(m, n, k, threads)`, its `packs` and its `tiles`.
+type Golden = ((usize, usize, usize, usize), [u64; 4], &'static str);
+
+/// Pack counts and histograms equal what per-pack and per-tile recording
+/// hooks counted for the same calls before the histogram was derived
+/// from the plan: plan-level driver calls (both operands packed) and
+/// engine calls across every route, packed and elided operands,
+/// lane-tail edges and multi-block grids.
+#[test]
+fn packs_and_tiles_match_the_recorded_goldens() {
+    #[rustfmt::skip]
+    let plan_goldens: [Golden; 6] = [
+        ((16, 24, 16, 1), [1, 1, 2048, 3072], "5x12:4;6x12:2"),
+        ((26, 36, 24, 2), [1, 1, 4992, 6912], "4x16:4;4x20:5;5x16:2;6x8:1;6x12:1"),
+        ((64, 96, 64, 2), [1, 1, 32768, 49152], "3x24:80;4x16:6"),
+        ((64, 196, 64, 4), [1, 1, 32768, 100352], "3x24:160;4x16:12;8x4:8"),
+        ((52, 72, 32, 3), [1, 1, 13312, 18432], "4x16:26;4x20:26"),
+        ((16, 24, 7, 4), [1, 1, 896, 1344], "2x24:1;7x12:4"),
+    ];
+    for ((m, n, k, t), packs, tiles) in plan_goldens {
+        let (_, _, report) = traced_pair(m, n, k, t, 1);
+        assert_eq!(packs_and_tiles(&report), (packs, tiles.to_string()), "plan {m}x{n}x{k} t{t}");
+    }
+    #[rustfmt::skip]
+    let engine_goldens: [Golden; 14] = [
+        ((1, 40, 24, 2), [0, 0, 0, 0], "1x12:1;1x28:1"),
+        ((40, 1, 24, 2), [0, 0, 0, 0], "8x4:5"),
+        ((24, 20, 6, 2), [0, 0, 0, 0], "1x20:24"),
+        ((1, 1100, 9, 2), [0, 0, 0, 0], "1x8:2;1x20:1;1x28:38"),
+        ((97, 1, 64, 3), [0, 0, 0, 0], "1x4:1;8x4:12"),
+        ((33, 517, 1, 1), [0, 0, 0, 0], "1x4:33;1x12:33;1x28:594"),
+        ((48, 64, 32, 2), [1, 0, 12288, 0], "4x16:48"),
+        ((64, 96, 64, 2), [1, 0, 32768, 0], "3x24:80;4x16:6"),
+        ((26, 36, 24, 2), [0, 1, 0, 6912], "4x16:4;4x20:4;5x8:2;5x12:2;5x16:2"),
+        ((64, 49, 64, 1), [0, 1, 0, 25088], "3x24:40;4x16:3;8x4:8"),
+        ((52, 40, 48, 1), [0, 0, 0, 0], "3x24:16;4x12:2;4x16:13"),
+        ((9, 49, 17, 1), [0, 1, 0, 6664], "4x16:2;4x20:1;5x8:1;5x12:1;5x16:2"),
+        ((9, 100, 64, 2), [3, 5, 4608, 51200], "3x20:15"),
+        ((256, 196, 64, 2), [0, 1, 0, 100352], "3x24:640;4x16:48;8x4:32"),
+    ];
+    let engine = AutoGemm::new(ChipSpec::graviton2());
+    for ((m, n, k, t), packs, tiles) in engine_goldens {
+        let (a, b) = (data(m * k, 3), data(k * n, 4));
+        let mut c = vec![0.0f32; m * n];
+        let report = engine
+            .try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(t))
+            .unwrap();
+        let got = packs_and_tiles(&report);
+        assert_eq!(got, (packs, tiles.to_string()), "engine {m}x{n}x{k} t{t}");
     }
 }
