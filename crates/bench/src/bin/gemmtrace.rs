@@ -4,7 +4,9 @@
 //! For every shape in [`autogemm_workloads::gemmtrace_sweep`] (Fig 8
 //! cubes plus one Table V ResNet-50 layer per irregularity class) the
 //! binary runs the engine's traced front door
-//! ([`autogemm::AutoGemm::try_gemm_traced_opts`]), keeps the best-wall
+//! ([`autogemm::AutoGemm::try_gemm_traced_opts`]) at [`THREADS`] threads
+//! clamped to the host's parallelism (an oversubscribed host would make
+//! the per-phase split measure preemption), keeps the best-wall
 //! report of a few repetitions, joins it against the perfmodel's
 //! projected cycles ([`autogemm::GemmReport::join_model`]) and records
 //! the full versioned-JSON report: per-phase wall/cycle breakdown
@@ -42,6 +44,8 @@ use autogemm_perfmodel::{ModelOpts, ProjectionTable};
 use std::fmt::Write as _;
 use std::time::Instant;
 
+/// Threads the sweep asks for, before clamping to the host, and the
+/// timeline burst's width.
 const THREADS: usize = 4;
 
 fn data(len: usize, seed: u32) -> Vec<f32> {
@@ -178,6 +182,8 @@ fn main() {
         sweep.retain(|(name, ..)| name.starts_with("cube"));
     }
 
+    let host = autogemm::host_parallelism();
+    let threads = THREADS.min(host);
     let engine = AutoGemm::new(chip.clone());
     let mut entries: Vec<(String, GemmReport)> = Vec::new();
     for (name, m, n, k) in sweep {
@@ -188,7 +194,7 @@ fn main() {
         // steady-state behaviour, not first-touch page faults.
         let run = |c: &mut Vec<f32>| {
             engine
-                .try_gemm_traced_opts(m, n, k, &a, &b, c, &GemmOptions::new().threads(THREADS))
+                .try_gemm_traced_opts(m, n, k, &a, &b, c, &GemmOptions::new().threads(threads))
                 .unwrap_or_else(|e| panic!("{name}: {e}"))
         };
         run(&mut c);
@@ -247,7 +253,10 @@ fn main() {
         })
         .collect();
     print_table(
-        "gemmtrace: per-GEMM phase profile (threads = 4, best of reps; route * = plan-cache hit)",
+        &format!(
+            "gemmtrace: per-GEMM phase profile (threads = {threads}, host parallelism {host}, \
+             best of reps; route * = plan-cache hit)"
+        ),
         &[
             "shape",
             "MxNxK",
@@ -294,7 +303,8 @@ fn main() {
     let _ =
         writeln!(json, "  \"command\": \"cargo run --release -p autogemm-bench --bin gemmtrace\",");
     let _ = writeln!(json, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(json, "  \"threads\": {THREADS},");
+    let _ = writeln!(json, "  \"threads\": {threads},");
+    let _ = writeln!(json, "  \"host_parallelism\": {host},");
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"model_chip\": \"{}\",", chip.id);
     let _ = writeln!(json, "  \"entries\": [");

@@ -156,6 +156,7 @@ fn check_service_envelope(path: &str, v: &Json) {
             "rejected",
             "shed",
             "expired_in_queue",
+            "dropped_share",
             "p50_s",
             "p99_s",
             "queued_after",

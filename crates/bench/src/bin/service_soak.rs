@@ -6,7 +6,8 @@
 //! shedding), then replays paced open-loop traffic at 0.5x / 1x / 2x that
 //! rate with a per-call deadline. The artifact records, per offered load:
 //! offered vs achieved QPS, the admission outcome counts
-//! (admitted / rejected / shed / expired-in-queue), and the p50/p99
+//! (admitted / rejected / shed / expired-in-queue) with the dropped share
+//! (rejected + shed + expired over all submits), and the p50/p99
 //! end-to-end latency of the calls that completed. The overload story the
 //! numbers must tell: below saturation everything is admitted and fast;
 //! at 2x the queue bounds latency for the admitted fraction and the
@@ -115,6 +116,20 @@ struct LoadResult {
     queued_after: usize,
     in_flight_after: usize,
     gauge_after: i64,
+}
+
+impl LoadResult {
+    /// Submits turned away (rejected, shed or expired in the queue) as a
+    /// share of all submits.
+    fn dropped_share(&self) -> f64 {
+        let dropped = self.rejected + self.shed + self.expired_in_queue;
+        let offered = self.admitted + dropped;
+        if offered == 0 {
+            0.0
+        } else {
+            dropped as f64 / offered as f64
+        }
+    }
 }
 
 fn percentile(sorted: &[u64], q: f64) -> f64 {
@@ -422,8 +437,8 @@ fn main() {
             json,
             "    {{\"multiplier\": {:.1}, \"offered_qps\": {:.1}, \"achieved_qps\": {:.1}, \
              \"admitted\": {}, \"rejected\": {}, \"shed\": {}, \"expired_in_queue\": {}, \
-             \"ok\": {}, \"exec_errors\": {}, \"p50_s\": {:.9}, \"p99_s\": {:.9}, \
-             \"queued_after\": {}, \"in_flight_after\": {}}}",
+             \"dropped_share\": {:.4}, \"ok\": {}, \"exec_errors\": {}, \"p50_s\": {:.9}, \
+             \"p99_s\": {:.9}, \"queued_after\": {}, \"in_flight_after\": {}}}",
             r.multiplier,
             r.offered_qps,
             r.achieved_qps,
@@ -431,6 +446,7 @@ fn main() {
             r.rejected,
             r.shed,
             r.expired_in_queue,
+            r.dropped_share(),
             r.ok,
             r.exec_errors,
             r.p50_s,
@@ -465,14 +481,19 @@ fn main() {
     json.push_str("}\n");
 
     std::fs::write(&out_path, &json).expect("write BENCH_service.json");
-    let overload = results.last().expect("loads configured");
-    println!(
-        "wrote {out_path}: saturation {:.0} calls/s; 2x load admitted {} rejected {} \
-         shed {} expired {}.",
-        saturation_qps,
-        overload.admitted,
-        overload.rejected,
-        overload.shed,
-        overload.expired_in_queue,
-    );
+    println!("wrote {out_path}: saturation {saturation_qps:.0} calls/s");
+    for r in &results {
+        println!(
+            "  {:.1}x: offered {:.0}/s, achieved {:.0}/s, admitted {} rejected {} shed {} \
+             expired {}, dropped share {:.3}",
+            r.multiplier,
+            r.offered_qps,
+            r.achieved_qps,
+            r.admitted,
+            r.rejected,
+            r.shed,
+            r.expired_in_queue,
+            r.dropped_share(),
+        );
+    }
 }

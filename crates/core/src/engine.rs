@@ -23,7 +23,9 @@ use crate::supervisor::{
     is_retryable, Admission, Breaker, BreakerConfig, BreakerPath, GemmOptions, ResilientMode,
     ResilientReport, Supervision,
 };
-use crate::telemetry::metrics::{CallOutcome, Counter, MetricsRegistry, MetricsSnapshot};
+use crate::telemetry::metrics::{
+    CallOutcome, Counter, MetricsRegistry, MetricsSnapshot, WarmLatency,
+};
 use crate::telemetry::{DispatchStats, HealthReport, IntegrityReport, TraceBuf};
 use crate::verify::{self, VerifyPolicy};
 use autogemm_arch::ChipSpec;
@@ -166,6 +168,14 @@ impl AutoGemm {
         snap.pool_busy_ns = pool.pool_busy_ns;
         snap.pool_park_ns = pool.pool_park_ns;
         snap
+    }
+
+    /// Decaying latency of this engine's successful plan-cache-hit calls
+    /// and how many there were: one relaxed load, cheap enough to consult
+    /// before every call (the service's shed check does). Frozen while
+    /// metrics are disabled.
+    pub fn warm_latency(&self) -> WarmLatency {
+        self.metrics.warm_latency()
     }
 
     /// Toggle metrics recording at runtime. Disabled, every front-door

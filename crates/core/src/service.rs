@@ -28,17 +28,21 @@
 //!    (its own, or [`ServiceConfig::default_deadline`]) is checked at
 //!    admission *and again at dispatch* against a cost estimate: the
 //!    roofline floor `2mnk / peak` from the chip model, max'd with the
-//!    tenant engine's observed p95 call latency once
-//!    [`ShedPolicy::min_samples`] calls have been seen. Calls that missed
-//!    the plan cache (and so include one-off tuning) are left out of that
-//!    p95 and of the sample count. A call that
-//!    provably cannot finish is shed up front
+//!    tenant engine's decaying warm-call latency
+//!    ([`AutoGemm::warm_latency`]: an average weighting the newest call
+//!    1/8, over calls that succeeded and hit the plan cache) once
+//!    [`ShedPolicy::min_samples`] such calls have been seen. Reading it is
+//!    one atomic load, so the check costs next to nothing beside the GEMM
+//!    it guards. A call that provably cannot finish is shed up front
 //!    ([`RejectReason::DeadlineUnmeetable`]) instead of wasting pool time
 //!    and then missing its deadline anyway; a call whose budget expired
 //!    *while queued* is dropped with [`RejectReason::ExpiredInQueue`].
-//!    Queue wait is deducted from the budget handed to the engine, so the
-//!    engine-level deadline supervisor still fires mid-call if execution
-//!    overruns.
+//!    A shed call records no latency, so while the observed term sheds a
+//!    tenant's calls, one call per budget's worth of time is admitted as
+//!    a probe (the breaker's half-open idea): shedding always releases
+//!    once the tenant's calls are fast again. Queue wait is deducted from
+//!    the budget handed to the engine, so the engine-level deadline
+//!    supervisor still fires mid-call if execution overruns.
 //!
 //! Under sustained overload the service degrades gracefully: admitted
 //! calls keep a bounded latency profile (the queue depth bounds wait; the
@@ -54,13 +58,16 @@
 //!
 //! Two locks, never held together: a tenant map (taken briefly to resolve
 //! or create a tenant), and the queue state guarded by a
-//! `Mutex` + `Condvar` pair. Waiters block on the condvar with a bounded
+//! `Mutex` + `Condvar` pair. Admission (closed, depth, tenant share,
+//! shed, enqueue) runs under one acquisition of the queue lock, so a
+//! rejected call takes that lock once. Waiters block on the condvar with a bounded
 //! timeout (their own remaining deadline, else a housekeeping tick) and
 //! every state transition that can change eligibility — completion,
 //! expiry-removal, close — does `notify_all`. Execution itself runs with
 //! no service lock held, so a stalled kernel cannot deadlock admission.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -136,9 +143,11 @@ pub struct ShedPolicy {
     /// Master switch. Off: deadlines are still enforced in-queue and
     /// in-engine, but no call is rejected up front on a cost estimate.
     pub enabled: bool,
-    /// Observed-latency term only kicks in once the tenant engine has
-    /// recorded this many plan-cache-hit calls; below it the roofline
-    /// floor alone decides.
+    /// The observed-latency term (the tenant engine's decaying
+    /// [`AutoGemm::warm_latency`]) only kicks in once the engine has
+    /// recorded this many successful plan-cache-hit calls; below it the
+    /// roofline floor alone decides. The count saturates at 2^24 − 1, so
+    /// a larger value keeps the observed term off.
     pub min_samples: u64,
     /// Multiplier on the cost estimate before comparing against the
     /// remaining budget. 1.0 sheds only provably-doomed calls; larger
@@ -189,7 +198,8 @@ impl Default for ServiceConfig {
 /// Per-call admission outcome returned by a successful submit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceReply {
-    /// Time spent waiting in the admission queue before dispatch.
+    /// Time spent in the admission queue, from enqueue to dispatch. The
+    /// admission checks before enqueue are not part of it.
     pub queue_wait: Duration,
 }
 
@@ -199,6 +209,36 @@ pub struct ServiceReply {
 struct TenantState {
     quota: TenantQuota,
     engine: AutoGemm,
+    /// When this state was built: the origin of `last_probe_ns`.
+    epoch: Instant,
+    /// Nanoseconds after `epoch` when the last shed probe was admitted,
+    /// or when the first shed on the observed latency started the probe
+    /// clock; 0 before either.
+    last_probe_ns: AtomicU64,
+}
+
+impl TenantState {
+    fn new(quota: TenantQuota, engine: AutoGemm) -> TenantState {
+        TenantState { quota, engine, epoch: Instant::now(), last_probe_ns: AtomicU64::new(0) }
+    }
+
+    /// Claim the probe slot if `interval_ns` has passed since the last
+    /// claim. The first call only starts the clock, so a tenant that
+    /// starts shedding sheds for at least one interval.
+    fn probe_due(&self, interval_ns: u64) -> bool {
+        let now = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX).max(1);
+        let last = self.last_probe_ns.load(Ordering::Relaxed);
+        if last == 0 {
+            let _ =
+                self.last_probe_ns.compare_exchange(0, now, Ordering::Relaxed, Ordering::Relaxed);
+            return false;
+        }
+        now.saturating_sub(last) >= interval_ns
+            && self
+                .last_probe_ns
+                .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+    }
 }
 
 /// A queued call, owned by the submitting thread; the queue holds only the
@@ -284,7 +324,7 @@ impl GemmService {
         let id = TenantId::new(name);
         let engine = self.build_engine(&quota);
         let mut map = relock(self.tenants.lock());
-        map.insert(id.clone(), Arc::new(TenantState { quota, engine }));
+        map.insert(id.clone(), Arc::new(TenantState::new(quota, engine)));
         id
     }
 
@@ -323,8 +363,8 @@ impl GemmService {
         relock(self.queue.lock()).closed
     }
 
-    /// Admission-controlled GEMM: queue → quota → shed → execute on the
-    /// tenant's engine. See the module docs for the rejection taxonomy.
+    /// Admission-controlled GEMM: closed / queue depth / tenant share →
+    /// shed → queue → execute on the tenant's engine. See the module docs for the rejection taxonomy.
     /// Execution failures come back wrapped in [`GemmError::InService`]
     /// naming the tenant; admission failures are bare
     /// [`GemmError::Rejected`].
@@ -409,8 +449,8 @@ impl GemmService {
             None => Arc::clone(&self.runtime),
         };
         let engine = AutoGemm::new(self.chip.clone()).with_runtime(rt);
-        // The shed estimate reads the tenant engine's observed latency
-        // quantiles; recording must be on for that signal to exist.
+        // The shed estimate reads the tenant engine's warm-call latency;
+        // recording must be on for that signal to exist.
         engine.set_metrics_enabled(true);
         engine
     }
@@ -420,40 +460,55 @@ impl GemmService {
         if let Some(t) = map.get(id) {
             return Arc::clone(t);
         }
-        let state = Arc::new(TenantState {
-            quota: self.cfg.default_quota.clone(),
-            engine: self.build_engine(&self.cfg.default_quota),
-        });
+        let quota = self.cfg.default_quota.clone();
+        let state = Arc::new(TenantState::new(quota, self.build_engine(&self.cfg.default_quota)));
         map.insert(id.clone(), Arc::clone(&state));
         state
     }
 
-    /// Cost estimate in nanoseconds for a `m×n×k` call on `tenant`'s
-    /// engine at its thread budget: roofline floor max'd with the p95 of
-    /// calls that hit the plan cache once warmed, scaled by the shed
-    /// safety factor.
-    fn estimate_ns(
+    /// Whether a `m×n×k` call on `tenant` at `threads` with `budget` left
+    /// is shed. The estimate is the roofline floor max'd, once
+    /// [`ShedPolicy::min_samples`] warm calls exist, with the tenant
+    /// engine's [`AutoGemm::warm_latency`], scaled by the safety factor:
+    /// a few float operations and one atomic load.
+    ///
+    /// A call the floor alone rules out is always shed. A call shed only
+    /// on the observed term records no latency, so an estimate above the
+    /// deadline would otherwise shed the tenant's calls for good. As in
+    /// the breaker's half-open state, one such call per `budget` of time
+    /// is admitted as a probe (`*probe` set) and is not shed again on the
+    /// observed term at dispatch. Its latency, if it succeeds, moves the
+    /// estimate.
+    #[allow(clippy::too_many_arguments)]
+    fn sheds(
         &self,
         tenant: &TenantState,
         m: usize,
         n: usize,
         k: usize,
         threads: usize,
-    ) -> u64 {
+        budget: Duration,
+        probe: &mut bool,
+    ) -> bool {
+        let policy = &self.cfg.shed;
+        let safety = policy.safety.max(0.0);
+        let budget_ns = u64::try_from(budget.as_nanos()).unwrap_or(u64::MAX);
         let flops = 2.0 * m as f64 * n as f64 * k as f64;
         // peak_gflops_core is GFLOP/s per core == FLOP/ns per core.
         let peak = self.chip.peak_gflops_core() * threads.max(1) as f64;
         let floor = if peak > 0.0 { flops / peak } else { 0.0 };
-        // Calls that missed the plan cache paid for tuning once; a call
-        // that is being admitted now will not. Counting them let a cold
-        // burst of new shapes hold the p95 above every deadline, and a
-        // shed call records no latency to bring it down again.
-        let snap = tenant.engine.metrics();
-        let warm = snap.call_latency_ns.saturating_sub(&snap.plan_miss_ns);
-        let observed =
-            if warm.count >= self.cfg.shed.min_samples { warm.quantile(0.95) } else { 0 };
-        let est = (floor as u64).max(observed);
-        (est as f64 * self.cfg.shed.safety.max(0.0)) as u64
+        if (floor * safety) as u64 > budget_ns {
+            return true;
+        }
+        let warm = tenant.engine.warm_latency();
+        if *probe
+            || warm.calls < policy.min_samples
+            || (warm.ewma_ns as f64 * safety) as u64 <= budget_ns
+        {
+            return false;
+        }
+        *probe = tenant.probe_due(budget_ns);
+        !*probe
     }
 
     fn reject(&self, counter: Counter, reason: RejectReason, queue_depth: usize) -> GemmError {
@@ -494,51 +549,39 @@ impl GemmService {
         opts: &GemmOptions,
         run: impl FnOnce(&AutoGemm, &GemmOptions) -> Result<T, GemmError>,
     ) -> Result<(ServiceReply, T), GemmError> {
-        let t_enq = Instant::now();
+        let t_submit = Instant::now();
         let state = self.tenant_state(tenant);
         let budget = opts.deadline.or(self.cfg.default_deadline);
         let threads = if opts.threads == 0 { state.quota.threads.max(1) } else { opts.threads };
+        let mut probe = false;
+        let shed = |budget: Duration, probe: &mut bool| {
+            self.cfg.shed.enabled && self.sheds(&state, m, n, k, threads, budget, probe)
+        };
 
-        // Admission-time shed: reject work that provably cannot meet its
-        // budget before it occupies a queue slot.
-        if self.cfg.shed.enabled {
-            if let Some(b) = budget {
-                let est = self.estimate_ns(&state, m, n, k, threads);
-                if est > b.as_nanos() as u64 {
-                    let qd = self.queued();
-                    return Err(self.reject(
-                        Counter::ServiceShed,
-                        RejectReason::DeadlineUnmeetable,
-                        qd,
-                    ));
-                }
-            }
-        }
-
-        // Enqueue (never blocks): depth and tenant-share checks.
+        // Admission under one lock: the structural rejections first, then
+        // the shed check (work that provably cannot meet its budget never
+        // occupies a queue slot), then enqueue. Nothing here blocks.
         let ticket = {
-            let mut st = relock(self.queue.lock());
-            if st.closed {
-                let qd = st.waiting.len();
-                drop(st);
-                return Err(self.reject(Counter::ServiceRejected, RejectReason::ServiceClosed, qd));
-            }
-            if st.waiting.len() >= self.cfg.queue_depth {
-                let qd = st.waiting.len();
-                drop(st);
-                return Err(self.reject(Counter::ServiceRejected, RejectReason::QueueFull, qd));
-            }
+            let mut guard = relock(self.queue.lock());
+            let st = &mut *guard;
             let share = state.quota.max_queue_share.clamp(0.0, 1.0);
             let share_cap = ((self.cfg.queue_depth as f64 * share) as usize).max(1);
             let load = st.loads.entry(tenant.clone()).or_default();
-            if load.queued >= share_cap {
+            let rejection = if st.closed {
+                Some((Counter::ServiceRejected, RejectReason::ServiceClosed))
+            } else if st.waiting.len() >= self.cfg.queue_depth {
+                Some((Counter::ServiceRejected, RejectReason::QueueFull))
+            } else if load.queued >= share_cap {
+                Some((Counter::ServiceRejected, RejectReason::TenantQueueShare))
+            } else if budget.is_some_and(|b| shed(b, &mut probe)) {
+                Some((Counter::ServiceShed, RejectReason::DeadlineUnmeetable))
+            } else {
+                None
+            };
+            if let Some((counter, reason)) = rejection {
                 let qd = st.waiting.len();
-                drop(st);
-                return Err(self.reject(
-                    Counter::ServiceRejected,
-                    RejectReason::TenantQueueShare,
-                    qd,
-                ));
+                drop(guard);
+                return Err(self.reject(counter, reason, qd));
             }
             load.queued += 1;
             let ticket = st.next_ticket;
@@ -550,93 +593,87 @@ impl GemmService {
             });
             ticket
         };
+        let t_enq = Instant::now();
         // A new waiter can itself be the first eligible one.
         self.cv.notify_all();
 
         // Wait for dispatch: FIFO among eligible waiters, bounded by the
         // call's own deadline.
-        let deadline_at = budget.map(|b| t_enq + b);
-        {
-            let mut st = relock(self.queue.lock());
-            loop {
-                if st.closed {
-                    Self::remove_waiter(&mut st, ticket);
-                    let qd = st.waiting.len();
-                    drop(st);
-                    self.cv.notify_all();
-                    return Err(self.reject(
-                        Counter::ServiceRejected,
-                        RejectReason::ServiceClosed,
-                        qd,
-                    ));
-                }
-                if Self::first_eligible(&st, self.max_in_flight) == Some(ticket) {
-                    Self::remove_waiter(&mut st, ticket);
-                    st.in_flight += 1;
-                    st.loads.entry(tenant.clone()).or_default().in_flight += 1;
-                    break;
-                }
-                let tick = match deadline_at {
-                    Some(at) => {
-                        let now = Instant::now();
-                        if now >= at {
-                            Self::remove_waiter(&mut st, ticket);
-                            let qd = st.waiting.len();
-                            drop(st);
-                            // Our departure may promote another waiter.
-                            self.cv.notify_all();
-                            return Err(self.reject(
-                                Counter::ServiceExpiredInQueue,
-                                RejectReason::ExpiredInQueue,
-                                qd,
-                            ));
-                        }
-                        (at - now).min(Duration::from_millis(50))
-                    }
-                    None => Duration::from_millis(50),
-                };
-                let (guard, _timeout) =
-                    self.cv.wait_timeout(st, tick).unwrap_or_else(|e| e.into_inner());
-                st = guard;
+        let deadline_at = budget.map(|b| t_submit + b);
+        let mut st = relock(self.queue.lock());
+        loop {
+            if st.closed {
+                Self::remove_waiter(&mut st, ticket);
+                let qd = st.waiting.len();
+                drop(st);
+                self.cv.notify_all();
+                return Err(self.reject(Counter::ServiceRejected, RejectReason::ServiceClosed, qd));
             }
+            if Self::first_eligible(&st, self.max_in_flight) == Some(ticket) {
+                Self::remove_waiter(&mut st, ticket);
+                break;
+            }
+            let tick = match deadline_at {
+                Some(at) => {
+                    let now = Instant::now();
+                    if now >= at {
+                        Self::remove_waiter(&mut st, ticket);
+                        let qd = st.waiting.len();
+                        drop(st);
+                        // Our departure may promote another waiter.
+                        self.cv.notify_all();
+                        return Err(self.reject(
+                            Counter::ServiceExpiredInQueue,
+                            RejectReason::ExpiredInQueue,
+                            qd,
+                        ));
+                    }
+                    (at - now).min(Duration::from_millis(50))
+                }
+                None => Duration::from_millis(50),
+            };
+            let (guard, _timeout) =
+                self.cv.wait_timeout(st, tick).unwrap_or_else(|e| e.into_inner());
+            st = guard;
         }
 
-        // Dispatched: record queue wait, re-check the budget with the wait
-        // deducted, execute, release.
-        let queue_wait = t_enq.elapsed();
+        // Dispatched, lock still held. Queue wait counts from enqueue; the
+        // budget loses everything since submit. Re-check what is left
+        // before taking an execution slot.
+        let now = Instant::now();
+        let queue_wait = now.saturating_duration_since(t_enq);
+        let remaining = budget.map(|b| b.saturating_sub(now.saturating_duration_since(t_submit)));
+        let rejection = match remaining {
+            // The whole budget went to queueing: this is in-queue expiry
+            // caught at the dispatch edge, not a shed.
+            Some(r) if r.is_zero() => {
+                Some((Counter::ServiceExpiredInQueue, RejectReason::ExpiredInQueue))
+            }
+            Some(r) if shed(r, &mut probe) => {
+                Some((Counter::ServiceShed, RejectReason::DeadlineUnmeetable))
+            }
+            _ => None,
+        };
+        if rejection.is_none() {
+            st.in_flight += 1;
+            st.loads.entry(tenant.clone()).or_default().in_flight += 1;
+        }
+        let qd = st.waiting.len();
+        drop(st);
         self.metrics.record(&self.metrics.queue_wait_ns, queue_wait.as_nanos() as u64);
+        if let Some((counter, reason)) = rejection {
+            // Our departure may promote another waiter.
+            self.cv.notify_all();
+            return Err(self.reject(counter, reason, qd));
+        }
 
-        let result = (|| {
+        let result = {
             let mut run_opts = opts.clone();
             run_opts.threads = threads;
             if run_opts.verify == VerifyPolicy::Off {
                 run_opts.verify = state.quota.verify;
             }
-            if let Some(b) = budget {
-                let remaining = b.saturating_sub(queue_wait);
-                if remaining.is_zero() {
-                    // The whole budget went to queueing: this is in-queue
-                    // expiry caught at the dispatch edge, not a shed.
-                    let qd = self.queued();
-                    return Err(self.reject(
-                        Counter::ServiceExpiredInQueue,
-                        RejectReason::ExpiredInQueue,
-                        qd,
-                    ));
-                }
-                if self.cfg.shed.enabled {
-                    let est = self.estimate_ns(&state, m, n, k, threads);
-                    if est > remaining.as_nanos() as u64 {
-                        let qd = self.queued();
-                        return Err(self.reject(
-                            Counter::ServiceShed,
-                            RejectReason::DeadlineUnmeetable,
-                            qd,
-                        ));
-                    }
-                }
-                run_opts.deadline = Some(remaining);
-            }
+            run_opts.deadline = remaining;
             self.metrics.add(Counter::ServiceAdmitted, 1);
             let t0 = self.metrics.call_begin();
             let out = run(&state.engine, &run_opts);
@@ -652,7 +689,7 @@ impl GemmService {
                 tenant: tenant.name().to_string(),
                 source: Box::new(e),
             })
-        })();
+        };
 
         // Release the execution slot whatever happened.
         {
@@ -665,5 +702,53 @@ impl GemmService {
         self.cv.notify_all();
 
         result.map(|value| (ServiceReply { queue_wait }, value))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn min_samples_gates_the_observed_term_on_warm_calls() {
+        let min_samples = 4;
+        let cfg = ServiceConfig {
+            shed: ShedPolicy { enabled: true, min_samples, safety: 1.0 },
+            ..ServiceConfig::default()
+        };
+        let svc = GemmService::new(ChipSpec::graviton2(), cfg);
+        let id = svc.add_tenant("gated", TenantQuota::default());
+        let state = svc.tenant_state(&id);
+        // A block-route shape whose fixed per-call cost dwarfs its FLOPs:
+        // the budget sits well above the roofline floor and well below
+        // any real call.
+        let (m, n, k) = (8, 8, 16);
+        let (a, b) = (vec![1.0f32; m * k], vec![1.0f32; k * n]);
+        let mut c = vec![0.0f32; m * n];
+        let budget = Duration::from_nanos(300);
+        let floor_ns = 2.0 * (m * n * k) as f64 / ChipSpec::graviton2().peak_gflops_core();
+        assert!(floor_ns < 150.0, "floor {floor_ns} ns");
+        loop {
+            let warm = state.engine.warm_latency();
+            let mut probe = false;
+            let shed = svc.sheds(&state, m, n, k, 1, budget, &mut probe);
+            assert!(!probe, "the first shed only starts the probe clock");
+            if warm.calls < min_samples {
+                assert!(!shed, "observed term used after {} warm calls", warm.calls);
+            } else {
+                assert!(shed, "{warm:?} above a {budget:?} budget must shed");
+                break;
+            }
+            state.engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new()).expect("gemm");
+        }
+        // One budget later the next shed becomes a probe, which is not
+        // shed again on the observed term; the slot then stays taken for
+        // a full interval.
+        std::thread::sleep(Duration::from_millis(1));
+        let mut probe = false;
+        assert!(!svc.sheds(&state, m, n, k, 1, budget, &mut probe));
+        assert!(probe);
+        assert!(!svc.sheds(&state, m, n, k, 1, budget, &mut probe));
+        assert!(!state.probe_due(60_000_000_000), "one probe per interval");
     }
 }

@@ -189,20 +189,6 @@ impl HistogramSnapshot {
         self.quantile(0.99)
     }
 
-    /// Bucket-wise `self − other`, saturating at zero: the samples of
-    /// `self` not in `other` when `other` counts a subset of them (a
-    /// later snapshot minus an earlier one, or a histogram minus one of
-    /// its sub-populations).
-    pub fn saturating_sub(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut d = self.clone();
-        for (a, b) in d.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a = a.saturating_sub(*b);
-        }
-        d.sum = self.sum.saturating_sub(other.sum);
-        d.count = self.count.saturating_sub(other.count);
-        d
-    }
-
     /// Mean of the recorded values (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -285,7 +271,7 @@ pub enum Counter {
     /// service closed).
     ServiceRejected,
     /// Service requests shed because the remaining deadline budget was
-    /// provably insufficient (perfmodel floor / observed p95).
+    /// provably insufficient (perfmodel floor / warm-call latency).
     ServiceShed,
     /// Service requests whose deadline expired while still queued.
     ServiceExpiredInQueue,
@@ -367,6 +353,51 @@ impl Counter {
     }
 }
 
+/// Bits of the packed warm-latency word that hold the warm-call count;
+/// the high bits hold the estimate in nanoseconds.
+const WARM_COUNT_BITS: u32 = 24;
+const WARM_COUNT_MAX: u64 = (1 << WARM_COUNT_BITS) - 1;
+const WARM_EWMA_MAX: u64 = u64::MAX >> WARM_COUNT_BITS;
+
+/// Latency of the calls a repeat call can expect: successful calls that
+/// hit the plan cache (tuning is a one-off per shape, and a failed call
+/// says nothing about a good one's duration).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WarmLatency {
+    /// Warm calls recorded, saturating at 2^24 − 1.
+    pub calls: u64,
+    /// Exponentially weighted moving average of their latency with
+    /// weight 1/8 on the newest call, nanoseconds (0 before the first;
+    /// saturates near 2^40 ns, about 18 minutes). It forgets a burst of
+    /// slow calls within a few dozen faster ones.
+    pub ewma_ns: u64,
+}
+
+impl WarmLatency {
+    fn unpack(word: u64) -> WarmLatency {
+        WarmLatency { calls: word & WARM_COUNT_MAX, ewma_ns: word >> WARM_COUNT_BITS }
+    }
+
+    fn pack(self) -> u64 {
+        (self.ewma_ns.min(WARM_EWMA_MAX) << WARM_COUNT_BITS) | self.calls.min(WARM_COUNT_MAX)
+    }
+
+    /// Fold one more warm call of `ns` nanoseconds in. The first call
+    /// sets the average; later ones move it 1/8 of the way, rounding
+    /// toward the old value, so it never leaves the range of recorded
+    /// latencies.
+    fn record(self, ns: u64) -> WarmLatency {
+        let ns = ns.min(WARM_EWMA_MAX);
+        let old = self.ewma_ns;
+        let ewma_ns = match self.calls {
+            0 => ns,
+            _ if ns >= old => old + (ns - old) / 8,
+            _ => old - (old - ns) / 8,
+        };
+        WarmLatency { calls: (self.calls + 1).min(WARM_COUNT_MAX), ewma_ns }
+    }
+}
+
 /// How a supervised call ended, for [`MetricsRegistry::call_end`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallOutcome {
@@ -393,6 +424,8 @@ pub struct MetricsRegistry {
     counters: [AtomicU64; Counter::COUNT],
     /// Supervised calls currently between `call_begin` and `call_end`.
     in_flight: AtomicI64,
+    /// The packed [`WarmLatency`] word.
+    warm: AtomicU64,
     /// End-to-end supervised call latency, nanoseconds.
     pub call_latency_ns: Histogram,
     /// The subset of `call_latency_ns` spent in calls that missed the
@@ -440,6 +473,7 @@ impl MetricsRegistry {
             enabled: AtomicBool::new(true),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             in_flight: AtomicI64::new(0),
+            warm: AtomicU64::new(0),
             call_latency_ns: Histogram::new(),
             plan_miss_ns: Histogram::new(),
             call_gflops_milli: Histogram::new(),
@@ -507,8 +541,9 @@ impl MetricsRegistry {
 
     /// Finish timing a supervised call started by [`Self::call_begin`]:
     /// records latency (also under `plan_miss_ns` when the call tuned a
-    /// plan), throughput (successful calls only) and outcome counters. A
-    /// `None` token (disabled at begin) is a no-op.
+    /// plan), throughput and the [`WarmLatency`] estimate (successful
+    /// calls only; the estimate also skips plan misses) and outcome
+    /// counters. A `None` token (disabled at begin) is a no-op.
     pub fn call_end(&self, t0: Option<Instant>, flops: u64, outcome: CallOutcome, plan_miss: bool) {
         let Some(t0) = t0 else { return };
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -525,6 +560,9 @@ impl MetricsRegistry {
                     let mgflops = (flops as f64 / elapsed_ns as f64 * 1000.0) as u64;
                     self.call_gflops_milli.record(mgflops, hint);
                 }
+                if !plan_miss {
+                    self.record_warm(elapsed_ns);
+                }
             }
             CallOutcome::Cancelled => {
                 self.counters[Counter::Cancelled.index()].fetch_add(1, Ordering::Relaxed);
@@ -533,6 +571,21 @@ impl MetricsRegistry {
                 self.counters[Counter::Errors.index()].fetch_add(1, Ordering::Relaxed);
             }
         }
+    }
+
+    fn record_warm(&self, ns: u64) {
+        // The closure always returns `Some`, so the update cannot fail.
+        let _ = self.warm.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| {
+            Some(WarmLatency::unpack(w).record(ns).pack())
+        });
+    }
+
+    /// The warm-call latency estimate and its sample count: one relaxed
+    /// load, for decisions taken on every call. Not part of
+    /// [`MetricsSnapshot`].
+    #[inline]
+    pub fn warm_latency(&self) -> WarmLatency {
+        WarmLatency::unpack(self.warm.load(Ordering::Relaxed))
     }
 
     /// Merge everything into an immutable snapshot.
@@ -812,5 +865,95 @@ mod tests {
         assert!(text.contains("autogemm_call_latency_ns_count 2"), "{text}");
         // Buckets are cumulative: the +Inf bucket equals the count.
         assert!(text.contains("autogemm_in_flight_calls 0"), "{text}");
+    }
+
+    /// A call token that started `ago` before now, so `call_end` sees at
+    /// least that latency.
+    fn started(ago: std::time::Duration) -> Option<Instant> {
+        Instant::now().checked_sub(ago)
+    }
+
+    #[test]
+    fn plan_misses_and_failed_calls_leave_the_warm_estimate_alone() {
+        let reg = MetricsRegistry::new();
+        let slow = std::time::Duration::from_millis(5);
+        reg.call_end(started(slow), 1000, CallOutcome::Ok, true);
+        reg.call_end(started(slow), 1000, CallOutcome::Error, false);
+        reg.call_end(started(slow), 1000, CallOutcome::Cancelled, false);
+        assert_eq!(reg.warm_latency(), WarmLatency::default());
+        assert_eq!(reg.snapshot().call_latency_ns.count, 3, "the histograms still see them");
+
+        let fast = std::time::Duration::from_micros(20);
+        reg.call_end(started(fast), 1000, CallOutcome::Ok, false);
+        let warm = reg.warm_latency();
+        assert_eq!(warm.calls, 1);
+        assert!(warm.ewma_ns >= 20_000 && warm.ewma_ns < 5_000_000, "{warm:?}");
+
+        let disabled = MetricsRegistry::new();
+        disabled.set_enabled(false);
+        disabled.call_end(disabled.call_begin(), 1000, CallOutcome::Ok, false);
+        assert_eq!(disabled.warm_latency(), WarmLatency::default());
+    }
+
+    #[test]
+    fn the_warm_estimate_decays_toward_the_new_latency() {
+        let mut w = WarmLatency::default();
+        for _ in 0..40 {
+            w = w.record(5_000_000);
+        }
+        assert_eq!(w, WarmLatency { calls: 40, ewma_ns: 5_000_000 });
+        let mut steps = 0;
+        while w.ewma_ns > 100_000 {
+            w = w.record(50_000);
+            steps += 1;
+        }
+        // (7/8)^n · 4.95 ms < 50 µs needs n = 35.
+        assert!(steps <= 40, "took {steps} calls to forget the slow ones");
+        for _ in 0..200 {
+            w = w.record(50_000);
+        }
+        assert!(w.ewma_ns - 50_000 < 8, "settles within rounding: {w:?}");
+        // It also climbs when calls slow down.
+        for _ in 0..40 {
+            w = w.record(1_000_000);
+        }
+        assert!(w.ewma_ns > 900_000, "{w:?}");
+    }
+
+    #[test]
+    fn the_warm_word_saturates_instead_of_wrapping() {
+        let w = WarmLatency { calls: WARM_COUNT_MAX, ewma_ns: 1000 }.record(u64::MAX);
+        assert_eq!(w.calls, WARM_COUNT_MAX);
+        assert_eq!(WarmLatency::unpack(w.pack()), w);
+        assert!(w.ewma_ns <= WARM_EWMA_MAX);
+        let first = WarmLatency::default().record(u64::MAX);
+        assert_eq!(
+            WarmLatency::unpack(first.pack()),
+            WarmLatency { calls: 1, ewma_ns: WARM_EWMA_MAX }
+        );
+    }
+
+    #[test]
+    fn concurrent_warm_updates_stay_within_the_recorded_range() {
+        let reg = MetricsRegistry::new();
+        let (lo, hi) = (10_000u64, 90_000u64);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (reg, start) = (&reg, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..10_000u64 {
+                        // Thread 0 records the low end, thread 1 the high
+                        // end, so interleavings pull the average both ways.
+                        let ns = if t == 0 { lo + i % 7 } else { hi - i % 5 };
+                        reg.record_warm(ns);
+                    }
+                });
+            }
+        });
+        let warm = reg.warm_latency();
+        assert_eq!(warm.calls, 20_000, "no update lost");
+        assert!((lo..=hi).contains(&warm.ewma_ns), "{warm:?}");
     }
 }

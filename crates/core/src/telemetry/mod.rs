@@ -70,7 +70,8 @@ pub mod tracebuf;
 pub use clock::Stamp;
 pub use json::{Json, JsonError};
 pub use metrics::{
-    Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, HIST_BUCKETS,
+    Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, WarmLatency,
+    HIST_BUCKETS,
 };
 pub use report::{
     DispatchStats, FallbackStats, GemmReport, HealthReport, IntegrityReport, ModelJoin, PackStats,

@@ -282,6 +282,75 @@ fn a_cold_burst_of_plan_misses_leaves_the_shed_estimate_at_the_roofline_floor() 
 }
 
 #[test]
+fn shedding_on_observed_latency_releases_once_calls_are_fast_again() {
+    // A shed call records no latency, so an estimate fed only by finished
+    // calls would keep shedding a tenant whose calls are long since fast.
+    // Probes admitted while shedding let the estimate come back down.
+    let cfg = ServiceConfig {
+        shed: ShedPolicy { enabled: true, min_samples: 4, safety: 1.0 },
+        ..ServiceConfig::default()
+    };
+    let svc = GemmService::new(ChipSpec::graviton2(), cfg);
+    let tenant = TenantId::new("mixed");
+    let fastest = |shape: (usize, usize, usize), calls: usize, seed: u32| {
+        let (m, n, k) = shape;
+        let (a, b) = data(m, n, k, seed);
+        let mut c = vec![0.0f32; m * n];
+        (0..calls)
+            .map(|_| {
+                let t0 = Instant::now();
+                svc.submit(&tenant, m, n, k, &a, &b, &mut c, &GemmOptions::new())
+                    .expect("no deadline, nothing to shed");
+                t0.elapsed()
+            })
+            .min()
+            .expect("calls > 0")
+    };
+    // The small shape's warm latency first, then enough slow warm calls
+    // that the estimate sits near the big shape's latency.
+    let small = fastest(SHAPE, 4, 41);
+    let big = fastest(BIG, 24, 42);
+    assert!(big >= small * 20, "big {big:?} vs small {small:?}: need a wide gap");
+    // Both margins at least ~4.5x: the small call fits the budget with
+    // room to spare, the estimate exceeds it by as much.
+    let budget = Duration::from_secs_f64((small.as_secs_f64() * big.as_secs_f64()).sqrt());
+    let (m, n, k) = SHAPE;
+    let floor_ns = 2.0 * (m * n * k) as f64 / ChipSpec::graviton2().peak_gflops_core();
+    assert!(floor_ns < budget.as_nanos() as f64 / 4.0, "floor {floor_ns} ns vs {budget:?}");
+
+    let (a, b) = data(m, n, k, 43);
+    let opts = GemmOptions::new().deadline(budget);
+    let attempt = |c: &mut [f32]| match svc.submit(&tenant, m, n, k, &a, &b, c, &opts) {
+        Ok(_) => true,
+        Err(GemmError::Rejected { reason: RejectReason::DeadlineUnmeetable, .. }) => false,
+        Err(other) => panic!("only sheds expected, got {other:?}"),
+    };
+    let mut c = vec![0.0f32; m * n];
+    assert!(!attempt(&mut c), "an estimate of ~{big:?} sheds a {budget:?} budget");
+    let first_admit = (1..=200).find(|_| {
+        std::thread::sleep(budget / 2);
+        attempt(&mut c)
+    });
+    assert!(first_admit.is_some(), "still shed after 200 attempts {:?} apart", budget / 2);
+    assert!(max_rel_error(&c, &oracle(m, n, k, &a, &b)) < 1e-4);
+
+    // Each admitted call pulls the estimate toward the small latency, so
+    // the tenant goes back to having every call admitted.
+    let mut streak = 0;
+    for _ in 0..2000 {
+        streak = if attempt(&mut c) { streak + 1 } else { 0 };
+        if streak == 8 {
+            break;
+        }
+        std::thread::sleep(budget / 2);
+    }
+    assert_eq!(streak, 8, "shedding never fully released");
+    assert!(service_counter(&svc, "service_shed_total") >= 1);
+    assert_eq!(svc.queued(), 0);
+    assert_eq!(svc.in_flight(), 0);
+}
+
+#[test]
 fn service_default_deadline_applies_when_the_call_names_none() {
     let cfg = ServiceConfig {
         default_deadline: Some(Duration::from_nanos(50)),
