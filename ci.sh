@@ -97,6 +97,17 @@ echo "== bench artifact schema guard =="
 # be valid JSON.
 cargo run --release -p autogemm-bench --bin schema_guard
 
+echo "== perfbench build + traced smoke run =="
+# perfbench/ is a workspace of its own (the end-to-end benchmark builds
+# it from this checkout), so none of the steps above compile it: a
+# public name it imports could change and only the benchmark would
+# notice. Build it, then make one short traced run, which drives the
+# engine front door, the plan-level pooled driver and the prepacked-B
+# layer and exits non-zero on any wrong output.
+cargo build --release --manifest-path perfbench/Cargo.toml
+cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload resnet50_t1 --seed 1 --seconds 1 --trace 1
+
 echo "== rustfmt =="
 if cargo fmt --version >/dev/null 2>&1; then
     cargo fmt --check

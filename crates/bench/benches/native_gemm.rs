@@ -38,7 +38,15 @@ fn bench_native_gemm(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("panel_cache", &label), &threads, |bch, &t| {
             let mut cc = c0.clone();
             bch.iter(|| {
-                autogemm::native::gemm_with_plan_pooled(black_box(&plan), &a, &b, &mut cc, t, &pool)
+                autogemm::native::try_gemm_with_plan_pooled(
+                    black_box(&plan),
+                    &a,
+                    &b,
+                    &mut cc,
+                    t,
+                    &pool,
+                )
+                .expect("pooled gemm failed")
             });
         });
         group.bench_with_input(BenchmarkId::new("seed_repack", &label), &threads, |bch, &t| {

@@ -41,7 +41,7 @@
 //! -correct, the panel pool never leaks, and the circuit breaker is
 //! never stuck Open once faults stop.
 
-use autogemm::native::{gemm_with_plan_pooled, gemm_with_plan_repack, try_gemm_with_plan_pooled};
+use autogemm::native::{gemm_with_plan, gemm_with_plan_repack, try_gemm_with_plan_pooled};
 use autogemm::{host_parallelism, AutoGemm, GemmOptions, PanelPool};
 use autogemm_arch::ChipSpec;
 use std::fmt::Write as _;
@@ -134,9 +134,10 @@ fn verify_overhead(engine: &AutoGemm) -> Vec<VerifyOverhead> {
         .collect()
 }
 
-/// Fast CI guard for the fallible API: the `Result` plumbing through the
-/// pooled driver must stay bit-identical to the classic path and add no
-/// measurable overhead (the wrappers are `if let Err(e) = try_...` thin).
+/// Fast CI guard for the fallible API: the pooled `try_*` driver entry
+/// must stay bit-identical to the classic panicking `gemm_with_plan`
+/// (which packs into a transient pool per call) and never be measurably
+/// slower than it.
 fn smoke() {
     let engine = AutoGemm::new(ChipSpec::graviton2());
     let points = [(64usize, 196usize, 64usize, 1usize), (128, 128, 128, 4)];
@@ -150,9 +151,8 @@ fn smoke() {
         let pool = PanelPool::new();
 
         let mut c_plain = vec![0.0f32; m * n];
-        let plain_s = median_secs(|| {
-            gemm_with_plan_pooled(black_box(&plan), &a, &b, &mut c_plain, threads, &pool)
-        });
+        let plain_s =
+            median_secs(|| gemm_with_plan(black_box(&plan), &a, &b, &mut c_plain, threads));
         let mut c_try = vec![0.0f32; m * n];
         let try_s = median_secs(|| {
             try_gemm_with_plan_pooled(black_box(&plan), &a, &b, &mut c_try, threads, &pool)
@@ -236,7 +236,8 @@ fn smoke() {
             let pool = PanelPool::new();
             let mut c_panel = vec![0.0f32; m * n];
             let panel_s = median_secs(|| {
-                gemm_with_plan_pooled(black_box(&plan), &a, &b, &mut c_panel, 1, &pool)
+                try_gemm_with_plan_pooled(black_box(&plan), &a, &b, &mut c_panel, 1, &pool)
+                    .expect("pooled gemm failed")
             });
             let mut c_aware = vec![0.0f32; m * n];
             let aware_s = median_secs(|| {
@@ -333,7 +334,8 @@ fn smoke() {
                 let pool = PanelPool::new();
                 let mut c = vec![0.0f32; m * n];
                 let now_s = median_secs(|| {
-                    gemm_with_plan_pooled(black_box(&plan), &a, &b, &mut c, threads, &pool)
+                    try_gemm_with_plan_pooled(black_box(&plan), &a, &b, &mut c, threads, &pool)
+                        .expect("pooled gemm failed")
                 });
                 println!(
                     "{m:>4}x{n:>5}x{k:>4} t{threads}: now {:>9.1} µs  baseline {:>9.1} µs",
@@ -507,15 +509,18 @@ fn main() {
         let mut c = vec![0.0f32; m * n];
 
         let pool = PanelPool::new();
-        let cached_s =
-            median_secs(|| gemm_with_plan_pooled(black_box(&plan), &a, &b, &mut c, threads, &pool));
+        let cached_s = median_secs(|| {
+            try_gemm_with_plan_pooled(black_box(&plan), &a, &b, &mut c, threads, &pool)
+                .expect("pooled gemm failed")
+        });
         let repack_s =
             median_secs(|| gemm_with_plan_repack(black_box(&plan), &a, &b, &mut c, threads));
 
         // Bit-identity check rides along with every bench run.
         let mut c1 = vec![0.0f32; m * n];
         let mut c2 = vec![0.0f32; m * n];
-        gemm_with_plan_pooled(&plan, &a, &b, &mut c1, threads, &pool);
+        try_gemm_with_plan_pooled(&plan, &a, &b, &mut c1, threads, &pool)
+            .expect("pooled gemm failed");
         gemm_with_plan_repack(&plan, &a, &b, &mut c2, threads);
         assert_eq!(c1, c2, "panel cache diverged from seed path on {m}x{n}x{k}");
 
@@ -562,7 +567,8 @@ fn main() {
         let pool = PanelPool::new();
         let mut c_panel = vec![0.0f32; m * n];
         let panel_s = median_secs(|| {
-            gemm_with_plan_pooled(black_box(&plan), &a, &b, &mut c_panel, threads, &pool)
+            try_gemm_with_plan_pooled(black_box(&plan), &a, &b, &mut c_panel, threads, &pool)
+                .expect("pooled gemm failed")
         });
         let mut c_aware = vec![0.0f32; m * n];
         let aware_s = median_secs(|| {

@@ -31,7 +31,7 @@
 //! not the pool: its threads time-share cores. Such rows are not
 //! measured; the artifact lists them under `skipped`.
 
-use autogemm::native::try_gemm_with_plan_supervised;
+use autogemm::native::{try_gemm_with_plan_supervised, Operands};
 use autogemm::supervisor::Supervision;
 use autogemm::{host_parallelism, AutoGemm, GemmOptions, PanelPool, Runtime};
 use autogemm_arch::ChipSpec;
@@ -134,6 +134,7 @@ fn measure(
 ) -> Entry {
     let plan = engine.plan_multicore(m, n, k, threads);
     let (a, b) = data(m, n, k);
+    let ops = Operands::new(&a, &b);
     let pool = PanelPool::new();
     let pooled_sup = Supervision::none().with_runtime(engine.runtime().clone());
     let scoped_sup = Supervision::none().with_spawn_baseline();
@@ -141,14 +142,14 @@ fn measure(
     // Bit-identity rides along with every bench run.
     let mut c_pooled = vec![0.0f32; m * n];
     let mut c_scoped = vec![0.0f32; m * n];
-    try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_pooled, threads, &pool, &pooled_sup, false)
+    try_gemm_with_plan_supervised(&plan, ops, &mut c_pooled, threads, &pool, &pooled_sup, false)
         .expect("pooled bench call failed");
-    try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_scoped, threads, &pool, &scoped_sup, false)
+    try_gemm_with_plan_supervised(&plan, ops, &mut c_scoped, threads, &pool, &scoped_sup, false)
         .expect("scoped bench call failed");
     assert_eq!(c_pooled, c_scoped, "{label}: pooled diverged from scoped baseline");
 
     let run = |sup: &Supervision, threads: usize, c: &mut [f32]| {
-        try_gemm_with_plan_supervised(black_box(&plan), &a, &b, c, threads, &pool, sup, false)
+        try_gemm_with_plan_supervised(black_box(&plan), ops, c, threads, &pool, sup, false)
             .expect("bench call failed");
     };
     let inline_sup = Supervision::none();

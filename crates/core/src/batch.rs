@@ -10,7 +10,7 @@
 //! construction.
 
 use crate::error::{self, GemmError, Operand};
-use crate::native;
+use crate::native::{self, Operands};
 use crate::offline::PackedB;
 use crate::packing::PanelPool;
 use crate::plan::ExecutionPlan;
@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// A batch of same-shape GEMMs: `C[i] (+)= A[i] · B[i]`.
+/// A batch of same-shape GEMMs: `C[i] = A[i] · B[i]`.
 pub struct GemmBatch<'a> {
     pub m: usize,
     pub n: usize,
@@ -65,15 +65,17 @@ fn slice_key(s: &[f32]) -> (usize, usize) {
 
 /// Execute a batch natively with a shared tuned plan under a
 /// [`Supervision`] bundle. `c` holds the outputs back to back
-/// (`len · m · n` elements), either zeroed or carrying accumulation
-/// inputs.
+/// (`len · m · n` elements); each item overwrites its own slice.
 ///
-/// Items that bind the *same* `B` slice (pointer identity) share one
-/// offline-packed copy of it: `B` is packed once for the whole group and
-/// each item runs through the zero-copy prepacked driver, instead of
-/// re-packing `B` per item. Each worker thread also carries its own
-/// [`PanelPool`], so A-panel buffers are recycled across that worker's
-/// items.
+/// Every item is one call into the block driver
+/// ([`native::try_gemm_with_plan_supervised`]). Items that bind the
+/// *same* `B` slice (pointer identity) share one offline-packed copy of
+/// it: `B` is packed once for the whole group and those items hand the
+/// driver the packed copy (read zero-copy) instead of re-packing `B`
+/// per item. Either way an item runs the driver's fault probes, breaker
+/// reroutes and panic containment. Each worker thread also carries its
+/// own [`PanelPool`], so A-panel buffers are recycled across that
+/// worker's items.
 ///
 /// Output-length and plan-shape mismatches come back as `Err`, and a
 /// panicking batch worker poisons the run — the survivors finish their
@@ -91,7 +93,8 @@ fn slice_key(s: &[f32]) -> (usize, usize) {
 /// block counts), while a [`CancelToken`](crate::supervisor::CancelToken)
 /// additionally interrupts *inside* the in-flight items at their own
 /// pack/kernel boundaries. Breaker reroutes (`force_reference`,
-/// `force_transient`) are forwarded into every item call.
+/// `force_transient`, `force_inline`) are forwarded into every item
+/// call, shared `B` or not.
 pub fn try_gemm_batch_supervised(
     plan: &ExecutionPlan,
     batch: &GemmBatch,
@@ -197,17 +200,15 @@ pub fn try_gemm_batch_supervised(
                 let c_item = unsafe {
                     std::slice::from_raw_parts_mut(slices.base.add(i * slices.len), slices.len)
                 };
-                let r = match shared_b.get(&slice_key(batch.b[i])) {
-                    Some(packed) => crate::offline::try_gemm_prepacked_supervised(
-                        plan, batch.a[i], packed, c_item, 1, &pool, &item_sup,
-                    ),
-                    None => native::try_gemm_with_plan_supervised(
-                        plan, batch.a[i], batch.b[i], c_item, 1, &pool, &item_sup, false,
-                    )
-                    .map(|_| ()),
+                let ops = match shared_b.get(&slice_key(batch.b[i])) {
+                    Some(packed) => Operands::prepacked(batch.a[i], packed),
+                    None => Operands::new(batch.a[i], batch.b[i]),
                 };
+                let r = native::try_gemm_with_plan_supervised(
+                    plan, ops, c_item, 1, &pool, &item_sup, false,
+                );
                 match r {
-                    Ok(()) => {
+                    Ok(_) => {
                         monitor.beat(t);
                         monitor.note_done();
                     }

@@ -346,11 +346,11 @@ impl AutoGemm {
 
     /// The execution plan the engine would use for a problem.
     ///
-    /// Returned plans always carry fully *packed* operand routing: the
-    /// plan-level public drivers ([`crate::offline`] prepacked entry
-    /// points, `gemm_with_plan*`) and the batch path require packed
-    /// panels (offline `B` reuse, shared-`B` reuse across batch items).
-    /// Packing elision is an engine-internal dispatch decision.
+    /// Returned plans always carry fully *packed* operand routing, what
+    /// plan-level callers (the [`crate::offline`] prepacked entry point,
+    /// `gemm_with_plan*`, the transposed forms) have always run and what
+    /// the batch path's shared-`B` reuse expects. Packing elision is an
+    /// engine-internal dispatch decision.
     pub fn plan(&self, m: usize, n: usize, k: usize) -> ExecutionPlan {
         let (plan, _) = self.plan_dispatch(m, n, k, 1);
         (*plan).clone().with_routing(OperandRouting::packed())
@@ -625,8 +625,9 @@ impl AutoGemm {
                     let (plan, hit) = self.plan_dispatch(m, n, k, tuner_threads);
                     plan_miss = !hit;
                     let pool = &self.panel_pool;
+                    let ops = native::Operands::new(a, b);
                     let run = native::try_gemm_with_plan_supervised(
-                        &plan, a, b, c, threads, pool, &sup, record,
+                        &plan, ops, c, threads, pool, &sup, record,
                     );
                     (run, "block", plan.routing, hit)
                 }

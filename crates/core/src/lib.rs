@@ -138,7 +138,7 @@ pub mod verify;
 pub use batch::{try_gemm_batch_supervised, GemmBatch};
 pub use engine::{AutoGemm, SimGemmReport};
 pub use error::{GemmError, RejectReason};
-pub use offline::{try_gemm_prepacked_pooled, try_gemm_prepacked_supervised, PackedB};
+pub use offline::{try_gemm_prepacked_pooled, PackedB};
 pub use packing::PanelPool;
 pub use plan::{ExecutionPlan, OperandRouting};
 pub use plancache::{PlanCacheStats, PLAN_CACHE_CAPACITY};

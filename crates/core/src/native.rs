@@ -41,9 +41,29 @@
 //!
 //! ## One driver, optional recording
 //!
-//! [`try_gemm_with_plan_supervised`] is the one block driver every
-//! entry point reaches. Tracing is not a second copy of it: the caller
-//! passes `record = true`, and the same body then also times its phases,
+//! [`try_gemm_with_plan_supervised`] is the one cached block driver in
+//! the crate. Every block-routed entry point reaches it with an
+//! [`Operands`] descriptor that says how the caller holds `A` and `B`:
+//!
+//! - the engine front door (`AutoGemm::try_gemm_opts`,
+//!   `try_gemm_traced_opts`, every rung of `try_gemm_resilient`) and the
+//!   plan-level [`try_gemm_with_plan_pooled`] / [`gemm_with_plan`]:
+//!   row-major `A` and `B`;
+//! - [`crate::offline::try_gemm_prepacked_pooled`]: `B` packed offline;
+//! - [`crate::batch::try_gemm_batch_supervised`] (and
+//!   `AutoGemm::try_gemm_batch_opts` above it): one call per item, with
+//!   the batch's shared packed `B` or the item's own;
+//! - [`crate::transpose`]'s `try_gemm_op`/`gemm_op` and
+//!   `try_sgemm`/`sgemm`: transposed operands, and for `sgemm` with
+//!   `β ≠ 0` accumulation into `C`.
+//!
+//! So every path runs the same fault probes, breaker reroutes,
+//! cancellation points, buffer releases and panic containment.
+//! [`try_gemm_with_plan_repack`] is kept apart on purpose: it is the
+//! per-block repacking reference the cached driver is tested against.
+//!
+//! Tracing is not a second copy of the driver: the caller passes
+//! `record = true`, and the same body then also times its phases,
 //! profiles each worker, sums each pack runner's panel tally and derives
 //! the kernel-shape histogram from the plan into a [`GemmReport`].
 //! Without it the driver reads no telemetry clock, takes no profile lock
@@ -58,16 +78,17 @@ use crate::faultinject::{self, FaultSite, Probe};
 use crate::kernels::Operand;
 use crate::offline::PackedB;
 use crate::packing::{
-    a_panel_len, b_panel_len, pack_a, pack_a_into, pack_b, pack_b_into, thread_pack_counts,
-    PackedBlock, PanelPool,
+    a_panel_len, b_panel_len, pack_a, pack_a_into, pack_a_t_into, pack_b, pack_b_into,
+    pack_b_t_into, thread_pack_counts, PackedBlock, PanelPool,
 };
-use crate::plan::ExecutionPlan;
+use crate::plan::{ExecutionPlan, OperandRouting};
 use crate::runtime::Exec;
 use crate::supervisor::{BreakerPath, RunMonitor, Supervision};
 use crate::telemetry::clock::Stamp;
 use crate::telemetry::report::{
     FallbackStats, GemmReport, PackStats, PhaseProfile, PhaseTimes, ThreadProfile, TileCount,
 };
+use crate::transpose::Op;
 use autogemm_tiling::TilePlacement;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -864,7 +885,7 @@ fn block_tiles(plan: &ExecutionPlan, a_packed: bool, b_packed: bool) -> Vec<Tile
 /// The A-operand source for the cached block driver: packed per-`(bi,
 /// kb)` panels, or the caller's row-major matrix streamed directly
 /// (packing elided by the input-aware dispatch layer).
-pub(crate) enum ASource<'x> {
+enum ASource<'x> {
     Packed(&'x [PackedBlock]),
     Unpacked(&'x [f32]),
 }
@@ -894,19 +915,26 @@ impl ASource<'_> {
 }
 
 /// The B-operand source for the cached block driver: packed panels
-/// (owned or offline), or the caller's matrix streamed strided.
-pub(crate) enum BSource<'x> {
-    Packed(&'x BPanels<'x>),
+/// indexed `[kb * tn + bj]` (packed by this call, or borrowed zero-copy
+/// from an offline [`PackedB`]), or the caller's matrix streamed strided.
+enum BSource<'x> {
+    Packed(&'x [PackedBlock]),
     Unpacked(&'x [f32]),
 }
 
 impl BSource<'_> {
     /// The operand view for K-slice `kb` of column block `bj`.
     #[inline]
-    fn operand(&self, s: &autogemm_tuner::Schedule, kb: usize, bj: usize) -> Operand<'_> {
+    fn operand(
+        &self,
+        s: &autogemm_tuner::Schedule,
+        kb: usize,
+        bj: usize,
+        tn: usize,
+    ) -> Operand<'_> {
         match self {
-            BSource::Packed(bp) => {
-                let pb = bp.panel(kb, bj);
+            BSource::Packed(panels) => {
+                let pb = &panels[kb * tn + bj];
                 Operand::Packed { data: &pb.data, ld: pb.ld }
             }
             BSource::Unpacked(b) => Operand::Unpacked {
@@ -918,81 +946,104 @@ impl BSource<'_> {
     }
 }
 
-/// The B-panel source for the cached block driver: packed in this call,
-/// or borrowed zero-copy from an offline [`PackedB`].
-pub(crate) enum BPanels<'p> {
-    /// Panels indexed `[kb * tn + bj]`, packed by this GEMM call.
-    Owned { panels: Vec<PackedBlock>, tn: usize },
-    /// Offline-packed B (`crate::offline::PackedB`), reused across calls.
-    Prepacked(&'p PackedB),
+/// How the caller holds `B`.
+#[derive(Clone, Copy)]
+enum BInput<'x> {
+    /// A matrix: row-major `K × N` (`Op::NoTrans`) or its transpose
+    /// stored `N × K` (`Op::Trans`).
+    Matrix(Op, &'x [f32]),
+    /// Packed offline for the plan ([`PackedB`]), read zero-copy.
+    Prepacked(&'x PackedB),
 }
 
-impl BPanels<'_> {
-    #[inline]
-    fn panel(&self, kb: usize, bj: usize) -> &PackedBlock {
-        match self {
-            BPanels::Owned { panels, tn } => &panels[kb * tn + bj],
-            BPanels::Prepacked(pb) => pb.panel(kb, bj),
+/// The operands of one driver call, as the caller holds them: `A`
+/// row-major or transposed; `B` row-major, transposed or packed offline;
+/// and whether the call accumulates into `C`.
+///
+/// The storage decides the packing, not a setting: a transposed operand
+/// is always packed (through the transposing pack), a prepacked `B` is
+/// never packed, and a row-major operand follows the plan's
+/// [`OperandRouting`].
+#[derive(Clone, Copy)]
+pub struct Operands<'x> {
+    a: &'x [f32],
+    op_a: Op,
+    b: BInput<'x>,
+    accumulate: bool,
+}
+
+impl<'x> Operands<'x> {
+    /// `A · B`: `a` row-major `M × K`, `b` row-major `K × N`.
+    pub fn new(a: &'x [f32], b: &'x [f32]) -> Self {
+        Operands::op(Op::NoTrans, a, Op::NoTrans, b)
+    }
+
+    /// `op(A) · op(B)`: with `Op::Trans`, `a` is stored `K × M` and/or
+    /// `b` is stored `N × K`.
+    pub fn op(op_a: Op, a: &'x [f32], op_b: Op, b: &'x [f32]) -> Self {
+        Operands { a, op_a, b: BInput::Matrix(op_b, b), accumulate: false }
+    }
+
+    /// `A · B` with `B` packed offline for the plan.
+    pub fn prepacked(a: &'x [f32], b: &'x PackedB) -> Self {
+        Operands { a, op_a: Op::NoTrans, b: BInput::Prepacked(b), accumulate: false }
+    }
+
+    /// Accumulate into `C` (`C += op(A)·op(B)`, what a non-zero BLAS `β`
+    /// needs after its scaling pass): the first K-slice adds to `C`
+    /// instead of overwriting it, and a `k == 0` call leaves `C` as it is.
+    pub fn accumulate(self) -> Self {
+        Operands { accumulate: true, ..self }
+    }
+
+    /// Validate the operands against the plan's shape: a prepacked `B`
+    /// must come from this plan, and every slice must hold its operand.
+    fn check(&self, plan: &ExecutionPlan, c: &[f32]) -> Result<(), GemmError> {
+        let s = &plan.schedule;
+        if let BInput::Prepacked(pb) = self.b {
+            pb.check(plan)?;
         }
+        error::check_len(error::Operand::A, "M*K", self.a.len(), s.m, s.k)?;
+        if let BInput::Matrix(_, b) = self.b {
+            error::check_len(error::Operand::B, "K*N", b.len(), s.k, s.n)?;
+        }
+        error::check_len(error::Operand::C, "M*N", c.len(), s.m, s.n)
+    }
+
+    /// Whether this call packs A and B panels under `routing`.
+    fn packs(&self, routing: OperandRouting) -> (bool, bool) {
+        let pack_b = match self.b {
+            BInput::Matrix(op, _) => op == Op::Trans || routing.pack_b,
+            BInput::Prepacked(_) => false,
+        };
+        (self.op_a == Op::Trans || routing.pack_a, pack_b)
     }
 }
 
 /// Execute a plan natively: `C (M×N) = A (M×K) · B (K×N)` row-major,
 /// using `threads` worker threads over the cache-block grid.
 ///
-/// Uses a transient panel pool; prefer [`gemm_with_plan_pooled`] (or the
-/// engine front door, which holds a persistent pool) when calling
+/// Uses a transient panel pool; prefer [`try_gemm_with_plan_pooled`] (or
+/// the engine front door, which holds a persistent pool) when calling
 /// repeatedly.
-///
-/// Panics with the structured [`GemmError`] message on invalid operands
-/// or a contained worker panic; [`try_gemm_with_plan`] is the fallible
-/// form.
-pub fn gemm_with_plan(plan: &ExecutionPlan, a: &[f32], b: &[f32], c: &mut [f32], threads: usize) {
-    if let Err(e) = try_gemm_with_plan(plan, a, b, c, threads) {
-        panic!("{e}");
-    }
-}
-
-/// Fallible [`gemm_with_plan`]: validates operands against the plan's
-/// shape, handles degenerate dimensions, and contains worker panics —
-/// see [`crate::error`] for the panic policy and the untouched-`C`
-/// guarantee.
-pub fn try_gemm_with_plan(
-    plan: &ExecutionPlan,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threads: usize,
-) -> Result<(), GemmError> {
-    let pool = PanelPool::new();
-    try_gemm_with_plan_pooled(plan, a, b, c, threads, &pool)
-}
-
-/// [`gemm_with_plan`] with an explicit panel-buffer pool: panel
-/// allocations made by this call are recycled through `pool`, so repeated
-/// calls through the same pool allocate nothing after warm-up.
 ///
 /// Panics with the structured [`GemmError`] message on invalid operands
 /// or a contained worker panic; [`try_gemm_with_plan_pooled`] is the
 /// fallible form.
-pub fn gemm_with_plan_pooled(
-    plan: &ExecutionPlan,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threads: usize,
-    pool: &PanelPool,
-) {
-    if let Err(e) = try_gemm_with_plan_pooled(plan, a, b, c, threads, pool) {
+pub fn gemm_with_plan(plan: &ExecutionPlan, a: &[f32], b: &[f32], c: &mut [f32], threads: usize) {
+    if let Err(e) = try_gemm_with_plan_pooled(plan, a, b, c, threads, &PanelPool::new()) {
         panic!("{e}");
     }
 }
 
-/// Fallible [`gemm_with_plan_pooled`]. Operands are validated against
-/// the plan's shape before any work (length mismatches and size
-/// overflows leave `C` untouched); `m == 0 || n == 0` returns with `C`
-/// untouched, `k == 0` writes the empty sum (`C = 0`); worker panics are
-/// contained and reported as [`GemmError::WorkerPanicked`].
+/// Fallible [`gemm_with_plan`] with an explicit panel-buffer pool: panel
+/// allocations made by this call are recycled through `pool`, so repeated
+/// calls through the same pool allocate nothing after warm-up. Operands
+/// are validated against the plan's shape before any work (length
+/// mismatches and size overflows leave `C` untouched); `m == 0 || n ==
+/// 0` returns with `C` untouched, `k == 0` writes the empty sum (`C =
+/// 0`); worker panics are contained and reported as
+/// [`GemmError::WorkerPanicked`].
 pub fn try_gemm_with_plan_pooled(
     plan: &ExecutionPlan,
     a: &[f32],
@@ -1001,16 +1052,23 @@ pub fn try_gemm_with_plan_pooled(
     threads: usize,
     pool: &PanelPool,
 ) -> Result<(), GemmError> {
-    try_gemm_with_plan_supervised(plan, a, b, c, threads, pool, &Supervision::none(), false)
+    let ops = Operands::new(a, b);
+    try_gemm_with_plan_supervised(plan, ops, c, threads, pool, &Supervision::none(), false)
         .map(|_| ())
 }
 
-/// [`try_gemm_with_plan_pooled`] under a [`Supervision`] bundle:
-/// deadline/cancel checks at panel and block boundaries, per-worker
-/// heartbeats for the opt-in watchdog, and any circuit-breaker reroutes
-/// the bundle carries. With `Supervision::none()` the monitor is passive
-/// (one predictable branch per checkpoint, no clock reads) and behavior
-/// is identical to the unsupervised call.
+/// The cached block driver: `C (+)= op(A) · op(B)` for the operands
+/// `ops` describes, under a [`Supervision`] bundle — deadline/cancel
+/// checks at panel and block boundaries, per-worker heartbeats for the
+/// opt-in watchdog, and any circuit-breaker reroutes the bundle carries.
+/// With `Supervision::none()` the monitor is passive (one predictable
+/// branch per checkpoint, no clock reads).
+///
+/// Every call probes the same fault sites whatever its operands:
+/// `KernelDispatch` (and `PoolSubmit` when threaded) at entry, then
+/// `PackAlloc` plus a cancellation checkpoint at the start of each pack
+/// phase, including a phase with nothing to pack (an operand the plan's
+/// routing elides, or a prepacked `B`).
 ///
 /// With `record == false` the driver takes no lock, allocates no profile
 /// and reads no telemetry clock, and returns `Ok(None)`. With `record`
@@ -1029,11 +1087,9 @@ pub fn try_gemm_with_plan_pooled(
 /// has been released back to its pool and the plan/pool/engine are
 /// immediately reusable; `C` follows the [`crate::error`] partial-write
 /// contract (untouched unless the kernel phase had started).
-#[allow(clippy::too_many_arguments)]
 pub fn try_gemm_with_plan_supervised(
     plan: &ExecutionPlan,
-    a: &[f32],
-    b: &[f32],
+    ops: Operands<'_>,
     c: &mut [f32],
     threads: usize,
     pool: &PanelPool,
@@ -1042,50 +1098,84 @@ pub fn try_gemm_with_plan_supervised(
 ) -> Result<Option<GemmReport>, GemmError> {
     let s = &plan.schedule;
     let (m, n, k) = (s.m, s.n, s.k);
-    error::check_operands(m, n, k, a, b, c)?;
+    ops.check(plan, c)?;
     let shape = || GemmReport { m, n, k, mc: s.mc, nc: s.nc, kc: s.kc, ..GemmReport::default() };
     if m == 0 || n == 0 || k == 0 {
-        // `k == 0` writes the empty sum; with `m` or `n` zero `C` is
-        // empty and the fill is a no-op.
-        c.fill(0.0);
+        // `k == 0` writes the empty sum (accumulating, it adds nothing);
+        // with `m` or `n` zero `C` is empty and the fill is a no-op.
+        if !ops.accumulate {
+            c.fill(0.0);
+        }
         return Ok(record.then(shape));
     }
     let (tm, tn, tk) = plan.grid();
-    let routing = plan.routing;
+    let (pack_a, pack_b) = ops.packs(plan.routing);
+    let sl = plan.sigma_lane;
     let mut cfg = RunConfig::probe(sup, threads)?;
+    let reference = cfg.reference;
     let exec = Exec::new(sup, cfg.pool_inline);
     let transient = PanelPool::new();
     let t0 = record.then(Stamp::now);
 
     let monitor = RunMonitor::new(sup, threads.max(1));
     let watchdog = exec.runtime().watch(&monitor);
-    // All phases run inside this closure so every early return still
-    // flows through `monitor.finish()` before the watch registration is
-    // dropped (the hub never samples a finished run).
-    //
-    // When a pack phase is elided by the plan's operand routing, the
-    // phase still runs its pool probe (so fault-injection and degrade
-    // accounting see the same sites either way) and its cancellation
-    // checkpoint (so a cancelled call reports the same `phase` it would
-    // with packing on) — it just packs nothing.
-    let result = (|| {
-        let pa0 = record.then(Stamp::now);
-        monitor.begin_phase();
-        let a_pool = cfg.pack_pool(pool, &transient, "pack A", sup)?;
-        let mut packs = PackStats::default();
-        let a_panels = if routing.pack_a {
-            let (panels, a_packs) =
-                try_pack_a_panels_supervised(plan, a, threads, a_pool, &exec, &monitor, record)?;
-            packs += a_packs;
-            Some(panels)
-        } else {
+    // One pack phase: `count` panels of `len` elements from `pool`, each
+    // filled by `pack(idx, panel)`. A phase with nothing to pack still
+    // runs its cancellation checkpoint (so a cancelled call reports the
+    // same `phase` either way); its caller has already run the pool
+    // probe, so fault injection and degrade accounting see the same
+    // sites too. On error the panels go back to `pool` first.
+    type Packer<'f> = &'f (dyn Fn(usize, &mut PackedBlock) + Sync);
+    let pack_phase = |on: bool,
+                      pool: &PanelPool,
+                      phase: &'static str,
+                      count: usize,
+                      len: usize,
+                      pack: Packer<'_>|
+     -> Result<(Option<Vec<PackedBlock>>, PackStats), GemmError> {
+        if !on {
             // Poll before resolving: `outcome` reports a cancellation
             // only once `should_stop` has latched it (the packed path
             // polls inside its slot loop).
             let _ = monitor.should_stop();
-            monitor.outcome("pack A", tm * tk)?;
-            None
-        };
+            monitor.outcome(phase, count)?;
+            return Ok((None, PackStats::default()));
+        }
+        let mut panels = pool.acquire_blocks(count, len);
+        match try_pack_panels_parallel(&mut panels, threads, &exec, &monitor, phase, record, pack) {
+            Ok(packs) => Ok((Some(panels), packs)),
+            Err(e) => {
+                pool.release_blocks(panels);
+                Err(e)
+            }
+        }
+    };
+    let pack_a_panel = |idx: usize, p: &mut PackedBlock| {
+        let (row0, col0) = (idx / tk * s.mc, idx % tk * s.kc);
+        match ops.op_a {
+            Op::NoTrans => pack_a_into(p, ops.a, k, row0, col0, s.mc, s.kc, sl),
+            Op::Trans => pack_a_t_into(p, ops.a, m, row0, col0, s.mc, s.kc, sl),
+        }
+    };
+    let pack_b_panel = |idx: usize, p: &mut PackedBlock| {
+        let (row0, col0) = (idx / tn * s.kc, idx % tn * s.nc);
+        match ops.b {
+            BInput::Matrix(Op::NoTrans, b) => pack_b_into(p, b, n, row0, col0, s.kc, s.nc, sl),
+            BInput::Matrix(Op::Trans, b) => pack_b_t_into(p, b, k, row0, col0, s.kc, s.nc, sl),
+            // Never packed: `packs` keeps a prepacked phase empty.
+            BInput::Prepacked(_) => {}
+        }
+    };
+    // All phases run inside this closure so every early return still
+    // flows through `monitor.finish()` before the watch registration is
+    // dropped (the hub never samples a finished run).
+    let result = (|| {
+        let pa0 = record.then(Stamp::now);
+        monitor.begin_phase();
+        let a_pool = cfg.pack_pool(pool, &transient, "pack A", sup)?;
+        let a_len = a_panel_len(s.mc, s.kc, sl);
+        let (a_panels, mut packs) =
+            pack_phase(pack_a, a_pool, "pack A", tm * tk, a_len, &pack_a_panel)?;
         let pack_a_t = pa0.map(Stamp::elapsed);
         let release_a = |panels: Option<Vec<PackedBlock>>| {
             if let Some(panels) = panels {
@@ -1093,92 +1183,71 @@ pub fn try_gemm_with_plan_supervised(
             }
         };
         let pb0 = record.then(Stamp::now);
-        let b_pool = match cfg.pack_pool(pool, &transient, "pack B", sup) {
-            Ok(p) => p,
+        let b_len = b_panel_len(s.kc, s.nc, sl);
+        let b_phase = cfg.pack_pool(pool, &transient, "pack B", sup).and_then(|b_pool| {
+            monitor.begin_phase();
+            let phase = pack_phase(pack_b, b_pool, "pack B", tk * tn, b_len, &pack_b_panel)?;
+            Ok((b_pool, phase))
+        });
+        let (b_pool, (b_panels, b_packs)) = match b_phase {
+            Ok(phase) => phase,
             Err(e) => {
                 release_a(a_panels);
                 return Err(e);
             }
         };
-        monitor.begin_phase();
-        let b_panels = if routing.pack_b {
-            let mut panels =
-                b_pool.acquire_blocks(tk * tn, b_panel_len(s.kc, s.nc, plan.sigma_lane));
-            let packed = try_pack_panels_parallel(
-                &mut panels,
-                threads,
-                &exec,
-                &monitor,
-                "pack B",
-                record,
-                |idx, p| {
-                    let (kb, bj) = (idx / tn, idx % tn);
-                    pack_b_into(p, b, n, kb * s.kc, bj * s.nc, s.kc, s.nc, plan.sigma_lane);
-                },
-            );
-            match packed {
-                Ok(b_packs) => packs += b_packs,
-                Err(e) => {
-                    release_a(a_panels);
-                    b_pool.release_blocks(panels);
-                    return Err(e);
-                }
-            }
-            Some(panels)
-        } else {
-            let _ = monitor.should_stop();
-            if let Err(e) = monitor.outcome("pack B", tk * tn) {
-                release_a(a_panels);
-                return Err(e);
-            }
-            None
-        };
+        packs += b_packs;
         let pack_b_t = pb0.map(Stamp::elapsed);
 
-        let owned_b = b_panels.map(|panels| BPanels::Owned { panels, tn });
         let a_src = match &a_panels {
             Some(panels) => ASource::Packed(panels),
-            None => ASource::Unpacked(a),
+            None => ASource::Unpacked(ops.a),
         };
-        let b_src = match &owned_b {
-            Some(bp) => BSource::Packed(bp),
-            None => BSource::Unpacked(b),
+        let b_src = match (&b_panels, ops.b) {
+            (Some(panels), _) => BSource::Packed(panels),
+            (None, BInput::Prepacked(pb)) => BSource::Packed(pb.panels()),
+            (None, BInput::Matrix(_, b)) => BSource::Unpacked(b),
         };
         monitor.begin_phase();
-        let run = try_run_blocks_cached(
-            plan,
-            &a_src,
-            &b_src,
-            c,
-            threads,
-            cfg.reference,
-            &exec,
-            &monitor,
-            record,
-        );
+        // Drain the `σ_order`-sorted block list through `try_drain`'s
+        // shared cursor: threads that land on cheap edge blocks pull
+        // more work instead of idling behind a static stride.
+        let blocks = block_visit_order(&s.order, tm, tn);
+        // SAFETY: each (bi, bj) block is claimed by exactly one thread
+        // via the cursor and the blocks partition C; CTile accesses stay
+        // within a block's cells, and K is never split across threads
+        // (§V-C).
+        let c_root = unsafe { CTile::new(c.as_mut_ptr(), n, c.len()) };
+        let run = try_drain(blocks.len(), threads, &exec, &monitor, record, |i| {
+            let (bi, bj) = blocks[i];
+            run_block_cached(plan, &a_src, &b_src, c_root, bi, bj, ops.accumulate, reference);
+        });
+        let b_packed = matches!(b_src, BSource::Packed(_));
 
         // Buffers go back even when the run was poisoned or cancelled: a
         // contained panic never corrupts a panel buffer (they hold plain
         // `f32`s), so the pool stays usable for the caller's next attempt.
         release_a(a_panels);
-        if let Some(BPanels::Owned { panels, .. }) = owned_b {
+        if let Some(panels) = b_panels {
             b_pool.release_blocks(panels);
         }
-        Ok((run?, packs, pack_a_t, pack_b_t))
+        Ok((run?, packs, pack_a_t, pack_b_t, b_packed))
     })();
     monitor.finish();
     drop(watchdog);
     if matches!(result, Err(GemmError::WorkerPanicked { .. }) | Err(GemmError::Stalled { .. })) {
         sup.observe_fault(BreakerPath::ThreadedDriver);
     }
-    let (section, packs, pack_a_t, pack_b_t) = result?;
+    let (section, packs, pack_a_t, pack_b_t, b_packed) = result?;
     let (Some(section), Some(t0)) = (section, t0) else { return Ok(None) };
-    let pack_a = pack_a_t.unwrap_or_default();
-    let pack_b = pack_b_t.unwrap_or_default();
-    let phases = PhaseProfile { pack_a, pack_b, ..PhaseProfile::default() };
+    let phases = PhaseProfile {
+        pack_a: pack_a_t.unwrap_or_default(),
+        pack_b: pack_b_t.unwrap_or_default(),
+        ..PhaseProfile::default()
+    };
     let mut report =
         section.into_report(GemmReport { phases, packs, ..shape() }, t0, cfg.fallbacks);
-    report.tiles = block_tiles(plan, routing.pack_a, routing.pack_b);
+    report.tiles = block_tiles(plan, pack_a, b_packed);
     Ok(Some(report))
 }
 
@@ -1297,44 +1366,6 @@ where
     Ok(Some(SectionProfile { threads, kernel: section0.delta_to(end), drain }))
 }
 
-/// Pack all A panels of a plan (indexed `[bi * tk + kb]`) from `pool`
-/// buffers, in parallel when the problem is large enough to pay for it,
-/// returning the packs the runners measured when `record` is set.
-/// On error (including cancellation) the acquired buffers are returned
-/// to `pool` first. The caller must have called `monitor.begin_phase()`.
-pub(crate) fn try_pack_a_panels_supervised(
-    plan: &ExecutionPlan,
-    a: &[f32],
-    threads: usize,
-    pool: &PanelPool,
-    exec: &Exec,
-    monitor: &RunMonitor,
-    record: bool,
-) -> Result<(Vec<PackedBlock>, PackStats), GemmError> {
-    let s = &plan.schedule;
-    let (tm, _, tk) = plan.grid();
-    let mut panels = pool.acquire_blocks(tm * tk, a_panel_len(s.mc, s.kc, plan.sigma_lane));
-    let packed = try_pack_panels_parallel(
-        &mut panels,
-        threads,
-        exec,
-        monitor,
-        "pack A",
-        record,
-        |idx, p| {
-            let (bi, kb) = (idx / tk, idx % tk);
-            pack_a_into(p, a, s.k, bi * s.mc, kb * s.kc, s.mc, s.kc, plan.sigma_lane);
-        },
-    );
-    match packed {
-        Ok(packs) => Ok((panels, packs)),
-        Err(e) => {
-            pool.release_blocks(panels);
-            Err(e)
-        }
-    }
-}
-
 /// Fill `panels[idx]` via `pack(idx, &mut panels[idx])`, draining the
 /// slot indices from a shared atomic cursor over up to `threads` pool
 /// runners (slot-agnostic, like every pool-section body: whichever
@@ -1416,41 +1447,12 @@ where
     Ok(packs.into_inner())
 }
 
-/// Drain the `σ_order`-sorted block list through [`try_drain`]'s shared
-/// atomic cursor: each worker claims the next unprocessed block, so
-/// threads that land on cheap edge blocks immediately pull more work
-/// instead of idling behind a static stride assignment. Supervision,
-/// panic containment and the partial-`C` contract are [`try_drain`]'s.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_run_blocks_cached(
-    plan: &ExecutionPlan,
-    a_src: &ASource<'_>,
-    b_src: &BSource<'_>,
-    c: &mut [f32],
-    threads: usize,
-    reference: bool,
-    exec: &Exec,
-    monitor: &RunMonitor,
-    record: bool,
-) -> Result<Option<SectionProfile>, GemmError> {
-    let s = &plan.schedule;
-    let (tm, tn, tk) = plan.grid();
-    let blocks = block_visit_order(&s.order, tm, tn);
-    // SAFETY: each (bi, bj) block is claimed by exactly one thread via the
-    // cursor and the blocks partition C; CTile accesses stay within a
-    // block's cells, and K is never split across threads (§V-C).
-    let c_root = unsafe { CTile::new(c.as_mut_ptr(), s.n, c.len()) };
-    try_drain(blocks.len(), threads, exec, monitor, record, |i| {
-        let (bi, bj) = blocks[i];
-        run_block_cached(plan, a_src, b_src, c_root, bi, bj, tk, reference);
-    })
-}
-
 /// Execute all K-slices of one `C` block from cached panels
 /// (single-threaded by design; `kb` ascends so the accumulation order
-/// matches the per-block repacking path bit-for-bit). `reference` routes
-/// every placement to the scalar reference kernels (the degraded-dispatch
-/// path).
+/// matches the per-block repacking path bit-for-bit). The first slice
+/// overwrites the block unless the call `accumulate`s into `C`;
+/// `reference` routes every placement to the scalar reference kernels
+/// (the degraded-dispatch path).
 #[allow(clippy::too_many_arguments)]
 fn run_block_cached(
     plan: &ExecutionPlan,
@@ -1459,16 +1461,17 @@ fn run_block_cached(
     c_root: CTile,
     bi: usize,
     bj: usize,
-    tk: usize,
+    accumulate: bool,
     reference: bool,
 ) {
     let s = &plan.schedule;
+    let (_, tn, tk) = plan.grid();
     // SAFETY: this thread exclusively owns the block's cells.
     let c_block = unsafe { c_root.offset(bi * s.mc, bj * s.nc) };
     for kb in 0..tk {
         let a_op = a_src.operand(s, bi, kb, tk);
-        let b_op = b_src.operand(s, kb, bj);
-        let accumulate = kb > 0;
+        let b_op = b_src.operand(s, kb, bj, tn);
+        let accumulate = accumulate || kb > 0;
         for placement in &plan.block_plan.placements {
             run_placement_operands(reference, placement, s.kc, &a_op, &b_op, c_block, accumulate);
         }
@@ -1736,7 +1739,7 @@ mod tests {
         let mut buffered_after_first = 0;
         for call in 0..3 {
             let mut c = vec![0.0f32; m * n];
-            gemm_with_plan_pooled(&plan, &a, &b, &mut c, 2, &pool);
+            try_gemm_with_plan_pooled(&plan, &a, &b, &mut c, 2, &pool).expect("pooled call");
             for (i, (&got, &w)) in c.iter().zip(&want).enumerate() {
                 assert!(
                     (got - w).abs() <= 1e-3 * w.abs().max(1.0),
@@ -1803,7 +1806,8 @@ mod tests {
         threads: usize,
     ) -> GemmReport {
         let pool = crate::packing::PanelPool::new();
-        try_gemm_with_plan_supervised(plan, a, b, c, threads, &pool, &Supervision::none(), true)
+        let ops = Operands::new(a, b);
+        try_gemm_with_plan_supervised(plan, ops, c, threads, &pool, &Supervision::none(), true)
             .expect("traced run")
             .expect("a recording run returns its report")
     }

@@ -6,16 +6,16 @@
 //! The packed form stores one padded `(k_c+2) × n_c` panel per cache
 //! block of `B`, in block order, so the run-time loop does zero copies.
 
-use crate::error::{self, GemmError, Operand};
-use crate::packing::{pack_b, PackedBlock};
+use crate::error::GemmError;
+use crate::native::{self, Operands};
+use crate::packing::{pack_b, PackedBlock, PanelPool};
 use crate::plan::ExecutionPlan;
-use crate::supervisor::{BreakerPath, RunMonitor, Supervision};
+use crate::supervisor::Supervision;
 
 /// `B`, packed offline for a specific execution plan.
 pub struct PackedB {
     /// Panels indexed `[kb * tn + bj]`.
     panels: Vec<PackedBlock>,
-    tn: usize,
     /// Shape fingerprint to catch plan mismatches.
     shape: (usize, usize, usize, usize, usize),
 }
@@ -34,12 +34,12 @@ impl PackedB {
                 panels.push(pack_b(b, s.n, kb * s.kc, bj * s.nc, s.kc, s.nc, plan.sigma_lane));
             }
         }
-        PackedB { panels, tn, shape: (s.m, s.n, s.k, s.nc, s.kc) }
+        PackedB { panels, shape: (s.m, s.n, s.k, s.nc, s.kc) }
     }
 
-    /// The packed panel for k-block `kb`, column block `bj`.
-    pub fn panel(&self, kb: usize, bj: usize) -> &PackedBlock {
-        &self.panels[kb * self.tn + bj]
+    /// Every panel, indexed `[kb * tn + bj]` (the driver's B layout).
+    pub(crate) fn panels(&self) -> &[PackedBlock] {
+        &self.panels
     }
 
     /// Total packed bytes (for traffic accounting / memory budgeting).
@@ -60,88 +60,29 @@ impl PackedB {
 }
 
 /// `C = A · B` with `B` pre-packed offline, recycling A-panel buffers
-/// through `pool`.
-///
-/// The packed panels feed the shared panel-cache driver **zero-copy**
-/// ([`crate::native`]'s `BPanels::Prepacked` borrows them in place): only
-/// the A panels are packed at call time (once each, `tm·tk` packs), and
-/// blocks are drained from the same atomic work queue as
-/// [`crate::native::gemm_with_plan`]. Plan-mismatch and operand
-/// validation come back as `Err`, and worker panics are contained (see
-/// [`crate::error`]).
+/// through `pool`: one call into the block driver
+/// ([`crate::native::try_gemm_with_plan_supervised`]), which reads the
+/// packed panels **zero-copy** — only A is packed at call time (once per
+/// panel, `tm·tk` packs, when the plan's routing packs it) — and runs
+/// the same probes, cancellation points and panic containment as any
+/// other call. Plan-mismatch and operand validation come back as `Err`
+/// (see [`crate::error`]).
 pub fn try_gemm_prepacked_pooled(
     plan: &ExecutionPlan,
     a: &[f32],
     packed_b: &PackedB,
     c: &mut [f32],
     threads: usize,
-    pool: &crate::packing::PanelPool,
+    pool: &PanelPool,
 ) -> Result<(), GemmError> {
-    try_gemm_prepacked_supervised(plan, a, packed_b, c, threads, pool, &Supervision::none())
-}
-
-/// [`try_gemm_prepacked_pooled`] under a [`Supervision`] bundle: the
-/// offline path gets the same cancellation points (pack-A slots, kernel
-/// block claims), watchdog heartbeats and error attribution as the
-/// online driver. The pre-packed `B` panels are caller-owned and never
-/// touched on the error paths.
-pub fn try_gemm_prepacked_supervised(
-    plan: &ExecutionPlan,
-    a: &[f32],
-    packed_b: &PackedB,
-    c: &mut [f32],
-    threads: usize,
-    pool: &crate::packing::PanelPool,
-    sup: &Supervision,
-) -> Result<(), GemmError> {
-    packed_b.check(plan)?;
-    let s = &plan.schedule;
-    let (m, n, k) = (s.m, s.n, s.k);
-    error::check_len(Operand::A, "M*K", a.len(), m, k)?;
-    error::check_len(Operand::C, "M*N", c.len(), m, n)?;
-    if m == 0 || n == 0 {
-        return Ok(());
-    }
-    if k == 0 {
-        c.fill(0.0);
-        return Ok(());
-    }
-    let exec = crate::runtime::Exec::new(sup, false);
-    let monitor = RunMonitor::new(sup, threads.max(1));
-    let watchdog = exec.runtime().watch(&monitor);
-    let result = (|| {
-        monitor.begin_phase();
-        let (a_panels, _) = crate::native::try_pack_a_panels_supervised(
-            plan, a, threads, pool, &exec, &monitor, false,
-        )?;
-        monitor.begin_phase();
-        let b_panels = crate::native::BPanels::Prepacked(packed_b);
-        let run = crate::native::try_run_blocks_cached(
-            plan,
-            &crate::native::ASource::Packed(&a_panels),
-            &crate::native::BSource::Packed(&b_panels),
-            c,
-            threads,
-            false,
-            &exec,
-            &monitor,
-            false,
-        );
-        pool.release_blocks(a_panels);
-        run.map(|_| ())
-    })();
-    monitor.finish();
-    drop(watchdog);
-    if matches!(result, Err(GemmError::WorkerPanicked { .. }) | Err(GemmError::Stalled { .. })) {
-        sup.observe_fault(BreakerPath::ThreadedDriver);
-    }
-    result
+    let ops = Operands::prepacked(a, packed_b);
+    native::try_gemm_with_plan_supervised(plan, ops, c, threads, pool, &Supervision::none(), false)
+        .map(|_| ())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packing::PanelPool;
     use crate::AutoGemm;
     use autogemm_arch::ChipSpec;
 

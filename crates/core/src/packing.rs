@@ -215,24 +215,61 @@ pub fn pack_block_into(
     pad_cols: usize,
     pad_rows: usize,
 ) {
-    let ld = cols + pad_cols;
-    let len = panel_len(rows, cols, pad_cols, pad_rows);
-    // clear + resize zeroes every element (padding included) without
-    // reallocating when capacity is already sufficient.
+    let ld = reset_panel(dst, rows, cols, pad_cols, pad_rows);
+    for r in 0..rows {
+        let src_off = (row0 + r) * src_ld + col0;
+        dst.data[r * ld..r * ld + cols].copy_from_slice(&src[src_off..src_off + cols]);
+    }
+}
+
+/// [`pack_block_into`] from the *transpose* of `src`: element `(r, c)`
+/// of the packed block is `src[(col0 + c) * src_ld + (row0 + r)]`. This
+/// is how the `op(A) = Aᵀ` / `op(B) = Bᵀ` BLAS forms are packed: the
+/// kernels always see row-major panels, so transposition costs nothing
+/// at run time beyond this copy.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pack_block_t_into(
+    dst: &mut PackedBlock,
+    src: &[f32],
+    src_ld: usize,
+    row0: usize,
+    col0: usize,
+    rows: usize,
+    cols: usize,
+    pad_cols: usize,
+    pad_rows: usize,
+) {
+    let ld = reset_panel(dst, rows, cols, pad_cols, pad_rows);
+    for r in 0..rows {
+        for c in 0..cols {
+            dst.data[r * ld + c] = src[(col0 + c) * src_ld + (row0 + r)];
+        }
+    }
+}
+
+/// Lay `dst` out for a `rows × cols` block with `pad_cols` extra
+/// elements per row and `pad_rows` extra rows, every element (padding
+/// included) zeroed, and return its leading dimension. `clear` +
+/// `resize` zero-fills without reallocating when the capacity already
+/// suffices.
+fn reset_panel(
+    dst: &mut PackedBlock,
+    rows: usize,
+    cols: usize,
+    pad_cols: usize,
+    pad_rows: usize,
+) -> usize {
     dst.data.clear();
-    dst.data.resize(len, 0.0);
+    dst.data.resize(panel_len(rows, cols, pad_cols, pad_rows), 0.0);
     debug_assert_eq!(
         dst.data.as_ptr() as usize % PANEL_ALIGN,
         0,
         "packed panel base must be {PANEL_ALIGN}-byte aligned"
     );
-    for r in 0..rows {
-        let src_off = (row0 + r) * src_ld + col0;
-        dst.data[r * ld..r * ld + cols].copy_from_slice(&src[src_off..src_off + cols]);
-    }
-    dst.ld = ld;
+    dst.ld = cols + pad_cols;
     dst.rows = rows;
     dst.cols = cols;
+    dst.ld
 }
 
 /// Pack an A block (`m_c × k_c`): rows padded by `2·σ_lane` columns.
@@ -264,6 +301,25 @@ pub fn pack_a_into(
 ) {
     count_pack(true, pack_traffic_bytes(mc, kc));
     pack_block_into(dst, a, lda, row0, col0, mc, kc, 2 * sigma_lane, 0);
+}
+
+/// [`pack_a_into`] for `op(A) = Aᵀ`: `a` stores `Aᵀ` row-major (`K × M`,
+/// so `lda` is `M`), and the panel holds the same block of `A` that
+/// [`pack_a_into`] packs from `A` itself. Counted in the thread's tally
+/// like any A panel.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pack_a_t_into(
+    dst: &mut PackedBlock,
+    a: &[f32],
+    lda: usize,
+    row0: usize,
+    col0: usize,
+    mc: usize,
+    kc: usize,
+    sigma_lane: usize,
+) {
+    count_pack(true, pack_traffic_bytes(mc, kc));
+    pack_block_t_into(dst, a, lda, row0, col0, mc, kc, 2 * sigma_lane, 0);
 }
 
 /// Elements [`pack_a_into`] fills for an `mc × kc` block.
@@ -302,6 +358,23 @@ pub fn pack_b_into(
 ) {
     count_pack(false, pack_traffic_bytes(kc, nc));
     pack_block_into(dst, b, ldb, row0, col0, kc, nc, sigma_lane, 2);
+}
+
+/// [`pack_b_into`] for `op(B) = Bᵀ`: `b` stores `Bᵀ` row-major (`N × K`,
+/// so `ldb` is `K`). Counted in the thread's tally like any B panel.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pack_b_t_into(
+    dst: &mut PackedBlock,
+    b: &[f32],
+    ldb: usize,
+    row0: usize,
+    col0: usize,
+    kc: usize,
+    nc: usize,
+    sigma_lane: usize,
+) {
+    count_pack(false, pack_traffic_bytes(kc, nc));
+    pack_block_t_into(dst, b, ldb, row0, col0, kc, nc, sigma_lane, 2);
 }
 
 /// Elements [`pack_b_into`] fills for a `kc × nc` block.
@@ -557,33 +630,6 @@ mod tests {
     }
 }
 
-/// Pack a block of the *transpose* of `src`: element `(r, c)` of the
-/// packed block is `src[(col0 + c) * src_ld + (row0 + r)]`. Used for the
-/// `op(A) = Aᵀ` / `op(B) = Bᵀ` BLAS forms: the kernels always see
-/// row-major packed panels, so transposition costs nothing at run time
-/// beyond this copy.
-#[allow(clippy::too_many_arguments)]
-pub fn pack_block_t(
-    src: &[f32],
-    src_ld: usize,
-    row0: usize,
-    col0: usize,
-    rows: usize,
-    cols: usize,
-    pad_cols: usize,
-    pad_rows: usize,
-) -> PackedBlock {
-    let ld = cols + pad_cols;
-    let mut data = AlignedVec::new();
-    data.resize((rows + pad_rows) * ld, 0.0);
-    for r in 0..rows {
-        for c in 0..cols {
-            data[r * ld + c] = src[(col0 + c) * src_ld + (row0 + r)];
-        }
-    }
-    PackedBlock { data, ld, rows, cols }
-}
-
 #[cfg(test)]
 mod transpose_tests {
     use super::*;
@@ -593,7 +639,8 @@ mod transpose_tests {
         // src is 3x4 row-major; packing its transpose's 4x3 block at (0,0)
         // must give columns-as-rows.
         let src: Vec<f32> = (0..12).map(|i| i as f32).collect();
-        let p = pack_block_t(&src, 4, 0, 0, 4, 3, 1, 0);
+        let mut p = PackedBlock::empty();
+        pack_block_t_into(&mut p, &src, 4, 0, 0, 4, 3, 1, 0);
         // packed[r][c] = src[c * 4 + r]
         assert_eq!(p.data[0], 0.0); // (0,0) -> src[0]
         assert_eq!(p.data[1], 4.0); // (0,1) -> src[4]
@@ -604,7 +651,8 @@ mod transpose_tests {
     #[test]
     fn pack_block_t_subblock() {
         let src: Vec<f32> = (0..36).map(|i| i as f32).collect(); // 6x6
-        let p = pack_block_t(&src, 6, 1, 2, 2, 3, 0, 0);
+        let mut p = PackedBlock::empty();
+        pack_block_t_into(&mut p, &src, 6, 1, 2, 2, 3, 0, 0);
         // (r,c) -> src[(2+c)*6 + (1+r)]
         assert_eq!(p.data[0], 13.0);
         assert_eq!(p.data[1], 19.0);

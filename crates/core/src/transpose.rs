@@ -1,19 +1,21 @@
 //! Transposed-operand GEMM: the four BLAS forms
-//! `C = op(A)·op(B)`, `op ∈ {identity, transpose}`.
+//! `C = op(A)·op(B)`, `op ∈ {identity, transpose}`, and the full
+//! `sgemm`.
 //!
 //! The generated kernels always consume row-major packed panels, so a
-//! transposed operand only changes how its panels are *packed*
-//! ([`crate::packing::pack_block_t`]); the tuned schedule, tiling and
-//! kernels are untouched — which is exactly how packing-based BLAS
-//! libraries implement `sgemm`'s `transa`/`transb`.
+//! transposed operand only changes how its panels are *packed* (the
+//! transposing pack in [`crate::packing`]); the tuned schedule, tiling,
+//! kernels and block driver are untouched — which is exactly how
+//! packing-based BLAS libraries implement `sgemm`'s `transa`/`transb`.
+//! Every form here is one call into
+//! [`crate::native::try_gemm_with_plan_supervised`], so each panel is
+//! packed once per call (`(tm + tn)·tk` packs) into pool buffers.
 
 use crate::error::{self, GemmError};
-use crate::native::{block_visit_order, run_placement, CTile, Poison};
-use crate::packing::{pack_block, pack_block_t, PackedBlock};
+use crate::native::{self, Operands};
+use crate::packing::PanelPool;
 use crate::plan::ExecutionPlan;
-use crate::runtime::Exec;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::supervisor::Supervision;
 
 /// Whether an operand is used as stored or transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,45 +24,6 @@ pub enum Op {
     NoTrans,
     /// Use the transpose of the stored matrix.
     Trans,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn pack_a_op(
-    op: Op,
-    a: &[f32],
-    m: usize,
-    k: usize,
-    row0: usize,
-    col0: usize,
-    mc: usize,
-    kc: usize,
-    sigma_lane: usize,
-) -> PackedBlock {
-    match op {
-        // A stored m×k: plain block.
-        Op::NoTrans => pack_block(a, k, row0, col0, mc, kc, 2 * sigma_lane, 0),
-        // A stored k×m, used as its transpose.
-        Op::Trans => pack_block_t(a, m, row0, col0, mc, kc, 2 * sigma_lane, 0),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn pack_b_op(
-    op: Op,
-    b: &[f32],
-    k: usize,
-    n: usize,
-    row0: usize,
-    col0: usize,
-    kc: usize,
-    nc: usize,
-    sigma_lane: usize,
-) -> PackedBlock {
-    match op {
-        Op::NoTrans => pack_block(b, n, row0, col0, kc, nc, sigma_lane, 2),
-        // B stored n×k, used as its transpose.
-        Op::Trans => pack_block_t(b, k, row0, col0, kc, nc, sigma_lane, 2),
-    }
 }
 
 /// `C (M×N) = op(A) · op(B)`, row-major.
@@ -82,7 +45,10 @@ pub fn gemm_op(
     }
 }
 
-/// Fallible [`gemm_op`].
+/// Fallible [`gemm_op`]: operand validation, degenerate shapes and
+/// worker-panic containment per [`crate::error`]. A transposed operand
+/// has the same element count as the plain one, so the length checks are
+/// op-independent.
 pub fn try_gemm_op(
     plan: &ExecutionPlan,
     op_a: Op,
@@ -92,189 +58,15 @@ pub fn try_gemm_op(
     c: &mut [f32],
     threads: usize,
 ) -> Result<(), GemmError> {
-    try_gemm_op_acc(plan, op_a, op_b, a, b, c, threads, false)
-}
-
-/// [`gemm_op`] with an explicit accumulate flag: when set, the existing
-/// contents of `C` are accumulated into (`C += op(A)·op(B)`), which is
-/// what a non-zero BLAS `β` needs after its scaling pass.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_op_acc(
-    plan: &ExecutionPlan,
-    op_a: Op,
-    op_b: Op,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threads: usize,
-    accumulate: bool,
-) {
-    if let Err(e) = try_gemm_op_acc(plan, op_a, op_b, a, b, c, threads, accumulate) {
-        panic!("{e}");
-    }
-}
-
-/// Fallible [`gemm_op_acc`]: operand validation, degenerate shapes and
-/// worker-panic containment per [`crate::error`]. A transposed operand
-/// has the same element count as the plain one, so the length checks are
-/// op-independent.
-#[allow(clippy::too_many_arguments)]
-pub fn try_gemm_op_acc(
-    plan: &ExecutionPlan,
-    op_a: Op,
-    op_b: Op,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threads: usize,
-    accumulate: bool,
-) -> Result<(), GemmError> {
-    let s = &plan.schedule;
-    let (m, n, k) = (s.m, s.n, s.k);
-    error::check_operands(m, n, k, a, b, c)?;
-    if m == 0 || n == 0 {
-        return Ok(());
-    }
-    if k == 0 {
-        // op(A)·op(B) is the zero matrix; accumulation leaves C as is.
-        if !accumulate {
-            c.fill(0.0);
-        }
-        return Ok(());
-    }
-    let (tm, tn, tk) = plan.grid();
-    let blocks = block_visit_order(&s.order, tm, tn);
-    let threads = threads.max(1).min(blocks.len().max(1));
-
-    // SAFETY: blocks partition C; K is never split across threads (§V-C).
-    let c_root = unsafe { CTile::new(c.as_mut_ptr(), n, c.len()) };
-    let run_block = |bi: usize, bj: usize| {
-        let row0 = bi * s.mc;
-        let col0 = bj * s.nc;
-        // SAFETY: exclusive block ownership.
-        let c_block = unsafe { c_root.offset(row0, col0) };
-        for kb in 0..tk {
-            let krow = kb * s.kc;
-            let pa = pack_a_op(op_a, a, m, k, row0, krow, s.mc, s.kc, plan.sigma_lane);
-            let pb = pack_b_op(op_b, b, k, n, krow, col0, s.kc, s.nc, plan.sigma_lane);
-            for placement in &plan.block_plan.placements {
-                run_placement(
-                    placement,
-                    s.kc,
-                    &pa.data,
-                    pa.ld,
-                    &pb.data,
-                    pb.ld,
-                    c_block,
-                    accumulate || kb > 0,
-                );
-            }
-        }
-    };
-    if threads == 1 {
-        return catch_unwind(AssertUnwindSafe(|| {
-            for &(bi, bj) in &blocks {
-                run_block(bi, bj);
-            }
-        }))
-        .map_err(|payload| GemmError::WorkerPanicked {
-            thread: 0,
-            detail: error::panic_detail(payload.as_ref()),
-        });
-    }
-    let exec = Exec::unsupervised();
-    let cursor = AtomicUsize::new(0);
-    let poison = Poison::new();
-    let body = |t: usize| {
-        let run = catch_unwind(AssertUnwindSafe(|| loop {
-            if poison.is_poisoned() {
-                break;
-            }
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&(bi, bj)) = blocks.get(i) else { break };
-            run_block(bi, bj);
-        }));
-        if let Err(payload) = run {
-            poison.record(t, payload);
-        }
-    };
-    exec.run_section(threads, &body);
-    poison.into_result()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::AutoGemm;
-    use autogemm_arch::ChipSpec;
-
-    fn naive_op(
-        m: usize,
-        n: usize,
-        k: usize,
-        op_a: Op,
-        op_b: Op,
-        a: &[f32],
-        b: &[f32],
-    ) -> Vec<f32> {
-        let get_a = |i: usize, p: usize| match op_a {
-            Op::NoTrans => a[i * k + p],
-            Op::Trans => a[p * m + i],
-        };
-        let get_b = |p: usize, j: usize| match op_b {
-            Op::NoTrans => b[p * n + j],
-            Op::Trans => b[j * k + p],
-        };
-        let mut c = vec![0.0f32; m * n];
-        for i in 0..m {
-            for p in 0..k {
-                for j in 0..n {
-                    c[i * n + j] += get_a(i, p) * get_b(p, j);
-                }
-            }
-        }
-        c
-    }
-
-    #[test]
-    fn all_four_op_combinations_match_naive() {
-        let chip = ChipSpec::graviton2();
-        let engine = AutoGemm::new(chip.clone());
-        let (m, n, k) = (26usize, 36usize, 24usize);
-        let plan = engine.plan(m, n, k);
-        let a: Vec<f32> = (0..m * k).map(|i| ((i * 5) % 11) as f32 - 5.0).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| ((i * 3) % 7) as f32 - 3.0).collect();
-        for op_a in [Op::NoTrans, Op::Trans] {
-            for op_b in [Op::NoTrans, Op::Trans] {
-                let mut c = vec![0.0f32; m * n];
-                gemm_op(&plan, op_a, op_b, &a, &b, &mut c, 2);
-                let want = naive_op(m, n, k, op_a, op_b, &a, &b);
-                assert_eq!(c, want, "op_a={op_a:?} op_b={op_b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn notrans_notrans_equals_plain_gemm() {
-        let chip = ChipSpec::m2();
-        let engine = AutoGemm::new(chip.clone());
-        let (m, n, k) = (13usize, 20usize, 17usize);
-        let plan = engine.plan(m, n, k);
-        let a: Vec<f32> = (0..m * k).map(|i| (i % 9) as f32).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| (i % 4) as f32).collect();
-        let mut c1 = vec![0.0f32; m * n];
-        engine.gemm(m, n, k, &a, &b, &mut c1);
-        let mut c2 = vec![0.0f32; m * n];
-        gemm_op(&plan, Op::NoTrans, Op::NoTrans, &a, &b, &mut c2, 1);
-        assert_eq!(c1, c2);
-    }
+    run(plan, Operands::op(op_a, a, op_b, b), c, threads)
 }
 
 /// Full BLAS-style `sgemm`: `C = α · op(A) · op(B) + β · C`, row-major.
 ///
-/// `α` is folded into the `A` panels while packing (the kernels never see
-/// it — the standard packing-library trick), and `β` is applied to `C` in
-/// one pass up front, so the hot loops are identical to [`gemm_op`].
+/// `β` is applied to `C` in one pass up front and the driver then
+/// accumulates into it. For `α ∉ {0, 1}` the call makes one scaled copy
+/// of `A` (`M·K` elements) and multiplies that, so the kernels never see
+/// `α`.
 #[allow(clippy::too_many_arguments)]
 pub fn sgemm(
     plan: &ExecutionPlan,
@@ -319,13 +111,130 @@ pub fn try_sgemm(
     if alpha == 0.0 {
         return Ok(());
     }
-    let accumulate = beta != 0.0;
-    if alpha == 1.0 {
-        return try_gemm_op_acc(plan, op_a, op_b, a, b, c, threads, accumulate);
+    let scaled_a: Vec<f32>;
+    let a = if alpha == 1.0 {
+        a
+    } else {
+        scaled_a = a.iter().map(|&x| x * alpha).collect();
+        &scaled_a
+    };
+    let ops = Operands::op(op_a, a, op_b, b);
+    run(plan, if beta == 0.0 { ops } else { ops.accumulate() }, c, threads)
+}
+
+/// One unsupervised driver call with a panel pool of its own.
+fn run(
+    plan: &ExecutionPlan,
+    ops: Operands<'_>,
+    c: &mut [f32],
+    threads: usize,
+) -> Result<(), GemmError> {
+    let pool = PanelPool::new();
+    native::try_gemm_with_plan_supervised(plan, ops, c, threads, &pool, &Supervision::none(), false)
+        .map(|_| ())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::AutoGemm;
+    use autogemm_arch::ChipSpec;
+
+    fn naive_op(
+        m: usize,
+        n: usize,
+        k: usize,
+        op_a: Op,
+        op_b: Op,
+        a: &[f32],
+        b: &[f32],
+    ) -> Vec<f32> {
+        let get_a = |i: usize, p: usize| match op_a {
+            Op::NoTrans => a[i * k + p],
+            Op::Trans => a[p * m + i],
+        };
+        let get_b = |p: usize, j: usize| match op_b {
+            Op::NoTrans => b[p * n + j],
+            Op::Trans => b[j * k + p],
+        };
+        let mut c = vec![0.0f32; m * n];
+        for i in 0..m {
+            for p in 0..k {
+                for j in 0..n {
+                    c[i * n + j] += get_a(i, p) * get_b(p, j);
+                }
+            }
+        }
+        c
     }
-    // Fold α into A once (the packed copies inherit it).
-    let scaled_a: Vec<f32> = a.iter().map(|&x| x * alpha).collect();
-    try_gemm_op_acc(plan, op_a, op_b, &scaled_a, b, c, threads, accumulate)
+
+    /// A plan whose tuned schedule splits every dimension (`tm, tn, tk
+    /// > 1`), so cross-block and `kb > 0` accumulation run.
+    pub(super) fn multi_block_plan() -> ExecutionPlan {
+        let chip = ChipSpec::graviton2();
+        let plan = ExecutionPlan::from_schedule(autogemm_tuner::tune(48, 80, 300, &chip), &chip);
+        let (tm, tn, tk) = plan.grid();
+        assert!(tm > 1 && tn > 1 && tk > 1, "grid ({tm}, {tn}, {tk}) is not multi-block");
+        plan
+    }
+
+    /// `x` (`rows × cols`, row-major) stored transposed.
+    pub(super) fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        (0..rows * cols).map(|idx| x[(idx % rows) * cols + idx / rows]).collect()
+    }
+
+    pub(super) const OPS: [(Op, Op); 4] = [
+        (Op::NoTrans, Op::NoTrans),
+        (Op::NoTrans, Op::Trans),
+        (Op::Trans, Op::NoTrans),
+        (Op::Trans, Op::Trans),
+    ];
+
+    #[test]
+    fn all_four_op_combinations_match_naive() {
+        let engine = AutoGemm::new(ChipSpec::graviton2());
+        for plan in [engine.plan(26, 36, 24), multi_block_plan()] {
+            let s = &plan.schedule;
+            let (m, n, k) = (s.m, s.n, s.k);
+            // Integer-valued data: every partial sum is exact in `f32`.
+            let a: Vec<f32> = (0..m * k).map(|i| ((i * 5) % 11) as f32 - 5.0).collect();
+            let b: Vec<f32> = (0..k * n).map(|i| ((i * 3) % 7) as f32 - 3.0).collect();
+            let (a_t, b_t) = (transposed(&a, m, k), transposed(&b, k, n));
+            let want = naive_op(m, n, k, Op::NoTrans, Op::NoTrans, &a, &b);
+            let mut c_plain = vec![0.0f32; m * n];
+            crate::native::gemm_with_plan(&plan, &a, &b, &mut c_plain, 1);
+            for threads in [1, 2, 8] {
+                for (op_a, op_b) in OPS {
+                    let sa = if op_a == Op::Trans { &a_t } else { &a };
+                    let sb = if op_b == Op::Trans { &b_t } else { &b };
+                    let mut c = vec![f32::NAN; m * n];
+                    gemm_op(&plan, op_a, op_b, sa, sb, &mut c, threads);
+                    let ctx = format!("{m}x{n}x{k} {op_a:?}/{op_b:?} t{threads}");
+                    assert_eq!(c, naive_op(m, n, k, op_a, op_b, sa, sb), "{ctx}");
+                    // Transposed storage only changes how panels are
+                    // packed: the panels, hence the bits, are the plain
+                    // driver's.
+                    assert_eq!(c, c_plain, "{ctx}: diverged from the plain driver");
+                }
+            }
+            assert_eq!(c_plain, want);
+        }
+    }
+
+    #[test]
+    fn notrans_notrans_equals_plain_gemm() {
+        let chip = ChipSpec::m2();
+        let engine = AutoGemm::new(chip.clone());
+        let (m, n, k) = (13usize, 20usize, 17usize);
+        let plan = engine.plan(m, n, k);
+        let a: Vec<f32> = (0..m * k).map(|i| (i % 9) as f32).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| (i % 4) as f32).collect();
+        let mut c1 = vec![0.0f32; m * n];
+        engine.gemm(m, n, k, &a, &b, &mut c1);
+        let mut c2 = vec![0.0f32; m * n];
+        gemm_op(&plan, Op::NoTrans, Op::NoTrans, &a, &b, &mut c2, 1);
+        assert_eq!(c1, c2);
+    }
 }
 
 #[cfg(test)]
@@ -365,21 +274,32 @@ mod sgemm_tests {
 
     #[test]
     fn alpha_beta_combinations_match_naive() {
-        let chip = ChipSpec::graviton2();
-        let engine = AutoGemm::new(chip.clone());
-        let (m, n, k) = (16usize, 24usize, 20usize);
-        let plan = engine.plan(m, n, k);
-        let (a, b, c0) = data(m, n, k);
-        for (alpha, beta) in [(1.0f32, 0.0f32), (1.0, 1.0), (2.5, 0.0), (0.5, -1.5), (0.0, 3.0)] {
-            let mut c = c0.clone();
-            sgemm(&plan, alpha, Op::NoTrans, &a, Op::NoTrans, &b, beta, &mut c, 2);
-            let mut want = c0.clone();
-            naive_sgemm(m, n, k, alpha, &a, &b, beta, &mut want);
-            for (i, (&got, &w)) in c.iter().zip(&want).enumerate() {
-                assert!(
-                    (got - w).abs() <= 1e-3 * w.abs().max(1.0),
-                    "alpha={alpha} beta={beta}: C[{i}] = {got} want {w}"
-                );
+        use super::tests::{multi_block_plan, transposed, OPS};
+        let engine = AutoGemm::new(ChipSpec::graviton2());
+        for plan in [engine.plan(16, 24, 20), multi_block_plan()] {
+            let s = &plan.schedule;
+            let (m, n, k) = (s.m, s.n, s.k);
+            let (a, b, c0) = data(m, n, k);
+            let (a_t, b_t) = (transposed(&a, m, k), transposed(&b, k, n));
+            for (alpha, beta) in
+                [(1.0f32, 0.0f32), (1.0, 1.0), (1.0, 0.5), (2.5, 0.0), (0.5, -1.5), (0.0, 3.0)]
+            {
+                let mut want = c0.clone();
+                naive_sgemm(m, n, k, alpha, &a, &b, beta, &mut want);
+                for threads in [1, 2, 8] {
+                    for (op_a, op_b) in OPS {
+                        let sa = if op_a == Op::Trans { &a_t } else { &a };
+                        let sb = if op_b == Op::Trans { &b_t } else { &b };
+                        let mut c = c0.clone();
+                        sgemm(&plan, alpha, op_a, sa, op_b, sb, beta, &mut c, threads);
+                        // Integer data and dyadic α, β: exact in `f32`
+                        // whatever the summation order.
+                        assert_eq!(
+                            c, want,
+                            "{m}x{n}x{k} {op_a:?}/{op_b:?} t{threads} alpha={alpha} beta={beta}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -14,7 +14,7 @@ use autogemm::faultinject::{arm, FaultAction, FaultPlan, FaultSite, Trigger};
 use autogemm::supervisor::{
     BreakerConfig, BreakerPath, BreakerState, CancelToken, GemmOptions, WatchdogConfig,
 };
-use autogemm::{AutoGemm, GemmError, Runtime};
+use autogemm::{AutoGemm, GemmBatch, GemmError, Op, PackedB, PanelPool, Runtime};
 use autogemm_arch::ChipSpec;
 use autogemm_baselines::naive::{max_rel_error, naive_gemm};
 use std::sync::{Mutex, MutexGuard, Once, OnceLock};
@@ -367,6 +367,185 @@ fn batch_and_prepacked_paths_contain_worker_panics() {
     let e = autogemm::try_gemm_prepacked_pooled(&plan, &a, &packed, &mut c, 2, &pool).unwrap_err();
     assert!(matches!(e, GemmError::WorkerPanicked { .. }), "{e:?}");
     assert!(guard.fired() >= 1);
+}
+
+/// `x` (`rows × cols`, row-major) stored transposed.
+fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    (0..rows * cols).map(|idx| x[(idx % rows) * cols + idx / rows]).collect()
+}
+
+/// Two items sharing one `B` slice: the batch packs it once and hands
+/// both items the packed copy.
+fn shared_b_batch<'a>(a: &'a [f32], b: &'a [f32]) -> GemmBatch<'a> {
+    let (m, n, k) = SHAPE;
+    let mut batch = GemmBatch::new(m, n, k);
+    batch.push(a, b);
+    batch.push(a, b);
+    batch
+}
+
+/// A prepacked call, a shared-`B` batch and a transposed call all run the
+/// block driver's pack-phase probe: an allocation failure there is a
+/// structured error that leaves `C` untouched, never a silent success.
+#[test]
+fn prepacked_batch_and_transposed_calls_fail_structurally_at_pack_alloc() {
+    let _g = chaos_lock();
+    let engine = engine_unbroken();
+    let (m, n, k) = SHAPE;
+    let (a, b) = data(m, n, k, 43);
+    let (a_t, b_t) = (transposed(&a, m, k), transposed(&b, k, n));
+    let plan = engine.plan(m, n, k);
+    let packed = PackedB::new(&plan, &b);
+    let fail = |trigger| arm(FaultPlan::single(FaultSite::PackAlloc, FaultAction::Fail, trigger));
+    let pack_a_failed = |e: &GemmError| matches!(e, GemmError::AllocFailed { phase: "pack A" });
+    let sentinel: Vec<f32> = (0..m * n).map(|i| i as f32 - 7.0).collect();
+    for threads in THREADS {
+        let pool = PanelPool::new();
+        let mut c = sentinel.clone();
+        let guard = fail(Trigger::Nth(1));
+        let e = autogemm::try_gemm_prepacked_pooled(&plan, &a, &packed, &mut c, threads, &pool)
+            .unwrap_err();
+        assert!(guard.fired() >= 1, "prepacked t{threads}: PackAlloc never probed");
+        drop(guard);
+        assert!(pack_a_failed(&e), "prepacked t{threads}: {e:?}");
+        assert_eq!(c, sentinel, "prepacked t{threads}: C was touched");
+        assert_eq!(pool.outstanding(), 0, "prepacked t{threads}: leaked panels");
+
+        let guard = fail(Trigger::Nth(1));
+        let e = autogemm::try_gemm_op(&plan, Op::Trans, Op::Trans, &a_t, &b_t, &mut c, threads)
+            .unwrap_err();
+        assert!(guard.fired() >= 1, "transposed t{threads}: PackAlloc never probed");
+        drop(guard);
+        assert!(pack_a_failed(&e), "transposed t{threads}: {e:?}");
+        assert_eq!(c, sentinel, "transposed t{threads}: C was touched");
+
+        let batch = shared_b_batch(&a, &b);
+        let batch_sentinel: Vec<f32> = sentinel.iter().chain(&sentinel).copied().collect();
+        let mut c2 = batch_sentinel.clone();
+        let guard = fail(Trigger::EveryKth(1));
+        let opts = GemmOptions::new().threads(threads);
+        let e = engine.try_gemm_batch_opts(&batch, &mut c2, &opts).unwrap_err();
+        assert!(guard.fired() >= 1, "shared-B batch t{threads}: PackAlloc never probed");
+        drop(guard);
+        match &e {
+            GemmError::InBatch { source, .. } => {
+                assert!(pack_a_failed(source), "shared-B batch t{threads}: {source:?}")
+            }
+            other => panic!("shared-B batch t{threads}: expected InBatch, got {other:?}"),
+        }
+        assert_eq!(c2, batch_sentinel, "shared-B batch t{threads}: C was touched");
+    }
+}
+
+/// A degraded kernel dispatch reroutes a prepacked call, a shared-`B`
+/// batch and a transposed call to the scalar kernels; the rerouted runs
+/// stay correct, and bit-identical to the unfaulted runs on fused
+/// backends.
+#[test]
+fn prepacked_batch_and_transposed_calls_reroute_on_kernel_dispatch_degrade() {
+    let _g = chaos_lock();
+    let engine = engine_unbroken();
+    let (m, n, k) = SHAPE;
+    let (a, b) = data(m, n, k, 47);
+    let a_t = transposed(&a, m, k);
+    let want = oracle(m, n, k, &a, &b);
+    let plan = engine.plan(m, n, k);
+    let packed = PackedB::new(&plan, &b);
+    let batch = shared_b_batch(&a, &b);
+    let fused = autogemm::simd::SimdBackend::detect().fused();
+    let pool = PanelPool::new();
+    for threads in THREADS {
+        let opts = GemmOptions::new().threads(threads);
+        type Call<'a> = &'a dyn Fn(&mut Vec<f32>);
+        let calls: [(&str, Call<'_>); 3] = [
+            ("prepacked", &|c| {
+                c.resize(m * n, 0.0);
+                autogemm::try_gemm_prepacked_pooled(&plan, &a, &packed, c, threads, &pool).unwrap()
+            }),
+            ("transposed", &|c| {
+                c.resize(m * n, 0.0);
+                autogemm::try_gemm_op(&plan, Op::Trans, Op::NoTrans, &a_t, &b, c, threads).unwrap()
+            }),
+            ("shared-B batch", &|c| {
+                c.resize(2 * m * n, 0.0);
+                engine.try_gemm_batch_opts(&batch, c, &opts).unwrap()
+            }),
+        ];
+        for (name, call) in calls {
+            let mut c_ref = Vec::new();
+            call(&mut c_ref);
+            let guard = arm(FaultPlan::single(
+                FaultSite::KernelDispatch,
+                FaultAction::Degrade,
+                Trigger::EveryKth(1),
+            ));
+            let mut c = Vec::new();
+            call(&mut c);
+            assert!(guard.fired() >= 1, "{name} t{threads}: KernelDispatch never probed");
+            drop(guard);
+            for (item, got) in c.chunks(m * n).enumerate() {
+                let err = max_rel_error(got, &want);
+                assert!(err < 1e-5, "{name} t{threads} item {item}: rel err {err}");
+            }
+            if fused {
+                assert_eq!(c, c_ref, "{name} t{threads}: scalar reroute not bit-identical");
+            }
+        }
+    }
+}
+
+/// A shared-`B` batch obeys the `simd_dispatch` breaker like any other
+/// call: while the path is Open its items reroute to the scalar kernels
+/// without touching the quarantined dispatch (the same bits as an item
+/// with its own `B`), and the batch that holds the HalfOpen probe runs
+/// the dispatch probe in its items, so a still-faulting backend re-opens
+/// the path.
+#[test]
+fn shared_b_batch_honours_an_open_simd_dispatch_breaker() {
+    let _g = chaos_lock();
+    let engine = AutoGemm::new(ChipSpec::graviton2()).with_breaker_config(BreakerConfig {
+        fail_threshold: 1,
+        open_cooldown: 2,
+        close_after: 1,
+    });
+    let path = BreakerPath::SimdDispatch;
+    let (m, n, k) = SHAPE;
+    let (a, b) = data(m, n, k, 53);
+    let b_own = b.clone();
+    let want = oracle(m, n, k, &a, &b);
+    let opts = GemmOptions::new().threads(2);
+    let guard = arm(FaultPlan::single(
+        FaultSite::KernelDispatch,
+        FaultAction::Degrade,
+        Trigger::EveryKth(1),
+    ));
+
+    // One faulting call trips the path.
+    let mut c = vec![0.0f32; m * n];
+    engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &opts).unwrap();
+    assert_eq!(engine.breaker().state(path), BreakerState::Open);
+
+    // Open: two items share `B`, the third brings its own copy.
+    let mut mixed = shared_b_batch(&a, &b);
+    mixed.push(&a, &b_own);
+    let fired = guard.fired();
+    let mut c3 = vec![0.0f32; 3 * m * n];
+    engine.try_gemm_batch_opts(&mixed, &mut c3, &opts).unwrap();
+    assert_eq!(guard.fired(), fired, "an Open path must not be probed");
+    assert_eq!(engine.breaker().state(path), BreakerState::Open);
+    let items: Vec<&[f32]> = c3.chunks(m * n).collect();
+    assert_eq!(items[0], items[2], "shared-B item diverged from the rerouted own-B item");
+    assert_eq!(items[1], items[2], "shared-B item diverged from the rerouted own-B item");
+    assert!(max_rel_error(items[2], &want) < 1e-5);
+
+    // Cooldown served: this shared-B batch holds the HalfOpen probe.
+    let mut c2 = vec![0.0f32; 2 * m * n];
+    engine.try_gemm_batch_opts(&shared_b_batch(&a, &b), &mut c2, &opts).unwrap();
+    assert!(guard.fired() > fired, "the probing batch's items never probed the dispatch");
+    assert_eq!(engine.breaker().state(path), BreakerState::Open, "faulting probe must re-open");
+    for item in c2.chunks(m * n) {
+        assert!(max_rel_error(item, &want) < 1e-5);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@
 //! race-free across concurrent GEMMs on other threads, so the tests below
 //! can be independent `#[test]`s.
 
-use autogemm::native::{gemm_with_plan_repack, try_gemm_with_plan_supervised};
+use autogemm::native::{gemm_with_plan_repack, try_gemm_with_plan_supervised, Operands};
 use autogemm::packing::thread_pack_counts;
-use autogemm::{ExecutionPlan, GemmBatch, GemmOptions, PackedB, PanelPool, Supervision};
+use autogemm::{
+    ExecutionPlan, GemmBatch, GemmOptions, Op, OperandRouting, PackedB, PanelPool, Supervision,
+};
 use autogemm_arch::ChipSpec;
 use autogemm_tuner::tune;
 
@@ -48,10 +50,10 @@ fn cached_driver_packs_each_panel_once() {
         let mut c = vec![0.0f32; m * n];
         let pool = PanelPool::new();
         let sup = Supervision::none();
-        let report =
-            try_gemm_with_plan_supervised(&plan, &a, &b, &mut c, threads, &pool, &sup, true)
-                .unwrap()
-                .unwrap();
+        let ops = Operands::new(&a, &b);
+        let report = try_gemm_with_plan_supervised(&plan, ops, &mut c, threads, &pool, &sup, true)
+            .unwrap()
+            .unwrap();
         assert_eq!(
             report.packs.a_packs,
             (tm * tk) as u64,
@@ -135,6 +137,42 @@ fn batch_with_shared_b_packs_it_once() {
         let mut c_ref = vec![0.0f32; m * n];
         autogemm::native::gemm_with_plan(&plan, a, &b_shared, &mut c_ref, 1);
         assert_eq!(&c[i * m * n..(i + 1) * m * n], &c_ref[..], "batch item {i}");
+    }
+}
+
+#[test]
+fn transposed_forms_pack_each_panel_once() {
+    // `op(A)·op(B)` runs through the cached driver: a transposed operand
+    // only changes how its panels are packed, so every `Op` combination
+    // packs tm·tk A panels and tk·tn B panels (the transposing packs
+    // count in the same tally), never the 2·tm·tn·tk of a per-block
+    // repacking loop. A transposed operand is packed even when the
+    // plan's routing elides that operand; a row-major one follows the
+    // routing. Single-threaded, so every pack lands in the calling
+    // thread's tally.
+    let (m, n, k) = (48, 80, 300);
+    let packed = plan_for(m, n, k);
+    let (tm, tn, tk) = packed.grid();
+    assert!(tm > 1 && tn > 1 && tk > 1, "grid ({tm}, {tn}, {tk}) must be multi-block");
+    let elided = packed.clone().with_routing(OperandRouting { pack_a: false, pack_b: false });
+    let (a, b) = data(m, n, k);
+    for op_a in [Op::NoTrans, Op::Trans] {
+        for op_b in [Op::NoTrans, Op::Trans] {
+            let mut outputs = Vec::new();
+            for plan in [&packed, &elided] {
+                let r = plan.routing;
+                let mut c = vec![0.0f32; m * n];
+                let ((), a_packs, b_packs) =
+                    counted(|| autogemm::try_gemm_op(plan, op_a, op_b, &a, &b, &mut c, 1).unwrap());
+                let want_a = if op_a == Op::Trans || r.pack_a { tm * tk } else { 0 };
+                let want_b = if op_b == Op::Trans || r.pack_b { tk * tn } else { 0 };
+                assert_eq!(a_packs, want_a as u64, "{op_a:?}/{op_b:?} {r:?}: A packs");
+                assert_eq!(b_packs, want_b as u64, "{op_a:?}/{op_b:?} {r:?}: B packs");
+                outputs.push(c);
+            }
+            // Integer-valued data: every routing computes the same bits.
+            assert_eq!(outputs[0], outputs[1], "{op_a:?}/{op_b:?}: routing changed C");
+        }
     }
 }
 

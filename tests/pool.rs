@@ -5,7 +5,7 @@
 //! scoped-spawn baseline it replaced. These tests run without features:
 //! the pool is the default execution path.
 
-use autogemm::native::try_gemm_with_plan_supervised;
+use autogemm::native::{try_gemm_with_plan_supervised, Operands};
 use autogemm::supervisor::Supervision;
 use autogemm::{AutoGemm, GemmOptions, PanelPool, Runtime};
 use autogemm_arch::ChipSpec;
@@ -45,17 +45,18 @@ proptest! {
         let engine = AutoGemm::new(ChipSpec::graviton2());
         let plan = engine.plan_multicore(m, n, k, threads);
         let (a, b) = data(m, n, k, seed);
+        let ops = Operands::new(&a, &b);
 
         let pool = PanelPool::new();
         let mut c_pooled = vec![0.0f32; m * n];
         try_gemm_with_plan_supervised(
-            &plan, &a, &b, &mut c_pooled, threads, &pool, &Supervision::none(), false,
+            &plan, ops, &mut c_pooled, threads, &pool, &Supervision::none(), false,
         ).unwrap();
 
         let pool = PanelPool::new();
         let mut c_scoped = vec![0.0f32; m * n];
         try_gemm_with_plan_supervised(
-            &plan, &a, &b, &mut c_scoped, threads, &pool,
+            &plan, ops, &mut c_scoped, threads, &pool,
             &Supervision::none().with_spawn_baseline(), false,
         ).unwrap();
 

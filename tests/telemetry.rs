@@ -9,7 +9,7 @@
 //!   counts and kernel-shape histograms match the values the per-tile
 //!   recording hooks they replaced reported for the same calls.
 
-use autogemm::native::try_gemm_with_plan_supervised;
+use autogemm::native::{try_gemm_with_plan_supervised, Operands};
 use autogemm::telemetry::metrics::{bucket_index, HIST_BOUNDS};
 use autogemm::telemetry::{Counter, Histogram, SCHEMA_VERSION};
 use autogemm::{AutoGemm, ExecutionPlan, GemmOptions, GemmReport, PanelPool, Supervision};
@@ -38,14 +38,14 @@ fn traced_pair(
     let a = data(m * k, seed);
     let b = data(k * n, seed ^ 0x9e37);
     let (pool, sup) = (PanelPool::new(), Supervision::none());
+    let ops = Operands::new(&a, &b);
     let mut c_plain = vec![0.0f32; m * n];
-    let none =
-        try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_plain, threads, &pool, &sup, false)
-            .unwrap();
+    let none = try_gemm_with_plan_supervised(&plan, ops, &mut c_plain, threads, &pool, &sup, false)
+        .unwrap();
     assert!(none.is_none(), "an unrecorded run returns no report");
     let mut c_traced = vec![0.0f32; m * n];
     let report =
-        try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_traced, threads, &pool, &sup, true)
+        try_gemm_with_plan_supervised(&plan, ops, &mut c_traced, threads, &pool, &sup, true)
             .unwrap()
             .expect("a recorded run returns its report");
     (c_plain, c_traced, report)
