@@ -2,8 +2,8 @@
 //! the cycle-level machine model of `autogemm-sim`, block by block.
 //!
 //! One interior cache block is simulated as a fused micro-kernel chain
-//! (§III-C2) against the chip's cache hierarchy; its cycle count is
-//! memoized per `(m_c, n_c, k_c, warmth)` and composed over the block grid
+//! (§III-C2) against the chip's cache hierarchy; the engine memoizes its
+//! cycle count per distinct block and composes it over the block grid
 //! analytically — the hybrid simulation strategy described in DESIGN.md.
 //! Long chains are sampled: the steady-state per-tile cost is measured
 //! over a window and extrapolated, which keeps ResNet-scale problems

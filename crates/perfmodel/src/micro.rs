@@ -11,7 +11,7 @@ use autogemm_arch::ChipSpec;
 use autogemm_kernelgen::{BoundClass, MicroTile};
 
 /// Model switches mirroring the generator's pipeline options plus fusion.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct ModelOpts {
     /// Rotating register allocation (§III-C1): Eqn 9 (compute-bound) or
     /// Eqn 10 (memory-bound) replaces the basic main-loop term.

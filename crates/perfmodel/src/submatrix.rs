@@ -55,23 +55,56 @@ pub fn region_cycles_with(
     tile: MicroTile,
     kc: usize,
     sigma_lane: usize,
-    mut cost: impl FnMut(MicroTile) -> f64,
+    cost: impl FnMut(MicroTile) -> f64,
 ) -> f64 {
     if m == 0 || n == 0 || kc == 0 {
         return 0.0;
     }
-    let full_rows = m / tile.mr;
-    let rem_rows = m % tile.mr;
-    let full_cols = n / tile.nr;
-    let rem_cols_elems = n % tile.nr;
-    // Remainder columns padded up to a lane multiple (the kernels' n_r must
-    // divide σ_lane; padding work is wasted but charged).
-    let rem_nr = rem_cols_elems.div_ceil(sigma_lane) * sigma_lane;
+    region_cycles_split(RegionSplit::new(m, n, tile, sigma_lane), tile, cost)
+}
 
+/// How a region splits into full `tile`s and remainders: the integer part
+/// of [`region_cycles_with`]. A caller pricing many regions can derive it
+/// without dividing per tile and per region (DMT computes the column part
+/// once per width and steps the row part one height at a time).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegionSplit {
+    pub full_rows: usize,
+    pub rem_rows: usize,
+    pub full_cols: usize,
+    pub rem_cols: usize,
+    /// The remainder columns padded up to a lane multiple (the kernels'
+    /// `n_r` must be one; the padding work is wasted but charged).
+    pub rem_nr: usize,
+}
+
+impl RegionSplit {
+    /// The split of an `m × n` region into `tile`s.
+    pub fn new(m: usize, n: usize, tile: MicroTile, sigma_lane: usize) -> Self {
+        let rem_cols = n % tile.nr;
+        RegionSplit {
+            full_rows: m / tile.mr,
+            rem_rows: m % tile.mr,
+            full_cols: n / tile.nr,
+            rem_cols,
+            rem_nr: rem_cols.div_ceil(sigma_lane) * sigma_lane,
+        }
+    }
+}
+
+/// [`region_cycles_with`] of a non-empty region at a non-zero `kc`, given
+/// its split: full tiles at `T_r(tile)`, then the remainder column strip,
+/// the remainder row strip and the corner.
+pub fn region_cycles_split(
+    split: RegionSplit,
+    tile: MicroTile,
+    mut cost: impl FnMut(MicroTile) -> f64,
+) -> f64 {
+    let RegionSplit { full_rows, rem_rows, full_cols, rem_cols, rem_nr } = split;
     let mut total = 0.0;
     let t_full = cost(tile);
     total += (full_rows * full_cols) as f64 * t_full;
-    if rem_cols_elems > 0 {
+    if rem_cols > 0 {
         let t = cost(MicroTile::new(tile.mr, rem_nr));
         total += full_rows as f64 * t;
     }
@@ -79,7 +112,7 @@ pub fn region_cycles_with(
         let t = cost(MicroTile::new(rem_rows, tile.nr));
         total += full_cols as f64 * t;
     }
-    if rem_rows > 0 && rem_cols_elems > 0 {
+    if rem_rows > 0 && rem_cols > 0 {
         total += cost(MicroTile::new(rem_rows, rem_nr));
     }
     total

@@ -17,7 +17,7 @@ use crate::plan::{grid_region, Strategy, TilePlacement, TilePlan};
 use autogemm_arch::ChipSpec;
 use autogemm_kernelgen::{tiles, MicroTile};
 use autogemm_perfmodel::micro::effective_cycles;
-use autogemm_perfmodel::submatrix::region_cycles_with;
+use autogemm_perfmodel::submatrix::{region_cycles_split, RegionSplit};
 use autogemm_perfmodel::ModelOpts;
 
 /// How a quadrant is tiled.
@@ -63,7 +63,8 @@ impl<'a> TileCosts<'a> {
 /// The per-quadrant cost function `T(m, n)` of Algorithm 1 (lines 11-16):
 /// minimize over Table II shapes. Exact covers use
 /// `(m/m_r)·(n/n_r)·T_r(m_r, n_r)`; ragged covers fall back to
-/// [`region_cycles_with`] with a 5% penalty so exact covers win ties.
+/// [`autogemm_perfmodel::submatrix::region_cycles_with`]'s formula with a
+/// 5% penalty so exact covers win ties.
 fn quadrant_cost(
     m: usize,
     n: usize,
@@ -75,18 +76,61 @@ fn quadrant_cost(
     }
     let mut best: Option<(f64, QuadrantCover)> = None;
     for &tile in shapes {
-        let (c, cover) = if m.is_multiple_of(tile.mr) && n.is_multiple_of(tile.nr) {
-            let count = (m / tile.mr) * (n / tile.nr);
-            (count as f64 * costs.get(tile), QuadrantCover::Exact(tile))
-        } else {
-            let region = region_cycles_with(m, n, tile, costs.kc, costs.sigma, |t| costs.get(t));
-            (region * 1.05, QuadrantCover::Ragged(tile))
-        };
+        let (c, cover) = tile_cover(RegionSplit::new(m, n, tile, costs.sigma), tile, costs);
         if best.is_none_or(|(b, _)| c < b) {
             best = Some((c, cover));
         }
     }
     best.expect("the tile menu is never empty")
+}
+
+/// One menu tile's cost and cover of a non-empty quadrant split as
+/// `split`.
+fn tile_cover(split: RegionSplit, tile: MicroTile, costs: &mut TileCosts) -> (f64, QuadrantCover) {
+    if split.rem_rows == 0 && split.rem_cols == 0 {
+        let count = split.full_rows * split.full_cols;
+        (count as f64 * costs.get(tile), QuadrantCover::Exact(tile))
+    } else {
+        // `region_cycles_with` charges nothing at `k_c = 0`.
+        let region =
+            if costs.kc == 0 { 0.0 } else { region_cycles_split(split, tile, |t| costs.get(t)) };
+        (region * 1.05, QuadrantCover::Ragged(tile))
+    }
+}
+
+/// The costs [`quadrant_cost`] gives for width `n` at every height
+/// `0..=m`, into `out`, without its divisions: each menu tile's column
+/// split is computed once, and its row split is stepped one height at a
+/// time. Tiles are the outer loop, so a tile's split stays in registers
+/// (stepping every tile's split per height planned slower than dividing);
+/// each height keeps the first strict minimum in menu order, as
+/// [`quadrant_cost`] does.
+fn column_costs(
+    m: usize,
+    n: usize,
+    shapes: &[MicroTile],
+    costs: &mut TileCosts,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.resize(m + 1, 0.0);
+    if n == 0 {
+        return;
+    }
+    for (i, &tile) in shapes.iter().enumerate() {
+        let mut split = RegionSplit::new(0, n, tile, costs.sigma);
+        for best in &mut out[1..] {
+            split.rem_rows += 1;
+            if split.rem_rows == tile.mr {
+                split.rem_rows = 0;
+                split.full_rows += 1;
+            }
+            let c = tile_cover(split, tile, costs).0;
+            if i == 0 || c < *best {
+                *best = c;
+            }
+        }
+    }
 }
 
 fn emit_quadrant(
@@ -129,10 +173,7 @@ pub fn plan_dmt(m: usize, n: usize, kc: usize, chip: &ChipSpec, opts: ModelOpts)
     // published pseudo-code collapses to O(n·m) without changing the
     // result. Each split reads two columns of quadrant costs over the
     // heights 0..=m: width n_front and width n_back.
-    let mut column = |nn: usize, out: &mut Vec<f64>| {
-        out.clear();
-        out.extend((0..=m).map(|mm| quadrant_cost(mm, nn, &shapes, &mut costs).0));
-    };
+    let mut column = |nn: usize, out: &mut Vec<f64>| column_costs(m, nn, &shapes, &mut costs, out);
     let best_cut = |col: &[f64]| {
         let mut best = (f64::INFINITY, 0usize);
         for m_up in 0..=m {
