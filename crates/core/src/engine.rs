@@ -309,55 +309,42 @@ impl AutoGemm {
             // The paper measures its model-ranked shortlist offline on the
             // target chip (§IV-C). A first call on an arbitrary host has
             // no such measurement to stand in for, so the shortlist is
-            // re-ranked by Eqn 13: the derated projected cycles of each
-            // candidate's DMT tiles.
-            let eqn13 = |plan: &ExecutionPlan| {
+            // re-ranked by Eqn 13: each candidate's DMT plan is priced by
+            // the derated projected cycles of its tiles, spread over the
+            // block grid by the makespan model. The winner's plan is
+            // returned, not built again.
+            let candidates = autogemm_tuner::tune_multicore_topk(
+                m,
+                n,
+                k,
+                &self.chip,
+                self.allow_offline,
+                threads,
+                6,
+            );
+            let mut best: Option<(f64, ExecutionPlan)> = None;
+            for cand in candidates {
+                let plan = ExecutionPlan::from_schedule(cand, &self.chip);
                 let kc = plan.schedule.kc;
                 let cycles = plan.block_plan.effective_cycles(kc, &self.chip, plan.opts);
-                let tiles = plan.block_plan.tile_count() as u64;
-                BlockCost { cycles: cycles.round() as u64, tiles }
-            };
+                let block = BlockCost {
+                    cycles: cycles.round() as u64,
+                    tiles: plan.block_plan.tile_count() as u64,
+                };
+                let works = simexec::thread_works(&plan, &self.chip, block, threads);
+                let seconds = autogemm_sim::makespan(&self.chip, &works).seconds;
+                if best.as_ref().is_none_or(|(b, _)| seconds < *b) {
+                    best = Some((seconds, plan));
+                }
+            }
             // An empty shortlist (degenerate shape, pathological model
             // output) falls back to the single-core tuner instead of
             // panicking.
-            if let Some(plan) = self.best_multicore_plan(m, n, k, threads, eqn13) {
+            if let Some((_, plan)) = best {
                 return plan;
             }
         }
         ExecutionPlan::from_schedule(tune_with(m, n, k, &self.chip, self.allow_offline), &self.chip)
-    }
-
-    /// The `tune_multicore_topk` shortlist's DMT plan whose interior
-    /// block, priced by `price` and spread over the block grid by the
-    /// makespan model, finishes first. The winner's plan is returned, not
-    /// built again. `None` when the shortlist is empty.
-    fn best_multicore_plan(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        threads: usize,
-        price: impl Fn(&ExecutionPlan) -> BlockCost,
-    ) -> Option<ExecutionPlan> {
-        let candidates = autogemm_tuner::tune_multicore_topk(
-            m,
-            n,
-            k,
-            &self.chip,
-            self.allow_offline,
-            threads,
-            6,
-        );
-        let mut best: Option<(f64, ExecutionPlan)> = None;
-        for cand in candidates {
-            let plan = ExecutionPlan::from_schedule(cand, &self.chip);
-            let works = simexec::thread_works(&plan, &self.chip, price(&plan), threads);
-            let seconds = autogemm_sim::makespan(&self.chip, &works).seconds;
-            if best.as_ref().is_none_or(|(b, _)| seconds < *b) {
-                best = Some((seconds, plan));
-            }
-        }
-        best.map(|(_, plan)| plan)
     }
 
     /// The dispatch-facing plan lookup: consult the shape-keyed plan
@@ -934,16 +921,7 @@ impl AutoGemm {
     /// through the makespan model.
     pub fn simulate(&self, m: usize, n: usize, k: usize, threads: usize) -> SimGemmReport {
         if threads > 1 {
-            // On the modelled chip the simulator is the measurement the
-            // paper takes on hardware (§IV-C), so a simulated run ranks
-            // the shortlist by simulated blocks. The analytic ranking that
-            // serving calls use picks plans that simulate up to 1.8×
-            // slower on the KP920, whose pipeline Eqn 13 models loosely
-            // (EXPERIMENTS.md). Degenerate shapes keep the served plan.
-            let simulated = (m > 0 && n > 0 && k > 0)
-                .then(|| self.best_multicore_plan(m, n, k, threads, |p| self.block_cost(p)))
-                .flatten();
-            let plan = simulated.unwrap_or_else(|| self.plan_multicore(m, n, k, threads));
+            let plan = self.plan_multicore(m, n, k, threads);
             return self.simulate_with_plan(&plan, threads);
         }
         let plan = self.plan(m, n, k);

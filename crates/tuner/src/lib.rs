@@ -153,10 +153,9 @@ fn rank_multicore(
 /// by cache-block shape. The engine plans each with DMT, prices its
 /// interior block, and keeps the one that the makespan model says
 /// finishes first. The paper measures its shortlist on the target chip
-/// offline (AutoTVM, §IV-C). A GEMM served on an arbitrary host has no
+/// offline (AutoTVM, §IV-C). A GEMM planned on an arbitrary host has no
 /// such measurement, so it is ranked by the block's Eqn 13 cost, which
-/// is cheap. A simulated run ranks by the simulated block instead, since
-/// there the simulator is the target chip.
+/// is cheap. A threaded simulated run uses the same plan.
 pub fn tune_multicore_topk(
     m: usize,
     n: usize,
