@@ -37,9 +37,10 @@
 //!
 //! `--soak [ITERS]` runs a
 //! randomized supervision soak: thousands of watchdog-supervised calls
-//! under seeded fault plans, asserting every call is structured-error-or
-//! -correct, the panel pool never leaks, and the circuit breaker is
-//! never stuck Open once faults stop.
+//! (about one in four a batch of 1-4 items) under seeded fault plans,
+//! asserting every call is structured-error-or-correct, the panel pool
+//! never leaks, and the circuit breaker is never stuck Open once faults
+//! stop.
 
 use autogemm::native::{gemm_with_plan, gemm_with_plan_repack, try_gemm_with_plan_pooled};
 use autogemm::{host_parallelism, AutoGemm, GemmOptions, PanelPool};
@@ -361,7 +362,7 @@ fn smoke() {
 fn soak(iters: usize) {
     use autogemm::faultinject::{arm, FaultPlan};
     use autogemm::supervisor::{CancelToken, GemmOptions, WatchdogConfig};
-    use autogemm::GemmError;
+    use autogemm::{GemmBatch, GemmError};
     use autogemm_baselines::naive::{max_rel_error, naive_gemm};
 
     // The injected faults panic on purpose (contained by the drivers);
@@ -391,12 +392,22 @@ fn soak(iters: usize) {
     let watchdog =
         WatchdogConfig { quiescence: Duration::from_millis(500), poll: Duration::from_millis(10) };
 
-    let (mut ok, mut failed, mut cancelled) = (0usize, 0usize, 0usize);
+    let (mut ok, mut failed, mut cancelled, mut batches) = (0usize, 0usize, 0usize, 0usize);
     for i in 0..iters {
+        // About one call in four is a batch of 1-4 items that share one
+        // `B` or bring their own.
+        let batch_call = next(4) == 0;
         let (m, n, k) = (1 + next(48), 1 + next(48), 1 + next(40));
         let threads = [1, 2, 4, 8][next(4)];
+        let (items, shared_b) = if batch_call { (1 + next(4), next(2) == 0) } else { (1, true) };
         let (a, b) = data(m, n, k);
-        let mut c = vec![0.0f32; m * n];
+        // Item `t` scales `A` (and an unshared `B`) by `t + 1`.
+        let scaled =
+            |x: &[f32], t: usize| -> Vec<f32> { x.iter().map(|v| v * (t + 1) as f32).collect() };
+        let a_items: Vec<Vec<f32>> = (0..items).map(|t| scaled(&a, t)).collect();
+        let b_items: Vec<Vec<f32>> =
+            (0..items).map(|t| if shared_b { b.clone() } else { scaled(&b, t) }).collect();
+        let mut c = vec![0.0f32; items * m * n];
 
         let guard = arm(FaultPlan::seeded(next(1000) as u64));
         let mut opts = GemmOptions::new().threads(threads).watchdog(watchdog);
@@ -411,28 +422,42 @@ fn soak(iters: usize) {
             }
             _ => {}
         }
-        match engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &opts) {
+        let result = if batch_call {
+            batches += 1;
+            let mut batch = GemmBatch::new(m, n, k);
+            for t in 0..items {
+                batch.push(&a_items[t], if shared_b { &b_items[0] } else { &b_items[t] });
+            }
+            engine.try_gemm_batch_opts(&batch, &mut c, &opts)
+        } else {
+            engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &opts)
+        };
+        let call = format!("iter {i} ({m}x{n}x{k} t{threads} items {items} shared {shared_b})");
+        let structured = |e: &GemmError| {
+            matches!(
+                e,
+                GemmError::WorkerPanicked { .. }
+                    | GemmError::AllocFailed { .. }
+                    | GemmError::Stalled { .. }
+            )
+        };
+        match result {
             Ok(()) => {
-                let mut want = vec![0.0f32; m * n];
-                naive_gemm(m, n, k, &a, &b, &mut want);
-                let err = max_rel_error(&c, &want);
-                assert!(err < 1e-5, "iter {i} ({m}x{n}x{k} t{threads}): rel err {err}");
+                for t in 0..items {
+                    let mut want = vec![0.0f32; m * n];
+                    naive_gemm(m, n, k, &a_items[t], &b_items[t], &mut want);
+                    let err = max_rel_error(&c[t * m * n..(t + 1) * m * n], &want);
+                    assert!(err < 1e-5, "{call}: item {t} rel err {err}");
+                }
                 ok += 1;
             }
             Err(GemmError::Cancelled { .. }) => cancelled += 1,
-            Err(
-                GemmError::WorkerPanicked { .. }
-                | GemmError::AllocFailed { .. }
-                | GemmError::Stalled { .. },
-            ) => failed += 1,
-            Err(e) => panic!("iter {i} ({m}x{n}x{k} t{threads}): unexpected error {e:?}"),
+            Err(e) if structured(&e) => failed += 1,
+            Err(GemmError::InBatch { source, .. }) if structured(&source) => failed += 1,
+            Err(e) => panic!("{call}: unexpected error {e:?}"),
         }
         drop(guard);
-        assert_eq!(
-            engine.panel_pool().outstanding(),
-            0,
-            "iter {i} ({m}x{n}x{k} t{threads}): pool buffers leaked"
-        );
+        assert_eq!(engine.panel_pool().outstanding(), 0, "{call}: pool buffers leaked");
     }
 
     // Disarmed clean tail: enough calls to serve any Open cooldown and
@@ -457,8 +482,8 @@ fn soak(iters: usize) {
     assert!(high_water > 0, "soak never exercised the panel pool");
     assert!(high_water < 100_000, "pool high-water {high_water} unbounded");
     println!(
-        "native_gemm soak passed: {iters} iters ({ok} ok, {failed} faulted, {cancelled} \
-         cancelled), pool high-water {high_water} blocks, breaker all-closed."
+        "native_gemm soak passed: {iters} iters ({batches} batches; {ok} ok, {failed} faulted, \
+         {cancelled} cancelled), pool high-water {high_water} blocks, breaker all-closed."
     );
 }
 

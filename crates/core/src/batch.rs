@@ -4,21 +4,19 @@
 //! of one small shape.
 //!
 //! The batch API tunes the shape once (one [`ExecutionPlan`] shared by
-//! every item) and drains items through the persistent worker-pool
-//! runtime ([`crate::runtime`]) from a shared cursor; each item owns a
-//! disjoint `m·n` slice of the output, so the parallelism is safe by
-//! construction.
+//! every item) and drains items through the crate's one work drain
+//! (`native::try_drain`) on the persistent worker-pool runtime
+//! ([`crate::runtime`]); each item owns a disjoint `m·n` slice of the
+//! output, so the parallelism is safe by construction.
 
 use crate::error::{self, GemmError, Operand};
-use crate::native::{self, Operands};
+use crate::native::{self, Operands, UnitSlots};
 use crate::offline::PackedB;
 use crate::packing::PanelPool;
 use crate::plan::ExecutionPlan;
 use crate::runtime::Exec;
 use crate::supervisor::{BreakerPath, RunMonitor, Supervision};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A batch of same-shape GEMMs: `C[i] = A[i] · B[i]`.
 pub struct GemmBatch<'a> {
@@ -73,13 +71,14 @@ fn slice_key(s: &[f32]) -> (usize, usize) {
 /// it: `B` is packed once for the whole group and those items hand the
 /// driver the packed copy (read zero-copy) instead of re-packing `B`
 /// per item. Either way an item runs the driver's fault probes, breaker
-/// reroutes and panic containment. Each worker thread also carries its
+/// reroutes and panic containment. Each runner slot also carries its
 /// own [`PanelPool`], so A-panel buffers are recycled across that
-/// worker's items.
+/// runner's items.
 ///
 /// Output-length and plan-shape mismatches come back as `Err`, and a
-/// panicking batch worker poisons the run — the survivors finish their
-/// current item, stop, and the caller gets the first failure. Item-level
+/// failed item or a panicking batch worker poisons the run — the
+/// survivors finish their current item, stop, and the caller gets the
+/// first failure. Item-level
 /// failures (including contained worker panics inside an item) come
 /// back wrapped as [`GemmError::InBatch`]`{ index, source }` so the
 /// caller knows which item failed; completed items keep their results
@@ -102,24 +101,11 @@ pub fn try_gemm_batch_supervised(
     threads: usize,
     sup: &Supervision,
 ) -> Result<(), GemmError> {
-    let (m, n) = (batch.m, batch.n);
-    let item = error::checked_size("m*n", m, n)?;
-    let expected = item.checked_mul(batch.len()).ok_or(GemmError::SizeOverflow {
-        what: "len*m*n",
-        lhs: batch.len(),
-        rhs: item,
-    })?;
-    if c.len() != expected {
-        return Err(GemmError::SliceLen {
-            operand: Operand::C,
-            expected,
-            got: c.len(),
-            dims: "len*m*n",
-        });
-    }
+    let item = check_output(batch, c)?;
     let s = &plan.schedule;
-    if (s.m, s.n, s.k) != (m, n, batch.k) {
-        return Err(GemmError::PlanMismatch { expected: (m, n, batch.k), got: (s.m, s.n, s.k) });
+    let shape = (batch.m, batch.n, batch.k);
+    if (s.m, s.n, s.k) != shape {
+        return Err(GemmError::PlanMismatch { expected: shape, got: (s.m, s.n, s.k) });
     }
     if batch.is_empty() || item == 0 {
         return Ok(());
@@ -160,85 +146,29 @@ pub fn try_gemm_batch_supervised(
     let monitor = RunMonitor::new(sup, threads);
     let watchdog = exec.runtime().watch(&monitor);
     monitor.begin_phase();
-
-    /// Shared view of the disjoint per-item output slices: item `i`
-    /// occupies `base[i*len .. (i+1)*len]` and is claimed by exactly one
-    /// runner via the cursor.
-    struct ItemSlices {
-        base: *mut f32,
-        len: usize,
-    }
-    // SAFETY: cursor-claimed indices give exclusive per-item access.
-    unsafe impl Sync for ItemSlices {}
-    let slices = ItemSlices { base: c.as_mut_ptr(), len: item };
-    // Capture the wrapper by reference: edition-2021 closures would
-    // otherwise capture the raw-pointer field directly, sidestepping the
-    // `Sync` impl.
-    let slices = &slices;
-
-    // First failure across the batch (item errors and contained panics
-    // share the slot; worker index breaks ties by arrival).
-    let first_err: parking_lot::Mutex<Option<GemmError>> = parking_lot::Mutex::new(None);
-    let poisoned = AtomicBool::new(false);
-    let cursor = AtomicUsize::new(0);
-    let body = |t: usize| {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            // One panel pool per engaged runner: A-panel buffers are
-            // recycled across every item this runner claims.
-            let pool = PanelPool::new();
-            loop {
-                if poisoned.load(Ordering::Relaxed) || monitor.should_stop() {
-                    break;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= batch.len() {
-                    break;
-                }
-                // SAFETY: items are disjoint `m·n` windows of `c`; the
-                // cursor hands index `i` to exactly one runner and the
-                // borrow ends before the section joins.
-                let c_item = unsafe {
-                    std::slice::from_raw_parts_mut(slices.base.add(i * slices.len), slices.len)
-                };
-                let ops = match shared_b.get(&slice_key(batch.b[i])) {
-                    Some(packed) => Operands::prepacked(batch.a[i], packed),
-                    None => Operands::new(batch.a[i], batch.b[i]),
-                };
-                let r = native::try_gemm_with_plan_supervised(
-                    plan, ops, c_item, 1, &pool, &item_sup, false,
-                );
-                match r {
-                    Ok(_) => {
-                        monitor.beat(t);
-                        monitor.note_done();
-                    }
-                    // A cancelled item is the batch being cancelled, not
-                    // an item fault: stop and let the batch monitor
-                    // report the progress.
-                    Err(GemmError::Cancelled { .. }) => break,
-                    Err(e) => {
-                        let mut slot = first_err.lock();
-                        if slot.is_none() {
-                            *slot = Some(GemmError::InBatch { index: i, source: Box::new(e) });
-                        }
-                        poisoned.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                }
+    // One panel pool per runner slot: A-panel buffers are recycled
+    // across every item that runner claims.
+    let pools: Vec<PanelPool> = (0..threads).map(|_| PanelPool::new()).collect();
+    let mut outputs: Vec<&mut [f32]> = c.chunks_mut(item).collect();
+    let outputs = UnitSlots::new(&mut outputs);
+    let result =
+        native::try_drain("batch", batch.len(), threads, &exec, &monitor, false, |t, i| {
+            let ops = match shared_b.get(&slice_key(batch.b[i])) {
+                Some(packed) => Operands::prepacked(batch.a[i], packed),
+                None => Operands::new(batch.a[i], batch.b[i]),
+            };
+            // SAFETY: `i` is this runner's claimed item.
+            let c_item = unsafe { outputs.claim(i) };
+            match native::try_gemm_with_plan_supervised(
+                plan, ops, c_item, 1, &pools[t], &item_sup, false,
+            ) {
+                Ok(_) => Ok(()),
+                // A cancelled item is the batch being cancelled, not an item
+                // fault: the batch monitor reports the progress.
+                Err(e @ GemmError::Cancelled { .. }) => Err(e),
+                Err(e) => Err(GemmError::InBatch { index: i, source: Box::new(e) }),
             }
-        }));
-        if let Err(payload) = run {
-            let mut slot = first_err.lock();
-            if slot.is_none() {
-                *slot = Some(GemmError::WorkerPanicked {
-                    thread: t,
-                    detail: error::panic_detail(payload.as_ref()),
-                });
-            }
-            poisoned.store(true, Ordering::SeqCst);
-        }
-    };
-    exec.run_section_traced(threads, "batch", &body);
+        });
     monitor.finish();
     drop(watchdog);
     for path in BreakerPath::ALL {
@@ -246,10 +176,15 @@ pub fn try_gemm_batch_supervised(
             sup.observe_fault(path);
         }
     }
-    match first_err.into_inner() {
-        Some(e) => Err(e),
-        None => monitor.outcome("batch", batch.len()),
-    }
+    result.map(|_| ())
+}
+
+/// Validate the output against the batch: `c` must hold `len · m · n`
+/// elements. Returns the item size `m · n`.
+pub(crate) fn check_output(batch: &GemmBatch, c: &[f32]) -> Result<usize, GemmError> {
+    let item = error::checked_size("m*n", batch.m, batch.n)?;
+    error::check_len(Operand::C, "len*m*n", c.len(), batch.len(), item)?;
+    Ok(item)
 }
 
 #[cfg(test)]

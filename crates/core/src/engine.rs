@@ -854,20 +854,7 @@ impl AutoGemm {
         plan_miss: &mut bool,
     ) -> Result<(), GemmError> {
         let (m, n, k) = (batch.m, batch.n, batch.k);
-        let item = error::checked_size("m*n", m, n)?;
-        let expected = item.checked_mul(batch.len()).ok_or(GemmError::SizeOverflow {
-            what: "len*m*n",
-            lhs: batch.len(),
-            rhs: item,
-        })?;
-        if c.len() != expected {
-            return Err(GemmError::SliceLen {
-                operand: error::Operand::C,
-                expected,
-                got: c.len(),
-                dims: "len*m*n",
-            });
-        }
+        let item = crate::batch::check_output(batch, c)?;
         if batch.is_empty() || item == 0 {
             return Ok(());
         }

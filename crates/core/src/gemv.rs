@@ -414,10 +414,11 @@ pub(crate) fn try_fast_supervised(
     let watchdog = exec.runtime().watch(&monitor);
     monitor.begin_phase();
     let pad = shared_lane_pad(route, n, k, b);
-    let result =
-        native::try_drain(unit_count(route, m, n), threads, &exec, &monitor, record, |u| {
-            run_unit(route, u, cfg.reference, m, n, k, a, b, &pad, c_root)
-        });
+    let units = unit_count(route, m, n);
+    let result = native::try_drain("kernel", units, threads, &exec, &monitor, record, |_, u| {
+        run_unit(route, u, cfg.reference, m, n, k, a, b, &pad, c_root);
+        Ok(())
+    });
     monitor.finish();
     drop(watchdog);
     if matches!(result, Err(GemmError::WorkerPanicked { .. }) | Err(GemmError::Stalled { .. })) {

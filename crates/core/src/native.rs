@@ -59,8 +59,8 @@
 //!
 //! So every path runs the same fault probes, breaker reroutes,
 //! cancellation points, buffer releases and panic containment.
-//! [`try_gemm_with_plan_repack`] is kept apart on purpose: it is the
-//! per-block repacking reference the cached driver is tested against.
+//! [`try_gemm_with_plan_repack`] keeps its own per-block body on purpose:
+//! it is the repacking reference the cached driver is tested against.
 //!
 //! Tracing is not a second copy of the driver: the caller passes
 //! `record = true`, and the same body then also times its phases,
@@ -68,10 +68,16 @@
 //! the kernel-shape histogram from the plan into a [`GemmReport`].
 //! Without it the driver reads no telemetry clock, takes no profile lock
 //! and allocates no profile; the per-tile path is the same either way.
-//! The work-unit drain every
-//! kernel section shares (cancellation, heartbeats, panic containment,
-//! per-worker profiles) lives once, in `try_drain`, used by this driver
-//! and the GEMV/small-`k` fast routes alike.
+//!
+//! ## One work drain
+//!
+//! Every threaded section in the crate claims its units from a shared
+//! cursor in one place, `try_drain`: this driver's pack phases and
+//! kernel blocks, the GEMV/small-`k` fast routes' row and column units,
+//! [`crate::batch`]'s items and the repacking reference's blocks. Each
+//! caller passes a unit closure; cancellation, heartbeats, panic and
+//! error containment and the recording call's per-worker profiles and
+//! pack tallies live in the drain.
 
 use crate::error::{self, GemmError};
 use crate::faultinject::{self, FaultSite, Probe};
@@ -94,52 +100,46 @@ use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Shared poison flag for one parallel section. The first panicking
-/// worker records its index and payload here; survivors poll
-/// [`Poison::is_poisoned`] between blocks and stop claiming work, so the
-/// section always joins cleanly (no deadlock) and the caller gets a
-/// structured [`GemmError::WorkerPanicked`] instead of an abort.
-pub(crate) struct Poison {
+/// Shared poison flag for one drained section. The first failing runner
+/// (a contained panic, or a unit that returned an error) records its
+/// error here; survivors poll [`Poison::is_poisoned`] between units and
+/// stop claiming work, so the section always joins cleanly (no deadlock)
+/// and the caller gets that first error instead of an abort.
+struct Poison {
     hit: AtomicBool,
-    first: Mutex<Option<(usize, String)>>,
+    first: Mutex<Option<GemmError>>,
 }
 
 impl Poison {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Poison { hit: AtomicBool::new(false), first: Mutex::new(None) }
     }
 
     #[inline]
-    pub(crate) fn is_poisoned(&self) -> bool {
+    fn is_poisoned(&self) -> bool {
         self.hit.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn record(&self, thread: usize, payload: Box<dyn std::any::Any + Send>) {
-        {
-            let mut first = self.first.lock();
-            if first.is_none() {
-                *first = Some((thread, error::panic_detail(payload.as_ref())));
-            }
-        }
+    fn record(&self, e: GemmError) {
+        self.first.lock().get_or_insert(e);
         self.hit.store(true, Ordering::SeqCst);
     }
 
-    pub(crate) fn into_result(self) -> Result<(), GemmError> {
-        match self.first.into_inner() {
-            Some((thread, detail)) => Err(GemmError::WorkerPanicked { thread, detail }),
-            None => Ok(()),
-        }
+    fn into_result(self) -> Result<(), GemmError> {
+        self.first.into_inner().map_or(Ok(()), Err)
     }
+}
+
+/// A caught panic payload as the structured error of runner `thread`.
+fn panicked(thread: usize, payload: Box<dyn std::any::Any + Send>) -> GemmError {
+    GemmError::WorkerPanicked { thread, detail: error::panic_detail(payload.as_ref()) }
 }
 
 /// Run `f` on the caller thread with panic containment. The caller
 /// thread acts as worker 0 (setup phases and single-threaded runs), so a
 /// caught panic reports `thread: 0`.
 fn contain<R>(f: impl FnOnce() -> R) -> Result<R, GemmError> {
-    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| GemmError::WorkerPanicked {
-        thread: 0,
-        detail: error::panic_detail(payload.as_ref()),
-    })
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panicked(0, payload))
 }
 
 /// Consult the fault-injection plan at `site` from the caller thread,
@@ -277,16 +277,20 @@ impl RunConfig {
     }
 }
 
-/// One worker's block-claim checkpoint: consult the heartbeat fault site
-/// (a `Stall` wedges here — a worker stuck *before* finishing its
-/// claimed block, which is exactly what the watchdog exists to catch —
-/// bounded by the stall's cap and broken early by supervision), then
-/// bump the worker's heartbeat counter. Returns `false` when the run
-/// was cancelled while wedged: the caller must skip the claimed block
-/// and stop (the block was never executed, per the partial-`C`
-/// contract).
+/// One worker's unit-claim checkpoint: in a kernel section (`probe`),
+/// consult the heartbeat fault site (a `Stall` wedges here — a worker
+/// stuck *before* finishing its claimed block, which is exactly what the
+/// watchdog exists to catch — bounded by the stall's cap and broken
+/// early by supervision), then bump the worker's heartbeat counter.
+/// Returns `false` when the run was cancelled while wedged: the caller
+/// must skip the claimed unit and stop (the unit was never executed, per
+/// the partial-`C` contract).
 #[inline]
-fn heartbeat(monitor: &RunMonitor, t: usize) -> bool {
+fn heartbeat(monitor: &RunMonitor, t: usize, probe: bool) -> bool {
+    if !probe {
+        monitor.beat(t);
+        return true;
+    }
     if let Probe::Stall(cap_ms) = faultinject::probe(FaultSite::WorkerHeartbeat) {
         let t0 = std::time::Instant::now();
         let cap = std::time::Duration::from_millis(cap_ms);
@@ -541,50 +545,37 @@ fn dyn_leaves(
     }
 }
 
+/// The Table II menu — the feasible `m_r ≤ 8`, `n̄_r ≤ 7` shapes for
+/// σ_lane = 4 — as `(m_r, n̄_r, n_r)` triples, handed to `$then!`. The one
+/// list both [`KERNEL_MENU`] and the dispatch in [`run_placement_impl`]
+/// are generated from, so a menu shape cannot miss its kernel.
+macro_rules! table_ii_menu {
+    ($then:ident) => {
+        $then! {
+            (1, 1, 4) (1, 2, 8) (1, 3, 12) (1, 4, 16) (1, 5, 20) (1, 6, 24) (1, 7, 28)
+            (2, 1, 4) (2, 2, 8) (2, 3, 12) (2, 4, 16) (2, 5, 20) (2, 6, 24) (2, 7, 28)
+            (3, 1, 4) (3, 2, 8) (3, 3, 12) (3, 4, 16) (3, 5, 20) (3, 6, 24) (3, 7, 28)
+            (4, 1, 4) (4, 2, 8) (4, 3, 12) (4, 4, 16) (4, 5, 20)
+            (5, 1, 4) (5, 2, 8) (5, 3, 12) (5, 4, 16)
+            (6, 1, 4) (6, 2, 8) (6, 3, 12)
+            (7, 1, 4) (7, 2, 8) (7, 3, 12)
+            (8, 1, 4) (8, 2, 8)
+        }
+    };
+}
+
+/// The menu's `(m_r, n_r)` pairs, for [`KERNEL_MENU`].
+macro_rules! menu_pairs {
+    ($(($mr:literal, $nrv:literal, $nr:literal))*) => {
+        &[$(($mr, $nr)),*]
+    };
+}
+
 /// The monomorphized `(m_r, n_r)` kernel menu — the feasible Table II
 /// shapes (`m_r ≤ 8`, `n̄_r ≤ 7`). Shapes outside this list fall back to
 /// [`micro_kernel_dyn`]. Exposed so benches and tests can sweep exactly
 /// the dispatched menu.
-pub const KERNEL_MENU: &[(usize, usize)] = &[
-    (1, 4),
-    (1, 8),
-    (1, 12),
-    (1, 16),
-    (1, 20),
-    (1, 24),
-    (1, 28),
-    (2, 4),
-    (2, 8),
-    (2, 12),
-    (2, 16),
-    (2, 20),
-    (2, 24),
-    (2, 28),
-    (3, 4),
-    (3, 8),
-    (3, 12),
-    (3, 16),
-    (3, 20),
-    (3, 24),
-    (3, 28),
-    (4, 4),
-    (4, 8),
-    (4, 12),
-    (4, 16),
-    (4, 20),
-    (5, 4),
-    (5, 8),
-    (5, 12),
-    (5, 16),
-    (6, 4),
-    (6, 8),
-    (6, 12),
-    (7, 4),
-    (7, 8),
-    (7, 12),
-    (8, 4),
-    (8, 8),
-];
+pub const KERNEL_MENU: &[(usize, usize)] = table_ii_menu!(menu_pairs);
 
 /// One menu entry, monomorphized over `(MR, NRV, NR)`: the SIMD kernel
 /// ([`crate::kernels::micro_kernel_simd`]) or the scalar reference
@@ -633,7 +624,7 @@ fn run_placement_impl(
     let c = unsafe { c_block.offset(p.row, p.col) };
     let nrv = p.tile.nr / 4;
     macro_rules! dispatch {
-        ($(($mr:literal, $nrv:literal, $nr:literal)),* $(,)?) => {
+        ($(($mr:literal, $nrv:literal, $nr:literal))*) => {
             match (p.tile.mr, nrv) {
                 $(
                     ($mr, $nrv) => exec_tile::<$mr, $nrv, $nr>(
@@ -647,48 +638,7 @@ fn run_placement_impl(
             }
         };
     }
-    // The Table II menu (feasible m_r ≤ 8, n̄_r ≤ 7 shapes) — keep in
-    // sync with [`KERNEL_MENU`] (pinned by the `dispatch_menu` test).
-    dispatch!(
-        (1, 1, 4),
-        (1, 2, 8),
-        (1, 3, 12),
-        (1, 4, 16),
-        (1, 5, 20),
-        (1, 6, 24),
-        (1, 7, 28),
-        (2, 1, 4),
-        (2, 2, 8),
-        (2, 3, 12),
-        (2, 4, 16),
-        (2, 5, 20),
-        (2, 6, 24),
-        (2, 7, 28),
-        (3, 1, 4),
-        (3, 2, 8),
-        (3, 3, 12),
-        (3, 4, 16),
-        (3, 5, 20),
-        (3, 6, 24),
-        (3, 7, 28),
-        (4, 1, 4),
-        (4, 2, 8),
-        (4, 3, 12),
-        (4, 4, 16),
-        (4, 5, 20),
-        (5, 1, 4),
-        (5, 2, 8),
-        (5, 3, 12),
-        (5, 4, 16),
-        (6, 1, 4),
-        (6, 2, 8),
-        (6, 3, 12),
-        (7, 1, 4),
-        (7, 2, 8),
-        (7, 3, 12),
-        (8, 1, 4),
-        (8, 2, 8),
-    );
+    table_ii_menu!(dispatch);
 }
 
 /// Dispatch a placement to the right monomorphized SIMD kernel. `a`/`b`
@@ -1142,8 +1092,16 @@ pub fn try_gemm_with_plan_supervised(
             return Ok((None, PackStats::default()));
         }
         let mut panels = pool.acquire_blocks(count, len);
-        match try_pack_panels_parallel(&mut panels, threads, &exec, &monitor, phase, record, pack) {
-            Ok(packs) => Ok((Some(panels), packs)),
+        // Too few panels to pay for a submission: the caller packs inline.
+        let threads = if count < 2 * threads { 1 } else { threads };
+        let slots = UnitSlots::new(&mut panels);
+        let run = try_drain(phase, count, threads, &exec, &monitor, record, |_, idx| {
+            // SAFETY: `idx` is this runner's claimed unit.
+            pack(idx, unsafe { slots.claim(idx) });
+            Ok(())
+        });
+        match run {
+            Ok(section) => Ok((Some(panels), section.map(|s| s.packs).unwrap_or_default())),
             Err(e) => {
                 pool.release_blocks(panels);
                 Err(e)
@@ -1218,9 +1176,10 @@ pub fn try_gemm_with_plan_supervised(
         // within a block's cells, and K is never split across threads
         // (§V-C).
         let c_root = unsafe { CTile::new(c.as_mut_ptr(), n, c.len()) };
-        let run = try_drain(blocks.len(), threads, &exec, &monitor, record, |i| {
+        let run = try_drain("kernel", blocks.len(), threads, &exec, &monitor, record, |_, i| {
             let (bi, bj) = blocks[i];
             run_block_cached(plan, &a_src, &b_src, c_root, bi, bj, ops.accumulate, reference);
+            Ok(())
         });
         let b_packed = matches!(b_src, BSource::Packed(_));
 
@@ -1251,14 +1210,15 @@ pub fn try_gemm_with_plan_supervised(
     Ok(Some(report))
 }
 
-/// What a recorded kernel section measured ([`try_drain`] with
-/// `record`): the engaged workers' profiles sorted by slot, the
-/// wall/cycle span of the whole section (the `kernel` phase) and the
-/// summed per-thread drain.
+/// What a recorded section measured ([`try_drain`] with `record`): the
+/// engaged workers' profiles sorted by slot, the wall/cycle span of the
+/// whole section (the `kernel` phase of a kernel section), the summed
+/// per-thread drain and the panels its runners packed.
 pub(crate) struct SectionProfile {
     threads: Vec<ThreadProfile>,
     kernel: PhaseTimes,
     drain: PhaseTimes,
+    packs: PackStats,
 }
 
 impl SectionProfile {
@@ -1283,22 +1243,34 @@ impl SectionProfile {
 }
 
 /// Drain work units `0..units` through a shared atomic cursor over up to
-/// `threads` pool runners — the worker discipline every kernel section
-/// shares (the block driver's cache blocks, the fast routes' row/column
-/// units). Each runner probes the startup fault site, checks supervision
-/// and its heartbeat before each claim, and runs under `catch_unwind`: a
-/// panic poisons the section, the survivors stop claiming units and join
+/// `threads` pool runners: the one worker discipline of every threaded
+/// section in the crate (pack phases, kernel blocks, the fast routes'
+/// row/column units, batch items). `run(slot, unit)` executes one unit
+/// on runner `slot`. Each runner checks supervision and beats its
+/// heartbeat before each claim, and runs under `catch_unwind`: a panic
+/// poisons the section, the survivors stop claiming units and join
 /// cleanly, and the first panic is reported as
-/// [`GemmError::WorkerPanicked`]. Ends with the phase resolution
-/// (`monitor.outcome("kernel", units)`), so an interrupted run reports
-/// [`GemmError::Cancelled`]/[`GemmError::Stalled`] with `phase:
-/// "kernel"`. Units write whole, so on any of these errors `C` holds a
-/// mix of original and fully computed units (see [`crate::error`]).
+/// [`GemmError::WorkerPanicked`]. A unit's error poisons the section the
+/// same way and is returned as it is, except
+/// [`GemmError::Cancelled`]: that unit is the section being cancelled,
+/// so it is not counted as done and the runner just stops. Ends with the
+/// phase resolution (`monitor.outcome(phase, units)`), so an interrupted
+/// run reports [`GemmError::Cancelled`]/[`GemmError::Stalled`] with
+/// `phase`. Units write whole, so on any of these errors `C` holds a mix
+/// of original and fully computed units (see [`crate::error`]).
 ///
-/// With `record` each runner also accumulates its unit count and busy
-/// time and stamps its finish, so the idle tail can be charged per
-/// thread; without it no clock is read and nothing is collected.
+/// Only a `"kernel"` section probes the worker fault sites
+/// (`WorkerStartup` once per runner, `WorkerHeartbeat` per claim), so
+/// an injected worker fault lands where the kernels run: a batch item's
+/// own kernel section reports it as that item's failure, and pack
+/// phases never see it.
+///
+/// With `record` each runner also accumulates its unit count, busy time
+/// and pack tally ([`thread_pack_counts`]) and stamps its finish, so the
+/// idle tail can be charged per thread; without it no clock is read and
+/// nothing is collected.
 pub(crate) fn try_drain<F>(
+    phase: &'static str,
     units: usize,
     threads: usize,
     exec: &Exec,
@@ -1307,9 +1279,10 @@ pub(crate) fn try_drain<F>(
     run: F,
 ) -> Result<Option<SectionProfile>, GemmError>
 where
-    F: Fn(usize) + Sync,
+    F: Fn(usize, usize) -> Result<(), GemmError> + Sync,
 {
     let threads = threads.max(1).min(units.max(1));
+    let kernel = phase == "kernel";
     let section0 = record.then(Stamp::now);
     let cursor = AtomicUsize::new(0);
     let poison = Poison::new();
@@ -1320,18 +1293,32 @@ where
     // profile — `report.threads` counts engaged slots.
     let body = |t: usize| {
         let mut prof = ThreadProfile { thread: t, ..ThreadProfile::default() };
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            faultinject::probe(FaultSite::WorkerStartup);
+        let packs0 = record.then(thread_pack_counts);
+        let drained = catch_unwind(AssertUnwindSafe(|| {
+            if kernel {
+                faultinject::probe(FaultSite::WorkerStartup);
+            }
             loop {
                 if poison.is_poisoned() || monitor.should_stop() {
                     break;
                 }
                 let u = cursor.fetch_add(1, Ordering::Relaxed);
-                if u >= units || !heartbeat(monitor, t) {
+                if u >= units || !heartbeat(monitor, t, kernel) {
                     break;
                 }
                 let u0 = record.then(Stamp::now);
-                run(u);
+                match run(t, u) {
+                    Ok(()) => {}
+                    // Latch the cancellation so `outcome` reports it.
+                    Err(GemmError::Cancelled { .. }) => {
+                        monitor.should_stop();
+                        break;
+                    }
+                    Err(e) => {
+                        poison.record(e);
+                        break;
+                    }
+                }
                 if let Some(u0) = u0 {
                     prof.busy += u0.elapsed();
                     prof.blocks += 1;
@@ -1339,112 +1326,65 @@ where
                 monitor.note_done();
             }
         }));
-        if let Err(payload) = run {
-            poison.record(t, payload);
+        if let Err(payload) = drained {
+            poison.record(panicked(t, payload));
         }
         // One lock per slot lifetime — never on the unit path.
-        if let Some(collected) = &collected {
-            collected.lock().push((prof, Stamp::now()));
-        }
-    };
-    exec.run_section_traced(threads, "kernel", &body);
-    poison.into_result()?;
-    monitor.outcome("kernel", units)?;
-    let (Some(section0), Some(collected)) = (section0, collected) else { return Ok(None) };
-    let mut finished: Vec<(ThreadProfile, Stamp)> = collected.into_inner();
-    finished.sort_by_key(|(p, _)| p.thread);
-    let end = Stamp::now();
-    let mut drain = PhaseTimes::default();
-    let threads = finished
-        .into_iter()
-        .map(|(mut p, f)| {
-            p.drain = f.delta_to(end);
-            drain += p.drain;
-            p
-        })
-        .collect();
-    Ok(Some(SectionProfile { threads, kernel: section0.delta_to(end), drain }))
-}
-
-/// Fill `panels[idx]` via `pack(idx, &mut panels[idx])`, draining the
-/// slot indices from a shared atomic cursor over up to `threads` pool
-/// runners (slot-agnostic, like every pool-section body: whichever
-/// runners arrive complete the phase). Small jobs stay single-threaded
-/// to skip the submission overhead.
-///
-/// A panicking pack worker poisons the phase: the other workers stop at
-/// their next slot boundary and the first panic comes back as
-/// [`GemmError::WorkerPanicked`] (`C` is untouched — nothing has run
-/// yet). Supervision (deadline/cancel/watchdog heartbeats) is checked at
-/// the same slot boundaries; an interrupted phase reports
-/// [`GemmError::Cancelled`]/[`GemmError::Stalled`] with `phase`. With
-/// `record`, each runner adds the change in its thread's pack tally
-/// ([`thread_pack_counts`]) to the phase total it returns; otherwise the
-/// total is zero.
-#[allow(clippy::too_many_arguments)]
-fn try_pack_panels_parallel<F>(
-    panels: &mut [PackedBlock],
-    threads: usize,
-    exec: &Exec,
-    monitor: &RunMonitor,
-    phase: &'static str,
-    record: bool,
-    pack: F,
-) -> Result<PackStats, GemmError>
-where
-    F: Fn(usize, &mut PackedBlock) + Sync,
-{
-    let total = panels.len();
-    let mut threads = threads.max(1).min(total.max(1));
-    if total < 2 * threads {
-        // Too few panels to pay for a submission: slot 0 runs inline.
-        threads = 1;
-    }
-    /// Shared view of the panel slots for the cursor drain; an index is
-    /// only touched by the runner that claimed it.
-    struct PanelSlots {
-        ptr: *mut PackedBlock,
-    }
-    // SAFETY: exclusive per-index access is enforced by the cursor.
-    unsafe impl Sync for PanelSlots {}
-    let slots = PanelSlots { ptr: panels.as_mut_ptr() };
-    // Capture the wrapper by reference: edition-2021 closures would
-    // otherwise capture the raw-pointer field directly, sidestepping the
-    // `Sync` impl.
-    let slots = &slots;
-    let cursor = AtomicUsize::new(0);
-    let poison = Poison::new();
-    let packs = Mutex::new(PackStats::default());
-    let body = |t: usize| {
-        let before = record.then(thread_pack_counts);
-        let run = catch_unwind(AssertUnwindSafe(|| loop {
-            if poison.is_poisoned() || monitor.should_stop() {
-                break;
-            }
-            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-            if idx >= total {
-                break;
-            }
-            // SAFETY: the cursor hands each index to exactly one
-            // runner, so this `&mut` is exclusive; the borrow ends
-            // before `run_section` returns (join-before-return).
-            let p = unsafe { &mut *slots.ptr.add(idx) };
-            pack(idx, p);
-            monitor.beat(t);
-            monitor.note_done();
-        }));
-        if let Err(payload) = run {
-            poison.record(t, payload);
-        }
-        // One lock per runner lifetime — never on the panel path.
-        if let Some(before) = before {
-            *packs.lock() += thread_pack_counts().since(before);
+        if let (Some(collected), Some(packs0)) = (&collected, packs0) {
+            let packs = thread_pack_counts().since(packs0);
+            collected.lock().push((prof, packs, Stamp::now()));
         }
     };
     exec.run_section_traced(threads, phase, &body);
     poison.into_result()?;
-    monitor.outcome(phase, total)?;
-    Ok(packs.into_inner())
+    monitor.outcome(phase, units)?;
+    let (Some(section0), Some(collected)) = (section0, collected) else { return Ok(None) };
+    let mut finished = collected.into_inner();
+    finished.sort_by_key(|(p, _, _)| p.thread);
+    let end = Stamp::now();
+    let (mut drain, mut packs) = (PhaseTimes::default(), PackStats::default());
+    let threads = finished
+        .into_iter()
+        .map(|(mut p, runner_packs, f)| {
+            p.drain = f.delta_to(end);
+            drain += p.drain;
+            packs += runner_packs;
+            p
+        })
+        .collect();
+    Ok(Some(SectionProfile { threads, kernel: section0.delta_to(end), drain, packs }))
+}
+
+/// Exclusive access to the elements of a slice from the units of one
+/// [`try_drain`] section: the cursor hands each index to exactly one
+/// runner, so the `&mut` a runner takes for its unit is never aliased.
+pub(crate) struct UnitSlots<'s, T> {
+    ptr: *mut T,
+    len: usize,
+    _slice: std::marker::PhantomData<&'s mut [T]>,
+}
+
+// SAFETY: `ptr` and `len` are never written after `new`; the elements
+// behind `ptr` are only reached through `claim`, whose contract gives
+// each one to a single runner at a time, so sharing the handle only moves
+// `&mut T` access between threads (hence `T: Send`).
+unsafe impl<T: Send> Sync for UnitSlots<'_, T> {}
+
+impl<'s, T> UnitSlots<'s, T> {
+    pub(crate) fn new(slice: &'s mut [T]) -> Self {
+        UnitSlots { ptr: slice.as_mut_ptr(), len: slice.len(), _slice: std::marker::PhantomData }
+    }
+
+    /// The element of unit `i`.
+    ///
+    /// # Safety
+    /// The calling runner claimed unit `i` from the section's cursor, and
+    /// the borrow ends before the section joins.
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn claim(&self, i: usize) -> &mut T {
+        assert!(i < self.len, "unit {i} out of {}", self.len);
+        &mut *self.ptr.add(i)
+    }
 }
 
 /// Execute all K-slices of one `C` block from cached panels
@@ -1527,7 +1467,9 @@ pub fn gemm_with_plan_repack(
 
 /// Fallible [`gemm_with_plan_repack`]: the same validation, degenerate
 /// shapes and worker-panic containment as [`try_gemm_with_plan_pooled`]
-/// (a poisoned run stops each worker at its next block boundary).
+/// (a poisoned run stops each worker at its next block boundary). Its
+/// blocks drain through the same `try_drain` kernel section, fault probes
+/// included; each block packs its own panels.
 pub fn try_gemm_with_plan_repack(
     plan: &ExecutionPlan,
     a: &[f32],
@@ -1547,36 +1489,18 @@ pub fn try_gemm_with_plan_repack(
     }
     let (tm, tn, tk) = plan.grid();
     let blocks = block_visit_order(&s.order, tm, tn);
-    let threads = threads.max(1).min(blocks.len().max(1));
-
-    // SAFETY: each (bi, bj) block is handled by exactly one thread and the
+    // SAFETY: each (bi, bj) block is claimed by exactly one thread and the
     // blocks partition C; CTile accesses stay within a block's cells.
     let c_root = unsafe { CTile::new(c.as_mut_ptr(), n, c.len()) };
-    if threads == 1 {
-        return contain(|| {
-            for &(bi, bj) in &blocks {
-                run_block(plan, a, b, c_root, bi, bj, tk);
-            }
-        });
-    }
-    let exec = Exec::unsupervised();
-    let cursor = AtomicUsize::new(0);
-    let poison = Poison::new();
-    let body = |t: usize| {
-        let run = catch_unwind(AssertUnwindSafe(|| loop {
-            if poison.is_poisoned() {
-                break;
-            }
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&(bi, bj)) = blocks.get(i) else { break };
-            run_block(plan, a, b, c_root, bi, bj, tk);
-        }));
-        if let Err(payload) = run {
-            poison.record(t, payload);
-        }
-    };
-    exec.run_section(threads, &body);
-    poison.into_result()
+    let none = Supervision::none();
+    let monitor = RunMonitor::new(&none, threads.max(1));
+    let exec = Exec::new(&none, false);
+    try_drain("kernel", blocks.len(), threads, &exec, &monitor, false, |_, i| {
+        let (bi, bj) = blocks[i];
+        run_block(plan, a, b, c_root, bi, bj, tk);
+        Ok(())
+    })
+    .map(|_| ())
 }
 
 /// Visit order of the `(M_c, N_c)` block grid, following the tuned
@@ -1757,7 +1681,7 @@ mod tests {
 
     #[test]
     fn kernel_menu_is_the_feasible_table_ii_menu() {
-        // KERNEL_MENU (and the dispatch macro that must mirror it) is
+        // KERNEL_MENU (and the dispatch generated from the same list) is
         // exactly the feasible Table II menu for σ_lane = 4.
         let want: Vec<(usize, usize)> =
             autogemm_kernelgen::tiles::table_menu(4).iter().map(|t| (t.mr, t.nr)).collect();

@@ -72,10 +72,10 @@
 //!
 //! ## Panic containment
 //!
-//! Driver job bodies contain their own panics (poison-flag + first-panic
-//! capture, see [`crate::native::Poison`]); the pool adds a
-//! `catch_unwind` backstop so even a body that leaks a panic cannot kill
-//! a pool worker. A poisoned submission therefore drains, joins, reports
+//! Driver job bodies contain their own panics (poison flag and
+//! first-error capture in the one work drain, `crate::native::try_drain`);
+//! the pool adds a `catch_unwind` backstop so even a body that leaks a
+//! panic cannot kill a pool worker. A poisoned submission therefore drains, joins, reports
 //! its structured error — and the pool stays reusable for the next call.
 //!
 //! Uses `std::sync::{Mutex, Condvar}` directly (the vendored
@@ -852,43 +852,36 @@ impl Exec {
         }
     }
 
-    /// Unsupervised plan-level sections (repack baseline, transpose):
-    /// global pool, no degradation gates.
-    pub(crate) fn unsupervised() -> Exec {
-        Exec { rt: Runtime::global(), inline: false, scoped: false, tracer: None }
-    }
-
     pub(crate) fn runtime(&self) -> &Arc<Runtime> {
         &self.rt
     }
 
-    /// Run a slot-agnostic section body on `threads` slots.
-    pub(crate) fn run_section(&self, threads: usize, body: &(dyn Fn(usize) + Sync)) {
-        if threads <= 1 || self.inline {
-            body(0);
-        } else if self.scoped {
-            scoped_spawn(threads, body);
-        } else {
-            self.rt.pool.run(threads, body);
-        }
-    }
-
-    /// [`Exec::run_section`] plus timeline emission: one `name` phase
-    /// span per active slot, a caller-lane `submit` lead-in, per-worker
-    /// `wake` lead-ins (submit → body start), and per-slot `drain` tails
-    /// (body end → section close, the load-imbalance gap). Identical to
-    /// `run_section` when no tracer is attached.
+    /// Run a slot-agnostic section body on `threads` slots. With a
+    /// tracer attached it also emits the timeline: one `name` phase span
+    /// per active slot, a caller-lane `submit` lead-in, per-worker `wake`
+    /// lead-ins (submit → body start), and per-slot `drain` tails (body
+    /// end → section close, the load-imbalance gap).
     pub(crate) fn run_section_traced(
         &self,
         threads: usize,
         name: &'static str,
         body: &(dyn Fn(usize) + Sync),
     ) {
+        let inline = threads <= 1 || self.inline;
+        let run = |body: &(dyn Fn(usize) + Sync)| {
+            if inline {
+                body(0);
+            } else if self.scoped {
+                scoped_spawn(threads, body);
+            } else {
+                self.rt.pool.run(threads, body);
+            }
+        };
         let Some(tb) = self.tracer.as_deref() else {
-            self.run_section(threads, body);
+            run(body);
             return;
         };
-        if threads <= 1 || self.inline {
+        if inline {
             let s0 = tb.now_ns();
             body(0);
             tb.push(0, name, "phase", s0, tb.now_ns());
@@ -911,7 +904,7 @@ impl Exec {
                 e.store(s1.max(1), Ordering::Relaxed);
             }
         };
-        self.run_section(threads, &wrapped);
+        run(&wrapped);
         let end = tb.now_ns();
         for (t, e) in ends.iter().enumerate() {
             let done = e.load(Ordering::Relaxed);

@@ -680,6 +680,48 @@ fn deadline_and_token_interrupt_a_wedged_kernel_mid_run() {
 }
 
 #[test]
+fn a_batch_cancelled_inside_an_item_reports_the_batch_cancelled() {
+    let _g = chaos_lock();
+    let engine = AutoGemm::new(ChipSpec::graviton2());
+    let (m, n, k) = SHAPE;
+    let (a, b) = data(m, n, k, 13);
+    let mut batch = GemmBatch::new(m, n, k);
+    for _ in 0..3 {
+        batch.push(&a, &b);
+    }
+    // Every item wedges at its first kernel-block claim; the token is
+    // cancelled while an item is wedged, so that item returns
+    // `Cancelled` and the batch has run no item to completion. With one
+    // runner nothing else polls the batch's token after that.
+    for threads in [1usize, 2] {
+        let guard = arm(FaultPlan::single(
+            FaultSite::WorkerHeartbeat,
+            FaultAction::Stall(10_000),
+            Trigger::EveryKth(1),
+        ));
+        let tok = CancelToken::new();
+        let canceller = {
+            let tok = tok.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(40));
+                tok.cancel();
+            })
+        };
+        let mut c = vec![0.0f32; 3 * m * n];
+        let opts = GemmOptions::new().threads(threads).cancel(tok);
+        let r = engine.try_gemm_batch_opts(&batch, &mut c, &opts);
+        canceller.join().unwrap();
+        drop(guard);
+        match r {
+            Err(GemmError::Cancelled { phase: "batch", blocks_done, blocks_total: 3 }) => {
+                assert!(blocks_done < 3, "t{threads}: {blocks_done}/3 items");
+            }
+            other => panic!("t{threads}: expected Cancelled(batch), got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn watchdog_detects_a_stalled_worker_and_reports_heartbeats() {
     let _g = chaos_lock();
     // The watchdog verdict itself must not be masked by quarantine.

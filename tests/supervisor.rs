@@ -4,7 +4,7 @@
 //! report of a healthy engine. The chaos suite (`tests/chaos.rs`)
 //! covers the faulting halves of the same contracts.
 
-use autogemm::supervisor::{CancelToken, GemmOptions, WatchdogConfig};
+use autogemm::supervisor::{CancelToken, GemmOptions, Supervision, WatchdogConfig};
 use autogemm::{AutoGemm, GemmError, ResilientMode};
 use autogemm_arch::ChipSpec;
 use autogemm_baselines::naive::{max_rel_error, naive_gemm};
@@ -150,6 +150,40 @@ fn batch_calls_honor_a_pre_cancelled_token_at_item_granularity() {
     for i in 0..5 {
         assert!(max_rel_error(&c[i * m * n..(i + 1) * m * n], &want) < 1e-5, "item {i}");
     }
+}
+
+#[test]
+fn the_plan_level_batch_stops_at_item_granularity_with_c_untouched() {
+    let engine = AutoGemm::new(ChipSpec::graviton2());
+    let (m, n, k, items) = (10usize, 12usize, 8usize, 4usize);
+    let (a, b) = data(m, n, k, 6);
+    let plan = engine.plan(m, n, k);
+    let mut batch = autogemm::GemmBatch::new(m, n, k);
+    for _ in 0..items {
+        batch.push(&a, &b);
+    }
+    let tok = CancelToken::new();
+    tok.cancel();
+    let sup = Supervision::none().with_cancel(tok);
+    let sentinel = vec![7.5f32; items * m * n];
+    let mut c = sentinel.clone();
+    let e = autogemm::try_gemm_batch_supervised(&plan, &batch, &mut c, 2, &sup).unwrap_err();
+    match e {
+        GemmError::Cancelled { phase, blocks_done, blocks_total } => {
+            assert_eq!(phase, "batch");
+            assert_eq!(blocks_done, 0);
+            assert_eq!(blocks_total, items, "batch progress counts items");
+        }
+        other => panic!("expected Cancelled(batch), got {other:?}"),
+    }
+    assert_eq!(c, sentinel, "no item ran, so C is untouched");
+
+    // One item, no supervision: the drain runs it and completes.
+    let mut one = autogemm::GemmBatch::new(m, n, k);
+    one.push(&a, &b);
+    let mut c = vec![0.0f32; m * n];
+    autogemm::try_gemm_batch_supervised(&plan, &one, &mut c, 1, &Supervision::none()).unwrap();
+    assert!(max_rel_error(&c, &oracle(m, n, k, &a, &b)) < 1e-5);
 }
 
 #[test]
